@@ -40,6 +40,7 @@ from .dispositions import (
     is_open_door,
     posner_even_odds_prior,
     rationalize,
+    transcript_posteriors,
     verify_rationalization,
 )
 from .errors import (
@@ -52,6 +53,7 @@ from .errors import (
     DegenerateUtilities,
     EmptyMatchWithMatchingDefendant,
     ForeignTestimony,
+    InvariantViolation,
     JuryBayesError,
     NonpositiveRatio,
     NotExpressible,

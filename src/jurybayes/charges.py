@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import (
     AlgebraMismatch,
     DegeneratePrior,
+    InvariantViolation,
     NotExpressible,
     NotIndependent,
     OutOfRange,
@@ -106,12 +107,6 @@ class Charge:
 
     # -- measurement ---------------------------------------------------
 
-    def mass_of_atom(self, atom: frozenset) -> Fraction:
-        try:
-            return self.masses[self.algebra.atoms.index(atom)]
-        except ValueError:
-            raise NotExpressible(f"{atom!r} is not an atom of this algebra") from None
-
     def measure(self, event: AbstractSet) -> Fraction:
         """Probability of an event expressible in the algebra."""
         event = frozenset(event)
@@ -189,21 +184,7 @@ class Charge:
                 f"target {format_rational(value)} outside the admissible interval "
                 f"[{format_rational(inner)}, {format_rational(outer)}]"
             )
-        residual = value - inner
-        part_mass: dict[frozenset, Fraction] = {}
-        for atom, m in zip(self.algebra.atoms, self.masses):
-            inside = atom & subset
-            outside = atom - subset
-            if not inside:
-                part_mass[atom] = m
-            elif not outside:
-                part_mass[atom] = m
-            else:
-                take = min(residual, m)
-                residual -= take
-                part_mass[frozenset(inside)] = take
-                part_mass[frozenset(outside)] = m - take
-        assert residual == 0, "greedy split failed to reach the target value"
+        part_mass = greedy_split(zip(self.algebra.atoms, self.masses), subset, value - inner)
         new_algebra = self.algebra.adjoin(subset)
         return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
 
@@ -265,9 +246,10 @@ class Charge:
         rho_event = theta * scale
         rho_complement = (1 - theta) * scale
 
-        part_mass: dict[frozenset, Fraction] = {}
-        self._allocate_side(given, rho_event, part_mass, event_side=True, event=event)
-        self._allocate_side(given, rho_complement, part_mass, event_side=False, event=event)
+        part_mass = {
+            **self._allocate_side(given, rho_event, event_side=True, event=event),
+            **self._allocate_side(given, rho_complement, event_side=False, event=event),
+        }
         new_algebra = self.algebra.adjoin(given)
         return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
 
@@ -339,32 +321,50 @@ class Charge:
         self,
         given: frozenset,
         budget: Fraction,
-        part_mass: dict[frozenset, Fraction],
         *,
         event_side: bool,
         event: frozenset,
-    ) -> None:
+    ) -> dict[frozenset, Fraction]:
         """Greedy fill of atom-inside-given parts on one side of the event."""
-        forced = ZERO
-        for atom, m in zip(self.algebra.atoms, self.masses):
-            if (atom <= event) == event_side and atom <= given:
-                forced += m
-        residual = budget - forced
-        for atom, m in zip(self.algebra.atoms, self.masses):
-            if (atom <= event) != event_side:
-                continue
-            inside = atom & given
-            outside = atom - given
-            if not inside:
-                part_mass[atom] = m
-            elif not outside:
-                part_mass[atom] = m
-            else:
-                take = min(residual, m)
-                residual -= take
-                part_mass[frozenset(inside)] = take
-                part_mass[frozenset(outside)] = m - take
-        assert residual == 0, "allocation failed to exhaust the side budget"
+        side = [
+            (atom, m)
+            for atom, m in zip(self.algebra.atoms, self.masses)
+            if (atom <= event) == event_side
+        ]
+        forced = sum((m for atom, m in side if atom <= given), start=ZERO)
+        return greedy_split(side, given, budget - forced)
+
+
+def greedy_split(
+    atom_masses: Iterable[tuple[frozenset, Fraction]],
+    subset: frozenset,
+    target: Fraction,
+) -> dict[frozenset, Fraction]:
+    """Split every atom that ``subset`` cuts so its inside parts total ``target``.
+
+    Atoms that ``subset`` does not cut keep their mass.  Cut atoms are
+    filled in the given order: each inside part takes as much of its
+    atom's mass as the remaining target allows, and the outside part
+    keeps the rest.  Returns the mass of every resulting part; raises
+    InvariantViolation when the cut atoms cannot absorb the target
+    exactly, which the callers' interval checks rule out.
+    """
+    residual = target
+    part_mass: dict[frozenset, Fraction] = {}
+    for atom, m in atom_masses:
+        inside = atom & subset
+        if not inside or inside == atom:
+            part_mass[atom] = m
+            continue
+        take = min(residual, m)
+        residual -= take
+        part_mass[inside] = take
+        part_mass[atom - subset] = m - take
+    if residual != 0:
+        raise InvariantViolation(
+            f"greedy split left {format_rational(residual)} of its target unplaced"
+        )
+    return part_mass
 
 
 def mix(alpha: RationalLike, first: Charge, second: Charge) -> Charge:

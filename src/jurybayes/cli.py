@@ -48,7 +48,7 @@ from .serialize import (
     require_same_catalog,
     transcript_labels_list,
 )
-from .worlds import Guilt, TestimonyCatalog, event_of_transcript, is_expressible
+from .worlds import TestimonyCatalog, is_expressible
 
 WORLD_CAP_ENV = "JURYBAYES_WORLD_CAP"
 
@@ -191,11 +191,10 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
         load_json(args.charge_file), world_cap=world_cap(args)
     )
     require_same_catalog(disposition.catalog, charge_catalog)
-    result = dispositions.verify_rationalization(
-        disposition, parse_cli_rational(args.theta, "--theta"), charge
-    )
+    theta = parse_cli_rational(args.theta, "--theta")
+    result = dispositions.verify_rationalization(disposition, theta, charge)
     doc: dict[str, Any] = {
-        "theta": args.theta,
+        "theta": format_rational(theta),
         "holds": result.ok,
         "witness": None,
     }
@@ -349,14 +348,12 @@ def scenario_posner(cap: int | None) -> dict[str, Any]:
     prior = dispositions.posner_even_odds_prior(catalog, theta)
     rows = []
     worst: Fraction | None = None
-    for transcript in catalog.all_transcripts():
+    for transcript, transcript_mass, guilty_mass in dispositions.transcript_posteriors(
+        prior, catalog
+    ):
         if len(transcript) == 0:
             continue
-        transcript_event = event_of_transcript(catalog, transcript)
-        posterior = prior.conditional(
-            frozenset(w for w in transcript_event if w.guilt is Guilt.GUILTY),
-            transcript_event,
-        ).value
+        posterior = guilty_mass / transcript_mass
         worst = posterior if worst is None else min(worst, posterior)
         rows.append(
             {

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .charges import Charge, mix
+from .charges import ZERO, Charge, mix
 from .errors import (
     AxiomViolation,
     CatalogMismatch,
+    NotExpressible,
     ThetaOutOfRange,
     ZeroTranscriptMass,
 )
@@ -28,10 +29,10 @@ from .worlds import (
     TestimonyCatalog,
     Transcript,
     World,
-    event_of_transcript,
     full_world_space,
     guilt_event,
     powerset_algebra,
+    world_set,
 )
 
 HALF = Fraction(1, 2)
@@ -69,9 +70,6 @@ class Disposition:
     def verdict(self, transcript: Transcript) -> Verdict:
         self.catalog._check_transcript(transcript)
         return Verdict.CONVICT if transcript in self.convicting else Verdict.ACQUIT
-
-    def transcripts(self) -> Iterator[Transcript]:
-        return self.catalog.all_transcripts()
 
 
 def check_poi(disposition: Disposition) -> bool:
@@ -176,6 +174,59 @@ def rationalize(
     )
 
 
+def transcript_posteriors(
+    prior: Charge, catalog: TestimonyCatalog | None = None
+) -> Iterator[tuple[Transcript, Fraction, Fraction]]:
+    """Yield (T, P(E_T), P(E_T ∩ G)) for every transcript T.
+
+    One pass over the prior's atoms tallies every transcript; the tallies
+    are then yielded lazily, so an error surfaces at the transcript the
+    per-event ``measure`` path would have reached it.  With a catalog the
+    prior must live on its world space (CatalogMismatch otherwise) and
+    transcripts come in canonical order; without one every ground
+    element must be a World (TypeError otherwise) and transcripts come in
+    ground order.  NotExpressible is raised on reaching a transcript whose
+    event cuts through an atom, or, when that event has positive mass,
+    whose guilty and innocent worlds share an atom.  A zero-mass
+    transcript yields (T, 0, 0).
+    """
+    if catalog is not None:
+        _require_world_ground(prior, catalog)
+        order: Iterable[Transcript] = catalog.all_transcripts()
+    else:
+        first_seen: dict[Transcript, None] = {}
+        for world in prior.algebra.ground:
+            if not isinstance(world, World):
+                raise TypeError("transcript posteriors need a charge over trial worlds")
+            first_seen[world.transcript] = None
+        order = first_seen
+    mass: dict[Transcript, Fraction] = {}
+    guilty: dict[Transcript, Fraction] = {}
+    straddled: set[Transcript] = set()
+    mixed: set[Transcript] = set()
+    for atom, m in zip(prior.algebra.atoms, prior.masses):
+        if len(atom) == 1:
+            (world,) = atom
+            transcript = world.transcript
+            mass[transcript] = mass.get(transcript, ZERO) + m
+            if world.guilt is Guilt.GUILTY:
+                guilty[transcript] = m
+            continue
+        members = {w.transcript for w in atom}
+        if len(members) > 1:
+            straddled |= members
+            continue
+        # two worlds of one transcript: its guilty and innocent world
+        (transcript,) = members
+        mass[transcript] = mass.get(transcript, ZERO) + m
+        mixed.add(transcript)
+    for transcript in order:
+        transcript_mass = mass.get(transcript, ZERO)
+        if transcript in straddled or (transcript_mass and transcript in mixed):
+            raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
+        yield transcript, transcript_mass, guilty.get(transcript, ZERO)
+
+
 def verify_rationalization(
     disposition: Disposition, theta: RationalLike, prior: Charge
 ) -> VerificationResult:
@@ -187,20 +238,16 @@ def verify_rationalization(
     """
     theta = as_rational(theta, name="theta")
     catalog = disposition.catalog
-    _require_world_ground(prior, catalog)
     posteriors: dict[Transcript, Fraction] = {}
     witness: Transcript | None = None
-    for transcript in catalog.all_transcripts():
-        transcript_event = event_of_transcript(catalog, transcript)
-        transcript_mass = prior.measure(transcript_event)
+    for transcript, transcript_mass, guilty_mass in transcript_posteriors(prior, catalog):
         if transcript_mass == 0:
             raise ZeroTranscriptMass(
                 f"P(E_T) = 0 for transcript "
                 f"{{{','.join(catalog.transcript_labels(transcript))}}}; "
                 "the threshold biconditional is undefined there"
             )
-        guilty_world = World(transcript, Guilt.GUILTY)
-        posterior = prior.measure(frozenset({guilty_world})) / transcript_mass
+        posterior = guilty_mass / transcript_mass
         posteriors[transcript] = posterior
         convicts = posterior >= theta
         if witness is None and convicts != (transcript in disposition.convicting):
@@ -210,18 +257,8 @@ def verify_rationalization(
 
 def is_open_door(prior: Charge) -> bool:
     """True iff no positive-mass transcript pins guilt to 0 or 1."""
-    transcripts: dict[Transcript, list[World]] = {}
-    for world in prior.algebra.ground:
-        if not isinstance(world, World):
-            raise TypeError("open-door check needs a charge over trial worlds")
-        transcripts.setdefault(world.transcript, []).append(world)
-    for transcript, members in transcripts.items():
-        transcript_mass = prior.measure(frozenset(members))
-        if transcript_mass == 0:
-            continue
-        guilty = frozenset(w for w in members if w.guilt is Guilt.GUILTY)
-        posterior = prior.measure(guilty) / transcript_mass
-        if posterior == 0 or posterior == 1:
+    for _, transcript_mass, guilty_mass in transcript_posteriors(prior):
+        if transcript_mass and guilty_mass in (ZERO, transcript_mass):
             return False
     return True
 
@@ -245,8 +282,7 @@ def posner_even_odds_prior(catalog: TestimonyCatalog, theta: RationalLike) -> Ch
 
 
 def _require_world_ground(prior: Charge, catalog: TestimonyCatalog) -> None:
-    expected = frozenset(full_world_space(catalog))
-    if prior.algebra.ground_set != expected:
+    if prior.algebra.ground_set != world_set(catalog):
         raise CatalogMismatch(
             "the charge is not defined on the world space of this catalog"
         )

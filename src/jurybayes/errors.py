@@ -75,5 +75,9 @@ class CatalogMismatch(JuryBayesError):
     """Two inputs were built over different testimony catalogs."""
 
 
+class InvariantViolation(JuryBayesError):
+    """An internal exactness invariant failed: a bug, not a bad input."""
+
+
 class ParseError(JuryBayesError):
     """An input file or literal failed to parse."""

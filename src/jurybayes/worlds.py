@@ -151,6 +151,16 @@ def _world_space(labels: tuple[str, ...]) -> tuple[World, ...]:
     return tuple(worlds)
 
 
+def world_set(catalog: TestimonyCatalog) -> frozenset[World]:
+    """All worlds of the catalog as a set, built once per catalog."""
+    return _world_set(catalog.labels)
+
+
+@lru_cache(maxsize=64)
+def _world_set(labels: tuple[str, ...]) -> frozenset[World]:
+    return frozenset(_world_space(labels))
+
+
 def event_of_transcript(
     catalog: TestimonyCatalog, transcript: Transcript
 ) -> frozenset[World]:
@@ -163,7 +173,12 @@ def event_of_transcript(
 
 def guilt_event(catalog: TestimonyCatalog) -> frozenset[World]:
     """All worlds in which the defendant is materially guilty."""
-    return frozenset(w for w in full_world_space(catalog) if w.guilt is Guilt.GUILTY)
+    return _guilt_event(catalog.labels)
+
+
+@lru_cache(maxsize=64)
+def _guilt_event(labels: tuple[str, ...]) -> frozenset[World]:
+    return frozenset(w for w in _world_space(labels) if w.guilt is Guilt.GUILTY)
 
 
 def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[World]:
@@ -213,11 +228,13 @@ class BooleanSubalgebra:
         # equal sizes rule out overlaps, equal union rules out gaps
         if covered != len(ground_set) or union != ground_set:
             raise ValueError("atoms must partition the ground set")
+        object.__setattr__(self, "_ground_set", ground_set)
         object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.ground)})
 
     @property
     def ground_set(self) -> frozenset:
-        return frozenset(self.ground)
+        """The ground as a set, built once at construction."""
+        return self._ground_set  # type: ignore[attr-defined]
 
     @property
     def is_atomized_by_points(self) -> bool:

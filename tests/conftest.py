@@ -14,7 +14,16 @@ from typing import Iterator, Sequence
 import pytest
 
 from jurybayes.charges import Charge
-from jurybayes.worlds import BooleanSubalgebra
+from jurybayes.errors import CatalogMismatch
+from jurybayes.worlds import (
+    BooleanSubalgebra,
+    Guilt,
+    TestimonyCatalog,
+    Transcript,
+    World,
+    event_of_transcript,
+    full_world_space,
+)
 
 
 def all_partitions(elements: Sequence) -> Iterator[tuple[frozenset, ...]]:
@@ -47,6 +56,32 @@ def oracle_inner_outer(charge: Charge, subset: frozenset) -> tuple[Fraction, Fra
     below = [charge.measure(m) for m in charge.algebra.members() if m <= subset]
     above = [charge.measure(m) for m in charge.algebra.members() if subset <= m]
     return max(below), min(above)
+
+
+def oracle_transcript_posteriors(
+    prior: Charge, catalog: TestimonyCatalog | None = None
+) -> Iterator[tuple[Transcript, Fraction, Fraction]]:
+    """(T, P(E_T), P(E_T ∩ G)) from two ``measure`` calls per transcript.
+
+    Canonical order with a catalog, ground order without; a zero-mass
+    transcript never has its guilty part measured.
+    """
+    if catalog is not None:
+        if prior.algebra.ground_set != frozenset(full_world_space(catalog)):
+            raise CatalogMismatch("not the world space of this catalog")
+        groups = {t: event_of_transcript(catalog, t) for t in catalog.all_transcripts()}
+    else:
+        groups: dict[Transcript, set] = {}
+        for world in prior.algebra.ground:
+            if not isinstance(world, World):
+                raise TypeError("not a trial world")
+            groups.setdefault(world.transcript, set()).add(world)
+    for transcript, worlds in groups.items():
+        mass = prior.measure(worlds)
+        guilty = Fraction(0)
+        if mass:
+            guilty = prior.measure({w for w in worlds if w.guilt is Guilt.GUILTY})
+        yield transcript, mass, guilty
 
 
 def random_masses(rng: random.Random, count: int) -> tuple[Fraction, ...]:

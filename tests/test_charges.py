@@ -1,16 +1,19 @@
 """Charges: measurement, conditioning, mixtures, and the extension constructions."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jurybayes.charges import Charge, ConditionalResult, mix
+from jurybayes.charges import Charge, ConditionalResult, greedy_split, mix
 from jurybayes.errors import (
     AlgebraMismatch,
     DegeneratePrior,
+    InvariantViolation,
     NotExpressible,
     NotIndependent,
     OutOfRange,
@@ -263,6 +266,29 @@ class TestExtend:
             assert extended.measure(subset) == value
             for member in charge.algebra.members():
                 assert extended.measure(member) == charge.measure(member)
+
+
+class TestGreedySplit:
+    def test_unplaceable_target_raises(self):
+        # only the cut atom {1,2} can absorb mass, and it holds 1/2 < 3/4
+        atom_masses = [(frozenset({1, 2}), F(1, 2)), (frozenset({3}), F(1, 2))]
+        with pytest.raises(InvariantViolation):
+            greedy_split(atom_masses, frozenset({1}), F(3, 4))
+
+    def test_check_survives_optimized_mode(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from jurybayes.charges import greedy_split\n"
+            "from jurybayes.errors import InvariantViolation\n"
+            "try:\n"
+            "    greedy_split([(frozenset({1, 2}), F(1))], frozenset({1}), F(2))\n"
+            "except InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert result.stdout == "raised\n", result.stderr
 
 
 def strict_instance(rng, size=8):

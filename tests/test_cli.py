@@ -101,6 +101,15 @@ class TestRoundTrips:
         assert report["witness"] == ["t1", "t2"]
         assert report["witness_posterior"] == "1/2"
 
+    def test_theta_echoed_in_canonical_form(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", str(DATA / "two_witness_n2.json"), str(DATA / "uniform_n2.json"),
+            "--theta", "0.75",
+        )
+        assert code == 0
+        assert json.loads(out)["theta"] == "3/4"
+
     @pytest.mark.parametrize("target", ["0", "1"])
     def test_extend_boundary_targets_verified(self, capsys, target):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 """Dispositions, axioms, and the rationalization round trip."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,16 +18,20 @@ from jurybayes.dispositions import (
     is_open_door,
     posner_even_odds_prior,
     rationalize,
+    transcript_posteriors,
     verify_rationalization,
 )
 from jurybayes.errors import (
     AxiomViolation,
     CatalogMismatch,
     ForeignTestimony,
+    JuryBayesError,
+    NotExpressible,
     ThetaOutOfRange,
     ZeroTranscriptMass,
 )
 from jurybayes.worlds import (
+    BooleanSubalgebra,
     Guilt,
     TestimonyCatalog,
     Transcript,
@@ -36,6 +41,8 @@ from jurybayes.worlds import (
     guilt_event,
     powerset_algebra,
 )
+
+from conftest import oracle_transcript_posteriors, random_masses, random_partition
 
 
 def catalog(n: int) -> TestimonyCatalog:
@@ -264,6 +271,164 @@ class TestPosnerPrior:
     def test_empty_catalog_cannot_satisfy_the_axioms(self):
         with pytest.raises(AxiomViolation):
             posner_even_odds_prior(catalog(0), F(3, 4))
+
+
+def rationalized_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
+    nonempty = [t for t in cat.all_transcripts() if len(t) > 0]
+    convicting = rng.sample(nonempty, rng.randrange(1, len(nonempty) + 1))
+    theta = F(rng.randrange(11, 20), 20)
+    return rationalize(Disposition(cat, convicting), theta).prior
+
+
+def point_prior_with_gaps(rng: random.Random, cat: TestimonyCatalog) -> Charge:
+    """Random world masses; some transcripts, and some single worlds, get 0."""
+    worlds = full_world_space(cat)
+    masks = range(1 << len(cat))
+    empty = set(rng.sample(masks, rng.randrange(0, len(masks))))
+    weights = [
+        0 if w.transcript.mask in empty else rng.randrange(0, 5) for w in worlds
+    ]
+    if not any(weights):
+        weights[2 * min(set(masks) - empty)] = 1
+    total = sum(weights)
+    return Charge(powerset_algebra(worlds), tuple(F(x, total) for x in weights))
+
+
+def coarse_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
+    """Random atoms over a shuffled world ground.
+
+    Either any partition into blocks of one or two worlds (atoms may
+    straddle transcripts), or one that only pairs a transcript's guilty
+    world with its innocent one.  Atom masses may be zero.
+    """
+    worlds = list(full_world_space(cat))
+    rng.shuffle(worlds)
+    if rng.random() < 0.5:
+        atoms = random_partition(rng, worlds)
+    else:
+        atoms = []
+        for t in cat.all_transcripts():
+            pair = (World(t, Guilt.GUILTY), World(t, Guilt.INNOCENT))
+            if rng.random() < 0.5:
+                atoms.append(frozenset(pair))
+            else:
+                atoms += [frozenset({w}) for w in pair]
+    algebra = BooleanSubalgebra(tuple(worlds), tuple(atoms))
+    return Charge(algebra, random_masses(rng, len(atoms)))
+
+
+def outcome(rows):
+    """Rows produced before the first error, and that error's class."""
+    seen = []
+    try:
+        for row in rows:
+            seen.append(row)
+    except (JuryBayesError, TypeError) as exc:
+        return seen, type(exc)
+    return seen, None
+
+
+def verify_outcome(disposition, theta, prior):
+    try:
+        result = verify_rationalization(disposition, theta, prior)
+    except JuryBayesError as exc:
+        return type(exc)
+    return result.ok, result.witness, result.posteriors
+
+
+def oracle_verify_outcome(disposition, theta, prior):
+    posteriors = {}
+    witness = None
+    try:
+        for t, mass, guilty in oracle_transcript_posteriors(prior, disposition.catalog):
+            if mass == 0:
+                raise ZeroTranscriptMass(str(t))
+            posteriors[t] = guilty / mass
+            if witness is None and (guilty / mass >= theta) != (t in disposition.convicting):
+                witness = t
+    except JuryBayesError as exc:
+        return type(exc)
+    return witness is None, witness, posteriors
+
+
+def open_door_outcome(prior, check):
+    try:
+        return check(prior)
+    except JuryBayesError as exc:
+        return type(exc)
+
+
+def oracle_open_door(prior):
+    for _, mass, guilty in oracle_transcript_posteriors(prior):
+        if mass and guilty in (0, mass):
+            return False
+    return True
+
+
+class TestTranscriptPosteriorsKernel:
+    """The one-pass kernel against two ``measure`` calls per transcript."""
+
+    @pytest.mark.parametrize(
+        "make", [rationalized_prior, point_prior_with_gaps, coarse_prior]
+    )
+    def test_matches_measure_oracle(self, rng, make):
+        errors = set()  # kernel and verify outcomes seen, to show coverage
+        for n in range(1, 7):
+            cat = catalog(n)
+            for _ in range(12):
+                prior = make(rng, cat)
+                expected = outcome(oracle_transcript_posteriors(prior, cat))
+                assert outcome(transcript_posteriors(prior, cat)) == expected
+                assert outcome(transcript_posteriors(prior)) == outcome(
+                    oracle_transcript_posteriors(prior)
+                )
+                errors.add(expected[1])
+                disposition = Disposition(
+                    cat, (t for t in cat.all_transcripts() if rng.random() < 0.5)
+                )
+                theta = F(rng.randrange(1, 20), 20)
+                verified = verify_outcome(disposition, theta, prior)
+                assert verified == oracle_verify_outcome(disposition, theta, prior)
+                errors.add(verified if isinstance(verified, type) else None)
+                assert open_door_outcome(prior, is_open_door) == open_door_outcome(
+                    prior, oracle_open_door
+                )
+        if make is point_prior_with_gaps:
+            assert ZeroTranscriptMass in errors and None in errors
+        if make is coarse_prior:
+            assert {NotExpressible, ZeroTranscriptMass, None} <= errors
+
+    def test_foreign_catalog_and_foreign_ground(self, rng):
+        prior = point_prior_with_gaps(rng, catalog(2))
+        for other in (catalog(1), catalog(3)):
+            with pytest.raises(CatalogMismatch):
+                next(transcript_posteriors(prior, other))
+        numbers = Charge.uniform_on_atoms(powerset_algebra((1, 2)))
+        with pytest.raises(TypeError):
+            next(transcript_posteriors(numbers))
+        with pytest.raises(CatalogMismatch):
+            next(transcript_posteriors(numbers, catalog(0)))
+
+    def test_zero_mass_mixed_atom_is_not_an_error(self):
+        cat = catalog(1)
+        t0 = cat.transcript(["t0"])
+        empty = Transcript()
+        algebra = BooleanSubalgebra(
+            full_world_space(cat),
+            (
+                frozenset({World(empty, Guilt.GUILTY), World(empty, Guilt.INNOCENT)}),
+                frozenset({World(t0, Guilt.GUILTY)}),
+                frozenset({World(t0, Guilt.INNOCENT)}),
+            ),
+        )
+        prior = Charge(algebra, (F(0), F(1, 3), F(2, 3)))
+        assert list(transcript_posteriors(prior, cat)) == [
+            (empty, F(0), F(0)),
+            (t0, F(1), F(1, 3)),
+        ]
+        positive = Charge(algebra, (F(1, 3), F(1, 3), F(1, 3)))
+        with pytest.raises(NotExpressible):
+            list(transcript_posteriors(positive, cat))
 
 
 @settings(max_examples=60, deadline=None)

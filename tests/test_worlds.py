@@ -21,6 +21,7 @@ from jurybayes.worlds import (
     is_expressible,
     is_logically_independent,
     powerset_algebra,
+    world_set,
 )
 
 from conftest import all_partitions, literal_logical_independence
@@ -52,6 +53,15 @@ class TestWorldSpace:
         masks = [w.transcript.mask for w in worlds]
         assert masks == [0, 0, 1, 1, 2, 2, 3, 3]
         assert [w.guilt for w in worlds[:2]] == [Guilt.GUILTY, Guilt.INNOCENT]
+
+    def test_world_sets_are_built_once(self):
+        cat = catalog(3)
+        algebra = powerset_algebra(full_world_space(cat))
+        assert algebra.ground_set is algebra.ground_set
+        assert algebra.ground_set == frozenset(algebra.ground)
+        assert world_set(cat) is world_set(catalog(3))
+        assert world_set(cat) == algebra.ground_set
+        assert guilt_event(cat) is guilt_event(catalog(3))
 
     def test_cap_enforced_and_overridable(self):
         labels = tuple(f"t{i}" for i in range(13))
