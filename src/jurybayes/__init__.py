@@ -81,6 +81,7 @@ from .scoring import (
 )
 from .worlds import (
     DEFAULT_WORLD_CAP,
+    WORLD_CAP_CEILING,
     BooleanSubalgebra,
     Guilt,
     TestimonyCatalog,

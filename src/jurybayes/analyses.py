@@ -74,8 +74,6 @@ class Odds:
 
 
 def _odds_component(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
     decimal = exact_decimal(value)
     return decimal if decimal is not None else format_rational(value)
 

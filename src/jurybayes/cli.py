@@ -48,7 +48,7 @@ from .serialize import (
     require_same_catalog,
     transcript_labels_list,
 )
-from .worlds import TestimonyCatalog, is_expressible
+from .worlds import TestimonyCatalog, check_world_cap, is_expressible
 
 WORLD_CAP_ENV = "JURYBAYES_WORLD_CAP"
 
@@ -376,15 +376,20 @@ def scenario_posner(cap: int | None) -> dict[str, Any]:
 
 
 def world_cap(args: argparse.Namespace) -> int | None:
-    if args.world_cap is not None:
-        return args.world_cap
-    env = os.environ.get(WORLD_CAP_ENV)
-    if env is not None:
+    """The --world-cap flag, else JURYBAYES_WORLD_CAP, else None (the default cap)."""
+    cap, source = args.world_cap, "--world-cap"
+    if cap is None:
+        env = os.environ.get(WORLD_CAP_ENV)
+        if env is None:
+            return None
         try:
-            return int(env)
+            cap, source = int(env), WORLD_CAP_ENV
         except ValueError as exc:
             raise ParseError(f"{WORLD_CAP_ENV} must be an integer, got {env!r}") from exc
-    return None
+    try:
+        return check_world_cap(cap)
+    except ValueError as exc:
+        raise ParseError(f"{source}: {exc}") from exc
 
 
 def load_json(path: str) -> Any:

@@ -282,7 +282,10 @@ def posner_even_odds_prior(catalog: TestimonyCatalog, theta: RationalLike) -> Ch
 
 
 def _require_world_ground(prior: Charge, catalog: TestimonyCatalog) -> None:
-    if prior.algebra.ground_set != world_set(catalog):
+    # plain ints equal to the world codes compare equal to the worlds
+    if prior.algebra.ground_set != world_set(catalog) or set(
+        map(type, prior.algebra.ground)
+    ) != {World}:
         raise CatalogMismatch(
             "the charge is not defined on the world space of this catalog"
         )

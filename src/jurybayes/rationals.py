@@ -10,7 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import CapExceeded
+
 RationalLike = int | str | Fraction
+
+#: Bound on a string literal's length plus its decimal exponent's
+#: magnitude.  It is CPython's default int/str digit limit, so every value
+#: accepted can be rendered back; without it "1e3000000" alone would take
+#: about a second to parse.
+MAX_LITERAL_DIGITS = 4300
 
 
 def as_rational(value: RationalLike, *, name: str = "value") -> Fraction:
@@ -31,18 +39,43 @@ def as_rational(value: RationalLike, *, name: str = "value") -> Fraction:
             f"got float {value!r}"
         )
     if isinstance(value, str):
+        text = value.strip()
+        _check_literal_size(text, name)
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{name}: cannot parse {value!r} as a rational") from exc
     raise TypeError(f"{name} must be int, str, or Fraction, got {type(value).__name__}")
 
 
+def _check_literal_size(text: str, name: str) -> None:
+    """Refuse a literal whose value could outgrow MAX_LITERAL_DIGITS digits."""
+    _, _, exponent = text.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
+    if len(text) > MAX_LITERAL_DIGITS or len(text) + (
+        int(exponent) if exponent.isdecimal() else 0
+    ) > MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"{name}: literal too large; its length plus its exponent may not "
+            f"exceed {MAX_LITERAL_DIGITS}"
+        )
+
+
+def _digits(value: int) -> str:
+    """Decimal rendering of an int, or CapExceeded past the interpreter's digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # int -> str conversion limit
+        raise CapExceeded(
+            f"a {value.bit_length()}-bit integer is too long to render in decimal"
+        ) from None
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical exact rendering: "p/q", or "p" when the denominator is 1."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def exact_decimal(value: Fraction) -> str | None:
@@ -64,10 +97,10 @@ def exact_decimal(value: Fraction) -> str | None:
         return None
     places = max(twos, fives)
     if places == 0:
-        return str(value.numerator)
+        return _digits(value.numerator)
     scaled = value.numerator * 10**places // value.denominator
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
+    digits = _digits(abs(scaled)).rjust(places + 1, "0")
     whole, frac = digits[:-places], digits[-places:]
     return f"{sign}{whole}.{frac}"
 
@@ -83,5 +116,5 @@ def approx_decimal(value: Fraction, places: int = 6) -> str:
         return exact
     scaled = round(value * 10**places)
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
+    digits = _digits(abs(scaled)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}…"

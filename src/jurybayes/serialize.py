@@ -28,7 +28,6 @@ from .worlds import (
     guilt_event,
     heard_event,
     powerset_algebra,
-    world_sort_key,
 )
 
 #: Labels must stay clear of the characters world keys and event specs use.
@@ -54,8 +53,7 @@ def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
 
 
 def atom_key(catalog: TestimonyCatalog, atom: frozenset) -> str:
-    worlds = sorted(atom, key=world_sort_key)
-    return ";".join(world_key(catalog, w) for w in worlds)
+    return ";".join(world_key(catalog, w) for w in sorted(atom))
 
 
 def transcript_labels_list(catalog: TestimonyCatalog, transcript: Transcript) -> list[str]:
@@ -132,7 +130,7 @@ def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, A
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
     if not charge.algebra.is_atomized_by_points:
         doc["atoms"] = [
-            [world_key(catalog, w) for w in sorted(atom, key=world_sort_key)]
+            [world_key(catalog, w) for w in sorted(atom)]
             for atom in charge.algebra.atoms
         ]
     doc["masses"] = {
@@ -159,9 +157,7 @@ def charge_from_jsonable(
         for raw in raw_atoms:
             atoms.append(frozenset(parse_world_key(catalog, key) for key in raw))
         try:
-            algebra = BooleanSubalgebra(
-                worlds, tuple(sorted(atoms, key=lambda a: min(world_sort_key(w) for w in a)))
-            )
+            algebra = BooleanSubalgebra(worlds, tuple(sorted(atoms, key=min)))
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, ForeignTestimony
@@ -21,6 +21,14 @@ from .errors import CapExceeded, ForeignTestimony
 #: Default ceiling on catalog size.  The world space has 2^(n+1) elements
 #: and every construction in this package is exponential in n.
 DEFAULT_WORLD_CAP = 12
+
+#: Largest world cap any catalog may be given.  ``rationalize`` followed
+#: by ``verify_rationalization`` peaks at about 1.05 kB per world (n=16:
+#: 151 MB for 131072 worlds on CPython 3.11), so this ceiling bounds a run
+#: at 2^21 worlds and about 2.2 GB; a cap above it is refused before any
+#: world is built.  Testimony indices stay below it, so no transcript
+#: outgrows every catalog.
+WORLD_CAP_CEILING = 20
 
 
 class Guilt(enum.Enum):
@@ -33,25 +41,47 @@ class Guilt(enum.Enum):
         return f"Guilt.{self.name}"
 
 
-@dataclass(frozen=True)
-class Transcript:
+# The integer encoding.  A transcript is its testimony bitmask (bit i set
+# iff catalog index i was perceived) and a world is the int 2*mask + g,
+# with g = 0 when guilty and 1 when innocent.  Both are int subclasses
+# without Python-level __hash__/__eq__, so world-space sets hash in C and
+# canonical order (transcripts in binary counting order, guilty before
+# innocent) is integer order.  No other module reads the bit layout.
+
+
+class Transcript(int):
     """A set of perceived testimonies, stored as catalog indices."""
 
-    members: frozenset[int]
+    __slots__ = ()
 
-    def __init__(self, members: Iterable[int] = ()) -> None:
-        object.__setattr__(self, "members", frozenset(members))
+    def __new__(cls, members: Iterable[int] = ()) -> "Transcript":
+        mask = 0
+        for index in members:
+            if not 0 <= index < WORLD_CAP_CEILING:
+                raise ForeignTestimony(
+                    f"testimony index {index} is outside every catalog "
+                    f"(indices run from 0 to {WORLD_CAP_CEILING - 1})"
+                )
+            mask |= 1 << index
+        return super().__new__(cls, mask)
+
+    def __getnewargs__(self) -> tuple[frozenset[int]]:
+        return (self.members,)
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(i for i in range(self.bit_length()) if (self >> i) & 1)
 
     @property
     def mask(self) -> int:
         """Bitmask encoding; the canonical sort key for transcripts."""
-        return sum(1 << i for i in self.members)
+        return int(self)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
+    def __contains__(self, index: object) -> bool:
+        return isinstance(index, int) and index >= 0 and (self >> index) & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.bit_count()
 
     def __repr__(self) -> str:
         inner = ",".join(str(i) for i in sorted(self.members))
@@ -61,23 +91,34 @@ class Transcript:
 EMPTY_TRANSCRIPT = Transcript()
 
 
-@dataclass(frozen=True)
-class World:
+class World(int):
     """A pair of a transcript and a guilt value."""
 
-    transcript: Transcript
-    guilt: Guilt
+    __slots__ = ()
+
+    def __new__(cls, transcript: Transcript, guilt: Guilt) -> "World":
+        if not isinstance(transcript, Transcript) or not isinstance(guilt, Guilt):
+            raise TypeError("a world pairs a Transcript with a Guilt value")
+        return super().__new__(cls, 2 * transcript + (guilt is Guilt.INNOCENT))
+
+    def __getnewargs__(self) -> tuple[Transcript, Guilt]:
+        return (self.transcript, self.guilt)
+
+    @property
+    def transcript(self) -> Transcript:
+        return _transcript_of_mask(self >> 1)
+
+    @property
+    def guilt(self) -> Guilt:
+        return Guilt.INNOCENT if self & 1 else Guilt.GUILTY
 
     def __repr__(self) -> str:
         return f"World({self.transcript!r}, {self.guilt.value})"
 
 
-def world_sort_key(world: World) -> tuple[int, int]:
-    """Canonical world order: transcript mask, guilty before innocent.
-
-    Reports and serialized charges rely on this order being byte-stable.
-    """
-    return (world.transcript.mask, 0 if world.guilt is Guilt.GUILTY else 1)
+# Unchecked constructors for masks and world codes computed in this module.
+_transcript_of_mask = partial(int.__new__, Transcript)
+_world_of_code = partial(int.__new__, World)
 
 
 @dataclass(frozen=True)
@@ -87,7 +128,7 @@ class TestimonyCatalog:
     Labels are opaque identifiers; everything downstream indexes against
     their position.  Construction enforces distinctness and the world-cap
     (default 12, i.e. at most 8192 worlds); pass ``world_cap`` to relax
-    or tighten it.
+    or tighten it, up to ``WORLD_CAP_CEILING``.
     """
 
     labels: tuple[str, ...]
@@ -95,7 +136,7 @@ class TestimonyCatalog:
 
     def __init__(self, labels: Iterable[str], world_cap: int | None = None) -> None:
         object.__setattr__(self, "labels", tuple(labels))
-        cap = DEFAULT_WORLD_CAP if world_cap is None else int(world_cap)
+        cap = DEFAULT_WORLD_CAP if world_cap is None else check_world_cap(world_cap)
         object.__setattr__(self, "world_cap", cap)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"catalog labels must be distinct: {self.labels!r}")
@@ -122,17 +163,30 @@ class TestimonyCatalog:
         return tuple(self.labels[i] for i in sorted(transcript.members))
 
     def _check_transcript(self, transcript: Transcript) -> None:
-        bad = [i for i in transcript.members if not 0 <= i < len(self.labels)]
-        if bad:
+        if not isinstance(transcript, Transcript):
+            raise TypeError(f"expected a Transcript, got {type(transcript).__name__}")
+        if transcript >> len(self.labels):
+            bad = sorted(i for i in transcript.members if i >= len(self.labels))
             raise ForeignTestimony(
-                f"transcript indices {sorted(bad)} are outside the catalog of size {len(self)}"
+                f"transcript indices {bad} are outside the catalog of size {len(self)}"
             )
 
     def all_transcripts(self) -> Iterator[Transcript]:
         """All 2^n transcripts in canonical binary-counting order."""
-        n = len(self.labels)
-        for mask in range(1 << n):
-            yield Transcript(i for i in range(n) if mask >> i & 1)
+        return map(_transcript_of_mask, range(1 << len(self.labels)))
+
+
+def check_world_cap(cap: int) -> int:
+    """Validate a world cap: ValueError if negative, CapExceeded above the ceiling."""
+    cap = int(cap)
+    if cap < 0:
+        raise ValueError(f"the world cap must be a nonnegative integer, got {cap}")
+    if cap > WORLD_CAP_CEILING:
+        raise CapExceeded(
+            f"world cap {cap} exceeds the hard ceiling of {WORLD_CAP_CEILING} "
+            f"(2^{WORLD_CAP_CEILING + 1} worlds)"
+        )
+    return cap
 
 
 def full_world_space(catalog: TestimonyCatalog) -> tuple[World, ...]:
@@ -142,13 +196,7 @@ def full_world_space(catalog: TestimonyCatalog) -> tuple[World, ...]:
 
 @lru_cache(maxsize=64)
 def _world_space(labels: tuple[str, ...]) -> tuple[World, ...]:
-    n = len(labels)
-    worlds = []
-    for mask in range(1 << n):
-        transcript = Transcript(i for i in range(n) if mask >> i & 1)
-        worlds.append(World(transcript, Guilt.GUILTY))
-        worlds.append(World(transcript, Guilt.INNOCENT))
-    return tuple(worlds)
+    return tuple(map(_world_of_code, range(2 << len(labels))))
 
 
 def world_set(catalog: TestimonyCatalog) -> frozenset[World]:
@@ -178,7 +226,7 @@ def guilt_event(catalog: TestimonyCatalog) -> frozenset[World]:
 
 @lru_cache(maxsize=64)
 def _guilt_event(labels: tuple[str, ...]) -> frozenset[World]:
-    return frozenset(w for w in _world_space(labels) if w.guilt is Guilt.GUILTY)
+    return frozenset(_world_space(labels)[::2])  # the even codes
 
 
 def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[World]:
@@ -188,9 +236,9 @@ def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[
     exact-transcript event is ``event_of_transcript``.
     """
     catalog._check_transcript(transcript)
-    need = transcript.members
+    need = transcript.mask
     return frozenset(
-        w for w in full_world_space(catalog) if need <= w.transcript.members
+        w for w in full_world_space(catalog) if (w >> 1) & need == need
     )
 
 

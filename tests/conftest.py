@@ -7,6 +7,7 @@ measured against.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -49,6 +50,27 @@ def literal_logical_independence(event: frozenset, algebra: BooleanSubalgebra) -
         if not (member & event) or not ((ground - member) & event):
             return False
     return True
+
+
+NaiveWorld = tuple[frozenset[int], Guilt]
+
+
+def naive_transcripts(n: int) -> list[frozenset[int]]:
+    """Every subset of range(n), in binary counting order of its bit-vector."""
+    subsets = [
+        frozenset(i for i, bit in enumerate(bits) if bit)
+        for bits in itertools.product((0, 1), repeat=n)
+    ]
+    return sorted(subsets, key=lambda s: sum(2**i for i in s))
+
+
+def naive_world_space(n: int) -> list[NaiveWorld]:
+    """(members, guilt) pairs in canonical order: transcripts, guilty first."""
+    return [(s, g) for s in naive_transcripts(n) for g in (Guilt.GUILTY, Guilt.INNOCENT)]
+
+
+def as_naive(world: World) -> NaiveWorld:
+    return (world.transcript.members, world.guilt)
 
 
 def oracle_inner_outer(charge: Charge, subset: frozenset) -> tuple[Fraction, Fraction]:

@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from jurybayes import worlds
 from jurybayes.cli import main
+from jurybayes.rationals import as_rational
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -200,6 +203,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "odds", "--prior", "1:2", "--lr", "fast")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv,code,error",
+        [
+            (("--prior", "1:2", "--lr", "1e5000"), 3, "ParseError"),
+            (("--prior", "1:2", "--lr", "1e3000000"), 3, "ParseError"),
+            (("--prior", "1:2", "--lr", "1" * 5000), 3, "ParseError"),
+            (("--prior", "1e4000:1", "--lr", "1e2000"), 10, "CapExceeded"),
+        ],
+    )
+    def test_huge_literals_end_in_one_error_line_quickly(self, capsys, argv, code, error):
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, "odds", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (got, out) == (code, "")
+        assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+
+    def test_literal_bound_admits_what_can_be_rendered(self):
+        assert as_rational("1e4290") == 10**4290
+        assert as_rational("-2.5E-3") == as_rational("-1/400")
+        for literal in ("1e4296", "1e-4296", "1E+9_999", "9" * 4301):
+            with pytest.raises(ValueError, match="too large"):
+                as_rational(literal)
+
     def test_pathological_gamma_exits_10_instead_of_hanging(self, capsys):
         code, _, err = run_cli(
             capsys, "rate", "--gamma", "1/1000000", "--theta", "3/4", "--build"
@@ -250,6 +276,27 @@ class TestWorldCap:
             capsys, "rationalize", str(big), "--theta", "3/4", "--world-cap", "4"
         )
         assert code == 10
+
+    def test_bad_caps_fail_before_any_world_is_built(self, capsys, monkeypatch):
+        def no_worlds(labels):
+            raise AssertionError("a world space was built")
+
+        monkeypatch.setattr(worlds, "_world_space", no_worlds)
+        disposition = str(DATA / "two_witness_n2.json")
+        cases = [
+            (("--world-cap", "-1"), None, 3, "ParseError"),
+            ((), "-1", 3, "ParseError"),
+            (("--world-cap", str(worlds.WORLD_CAP_CEILING + 1)), None, 10, "CapExceeded"),
+            ((), "1000000", 10, "CapExceeded"),
+        ]
+        for flag, env, code, error in cases:
+            if env is None:
+                monkeypatch.delenv("JURYBAYES_WORLD_CAP", raising=False)
+            else:
+                monkeypatch.setenv("JURYBAYES_WORLD_CAP", env)
+            got, out, err = run_cli(capsys, "rationalize", disposition, "--theta", "3/4", *flag)
+            assert (got, out) == (code, "")
+            assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
 
 
 def test_console_entry_point_runs():

@@ -203,6 +203,19 @@ class TestVerify:
                 Disposition(cat, [cat.transcript(["t0"])]), F(3, 4), other
             )
 
+    def test_ints_equal_to_the_worlds_are_a_catalog_mismatch(self):
+        # plain ints compare equal to the world codes, but are not worlds
+        cat = catalog(1)
+        space = full_world_space(cat)
+        disposition = Disposition(cat, [cat.transcript(["t0"])])
+        for ground in (tuple(range(len(space))), (int(space[0]),) + space[1:]):
+            impostor = Charge.uniform_on_atoms(powerset_algebra(ground))
+            assert impostor.algebra.ground_set == frozenset(space)
+            with pytest.raises(CatalogMismatch):
+                verify_rationalization(disposition, F(3, 4), impostor)
+            with pytest.raises(CatalogMismatch):
+                guilt_prior(impostor, cat)
+
 
 class TestOpenDoor:
     def test_certificate_priors_are_open_door(self):

@@ -1,13 +1,16 @@
 """World spaces, events, and subalgebra machinery."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jurybayes.errors import CapExceeded, ForeignTestimony
+from jurybayes import worlds as worlds_module
 from jurybayes.worlds import (
+    WORLD_CAP_CEILING,
     BooleanSubalgebra,
     Guilt,
     TestimonyCatalog,
@@ -24,7 +27,13 @@ from jurybayes.worlds import (
     world_set,
 )
 
-from conftest import all_partitions, literal_logical_independence
+from conftest import (
+    all_partitions,
+    as_naive,
+    literal_logical_independence,
+    naive_transcripts,
+    naive_world_space,
+)
 
 
 def catalog(n: int) -> TestimonyCatalog:
@@ -68,6 +77,20 @@ class TestWorldSpace:
         with pytest.raises(CapExceeded):
             TestimonyCatalog(labels)
         assert len(TestimonyCatalog(labels, world_cap=13)) == 13
+
+    def test_negative_and_over_ceiling_caps_rejected_before_any_world(self, monkeypatch):
+        def no_worlds(labels):
+            raise AssertionError("a world space was built")
+
+        monkeypatch.setattr(worlds_module, "_world_space", no_worlds)
+        assert WORLD_CAP_CEILING >= 16
+        for cap in (-1, -(10**9)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                TestimonyCatalog((), world_cap=cap)
+        for cap in (WORLD_CAP_CEILING + 1, 10**9):
+            with pytest.raises(CapExceeded, match="ceiling"):
+                TestimonyCatalog(("t0",), world_cap=cap)
+        assert TestimonyCatalog(("t0",), world_cap=WORLD_CAP_CEILING).world_cap == WORLD_CAP_CEILING
 
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError):
@@ -276,3 +299,69 @@ class TestAdjoin:
         algebra = powerset_algebra((1, 2, 3))
         assert algebra.is_atomized_by_points
         assert not atoms_of_generated_algebra((1, 2), []).is_atomized_by_points
+
+
+class TestIntegerEncoding:
+    def test_hash_and_equality_are_ints_own(self):
+        # a Python-level override would put a frame back on every set operation
+        for cls in (World, Transcript):
+            assert cls.__hash__ is int.__hash__
+            assert cls.__eq__ is int.__eq__
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_naive_pair_construction(self, n):
+        cat = catalog(n)
+        naive = naive_world_space(n)
+        space = full_world_space(cat)
+        assert [as_naive(w) for w in space] == naive
+        assert list(space) == sorted(space)  # canonical order is integer order
+        assert [t.members for t in cat.all_transcripts()] == naive_transcripts(n)
+        assert {as_naive(w) for w in guilt_event(cat)} == {
+            p for p in naive if p[1] is Guilt.GUILTY
+        }
+        for t in cat.all_transcripts():
+            assert {as_naive(w) for w in event_of_transcript(cat, t)} == {
+                p for p in naive if p[0] == t.members
+            }
+            assert {as_naive(w) for w in heard_event(cat, t)} == {
+                p for p in naive if t.members <= p[0]
+            }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        members=st.frozensets(st.integers(0, WORLD_CAP_CEILING - 1)),
+        guilt=st.sampled_from(Guilt),
+    )
+    def test_round_trip(self, members, guilt):
+        t = Transcript(members)
+        assert t.members == members
+        assert len(t) == len(members)
+        assert all((i in t) == (i in members) for i in range(-1, WORLD_CAP_CEILING + 1))
+        world = World(t, guilt)
+        assert world.transcript == t and type(world.transcript) is Transcript
+        assert world.guilt is guilt
+        assert pickle.loads(pickle.dumps(world)) == world
+        assert pickle.loads(pickle.dumps(t)) == t
+
+    def test_repr_is_unchanged(self):
+        assert repr(Transcript({2, 0})) == "Transcript({0,2})"
+        assert repr(World(Transcript(), Guilt.INNOCENT)) == "World(Transcript({}), I)"
+
+    def test_indices_outside_every_catalog_are_foreign(self):
+        for index in (-1, WORLD_CAP_CEILING):
+            with pytest.raises(ForeignTestimony):
+                Transcript({index})
+        with pytest.raises(ForeignTestimony, match=r"\[1, 3\]"):
+            catalog(1).transcript_labels(Transcript({0, 1, 3}))
+        for n in range(4):
+            with pytest.raises(ForeignTestimony):
+                event_of_transcript(catalog(n), Transcript({n}))
+
+    def test_plain_ints_are_not_transcripts_or_worlds(self):
+        cat = catalog(2)
+        with pytest.raises(TypeError):
+            event_of_transcript(cat, 1)
+        with pytest.raises(TypeError):
+            World(1, Guilt.GUILTY)
+        with pytest.raises(TypeError):
+            World(Transcript(), "G")
