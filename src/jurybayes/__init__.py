@@ -94,7 +94,9 @@ from .worlds import (
     heard_event,
     is_expressible,
     is_logically_independent,
+    is_world_powerset,
     powerset_algebra,
+    world_algebra,
 )
 
 __version__ = "0.1.0"

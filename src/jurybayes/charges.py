@@ -61,21 +61,17 @@ class Charge:
             raise ValueError(
                 f"{len(self.masses)} masses for {len(self.algebra.atoms)} atoms"
             )
-        total = ZERO
         for m in self.masses:
             if not isinstance(m, Fraction):
                 raise TypeError(f"atom mass must be Fraction, got {type(m).__name__}")
-            if m < 0:
+            if m.numerator < 0:
                 raise ValueError(f"atom mass must be nonnegative, got {m}")
-            total += m
+        total = fraction_sum(self.masses)
         if total != 1:
             raise ValueError(f"atom masses must sum to 1, got {format_rational(total)}")
         # point-atomized algebras get an O(|event|) measure fast path
-        point_mass = None
-        if self.algebra.is_atomized_by_points:
-            point_mass = {
-                next(iter(atom)): m for atom, m in zip(self.algebra.atoms, self.masses)
-            }
+        points = self.algebra.points
+        point_mass = None if points is None else dict(zip(points, self.masses))
         object.__setattr__(self, "_point_mass", point_mass)
 
     # -- constructors -------------------------------------------------
@@ -114,7 +110,7 @@ class Charge:
             raise NotExpressible("event contains elements outside the ground set")
         point_mass = self._point_mass  # type: ignore[attr-defined]
         if point_mass is not None:
-            return sum((point_mass[e] for e in event), start=ZERO)
+            return fraction_sum(point_mass[e] for e in event)
         total = ZERO
         for atom, m in zip(self.algebra.atoms, self.masses):
             if atom <= event:
@@ -333,6 +329,18 @@ class Charge:
         ]
         forced = sum((m for atom, m in side if atom <= given), start=ZERO)
         return greedy_split(side, given, budget - forced)
+
+
+def fraction_sum(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum of Fractions.
+
+    Numerators are added per denominator as ints, so Fraction arithmetic
+    (a gcd per operation) only meets the distinct denominators.
+    """
+    numerators: dict[int, int] = {}
+    for v in values:
+        numerators[v.denominator] = numerators.get(v.denominator, 0) + v.numerator
+    return sum((Fraction(n, d) for d, n in numerators.items()), start=ZERO)
 
 
 def greedy_split(

@@ -79,6 +79,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command takes the cap, so a bad one fails before any dispatch
+        args.world_cap = world_cap(args)
         doc = args.handler(args)
         print(render(doc, args.format))
         if getattr(args, "out", None):
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_rationalize(args: argparse.Namespace) -> dict[str, Any]:
     disposition = disposition_from_jsonable(
-        load_json(args.disposition_file), world_cap=world_cap(args)
+        load_json(args.disposition_file), world_cap=args.world_cap
     )
     certificate = dispositions.rationalize(disposition, parse_cli_rational(args.theta, "--theta"))
     return certificate_to_jsonable(certificate)
@@ -185,10 +187,10 @@ def cmd_rationalize(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     disposition = disposition_from_jsonable(
-        load_json(args.disposition_file), world_cap=world_cap(args)
+        load_json(args.disposition_file), world_cap=args.world_cap
     )
     charge_catalog, charge = charge_document_from_jsonable(
-        load_json(args.charge_file), world_cap=world_cap(args)
+        load_json(args.charge_file), world_cap=args.world_cap
     )
     require_same_catalog(disposition.catalog, charge_catalog)
     theta = parse_cli_rational(args.theta, "--theta")
@@ -206,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_extend(args: argparse.Namespace) -> dict[str, Any]:
     catalog, charge = charge_document_from_jsonable(
-        load_json(args.charge_file), world_cap=world_cap(args)
+        load_json(args.charge_file), world_cap=args.world_cap
     )
     event = event_from_spec(catalog, args.event)
     given = event_from_spec(catalog, args.given)
@@ -286,7 +288,7 @@ def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
     }
     if args.build:
         cat = TestimonyCatalog(
-            tuple(f"t{i}" for i in range(bound.steps)), world_cap=world_cap(args)
+            tuple(f"t{i}" for i in range(bound.steps)), world_cap=args.world_cap
         )
         built = analyses.build_ratio_bounded_convicting_prior(cat, config)
         doc["posterior_trail"] = [format_rational(p) for p in built.posteriors]
@@ -303,8 +305,8 @@ def cmd_scenario(args: argparse.Namespace) -> dict[str, Any]:
     if args.name == "spann":
         return scenario_spann()
     if args.name == "two-witness":
-        return scenario_two_witness(world_cap(args))
-    return scenario_posner(world_cap(args))
+        return scenario_two_witness(args.world_cap)
+    return scenario_posner(args.world_cap)
 
 
 def scenario_spann() -> dict[str, Any]:
@@ -398,7 +400,7 @@ def load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .charges import ZERO, Charge, mix
+from .charges import ZERO, Charge
 from .errors import (
     AxiomViolation,
     CatalogMismatch,
@@ -29,9 +29,9 @@ from .worlds import (
     TestimonyCatalog,
     Transcript,
     World,
-    full_world_space,
     guilt_event,
-    powerset_algebra,
+    is_world_powerset,
+    world_algebra,
     world_set,
 )
 
@@ -126,7 +126,10 @@ def rationalize(
     mixture of a convicting-side measure (mass theta/n_C on (T, guilty)
     and (1-theta)/n_C on (T, innocent) for convicting T) and the mirror
     acquitting-side measure; the mixture weight 1/2 is forced by
-    requiring prior guilt exactly 1/2.
+    requiring prior guilt exactly 1/2.  The mixture takes only four
+    values, theta/(2n_C) and (1-theta)/(2n_C) on convicting transcripts
+    and their mirror (1-theta)/(2n_A) and theta/(2n_A) on acquitting ones,
+    so it is written down directly on the catalog's world algebra.
     """
     theta = as_rational(theta, name="theta")
     if not HALF < theta < 1:
@@ -142,29 +145,26 @@ def rationalize(
         raise AxiomViolation("willingness to convict fails: no transcript convicts")
 
     catalog = disposition.catalog
-    worlds = full_world_space(catalog)
-    algebra = powerset_algebra(worlds)
-    n_convict = len(disposition.convicting)
+    convicting = disposition.convicting
+    n_convict = len(convicting)
     n_acquit = (1 << len(catalog)) - n_convict
+    acquit_theta = 1 - theta
+    # (guilty, innocent) world masses of a convicting and an acquitting transcript
+    convict_pair = (theta / (2 * n_convict), acquit_theta / (2 * n_convict))
+    acquit_pair = (acquit_theta / (2 * n_acquit), theta / (2 * n_acquit))
 
-    convict_masses: dict[frozenset, Fraction] = {}
-    acquit_masses: dict[frozenset, Fraction] = {}
-    for world in worlds:
-        atom = frozenset({world})
-        if world.transcript in disposition.convicting:
-            guilty_share = theta if world.guilt is Guilt.GUILTY else 1 - theta
-            convict_masses[atom] = guilty_share / n_convict
+    masses: list[Fraction] = []
+    posteriors: dict[Transcript, Fraction] = {}
+    for t in catalog.all_transcripts():
+        if t in convicting:
+            masses += convict_pair
+            posteriors[t] = theta
         else:
-            guilty_share = 1 - theta if world.guilt is Guilt.GUILTY else theta
-            acquit_masses[atom] = guilty_share / n_acquit
-    convict_side = Charge.from_atom_masses(algebra, convict_masses)
-    acquit_side = Charge.from_atom_masses(algebra, acquit_masses)
-    prior = mix(HALF, convict_side, acquit_side)
-
-    posteriors = {
-        t: (theta if t in disposition.convicting else 1 - theta)
-        for t in catalog.all_transcripts()
-    }
+            masses += acquit_pair
+            posteriors[t] = acquit_theta
+    # world_algebra's atoms come in canonical order: transcripts in the
+    # order of all_transcripts(), each guilty world before its innocent one
+    prior = Charge(world_algebra(catalog), tuple(masses))
     return RationalizationCertificate(
         disposition=disposition,
         theta=theta,
@@ -188,10 +188,21 @@ def transcript_posteriors(
     ground order.  NotExpressible is raised on reaching a transcript whose
     event cuts through an atom, or, when that event has positive mass,
     whose guilty and innocent worlds share an atom.  A zero-mass
-    transcript yields (T, 0, 0).
+    transcript yields (T, 0, 0).  A prior on a world space's powerset in
+    canonical order (``is_world_powerset``; every ``rationalize`` prior)
+    is read pairwise from its masses.
     """
     if catalog is not None:
         _require_world_ground(prior, catalog)
+    if is_world_powerset(prior.algebra):
+        # one atom per world, canonical order: guilty then innocent per transcript
+        masses = prior.masses
+        for guilty_world, guilty_mass, innocent_mass in zip(
+            prior.algebra.ground[0::2], masses[0::2], masses[1::2]
+        ):
+            yield guilty_world.transcript, guilty_mass + innocent_mass, guilty_mass
+        return
+    if catalog is not None:
         order: Iterable[Transcript] = catalog.all_transcripts()
     else:
         first_seen: dict[Transcript, None] = {}

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from functools import lru_cache
+from typing import Any, Iterable, Mapping
 
-from .charges import Charge
+from .charges import ZERO, Charge
 from .dispositions import Disposition, RationalizationCertificate
 from .errors import CapExceeded, CatalogMismatch, ParseError
 from .rationals import as_rational, format_rational
@@ -27,7 +28,7 @@ from .worlds import (
     full_world_space,
     guilt_event,
     heard_event,
-    powerset_algebra,
+    world_algebra,
 )
 
 #: Labels must stay clear of the characters world keys and event specs use.
@@ -35,11 +36,21 @@ _LABEL_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
 def world_key(catalog: TestimonyCatalog, world: World) -> str:
+    keys = _world_keys(catalog)
+    # a world's code is its position in the canonical world order
+    if isinstance(world, World) and world < len(keys):
+        return keys[world]
     labels = catalog.transcript_labels(world.transcript)
     return "{" + ",".join(labels) + "}|" + world.guilt.value
 
 
 def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
+    if not isinstance(key, str):
+        raise ParseError(f"world key must be a string, got {key!r}")
+    index = _world_key_index(catalog).get(key)
+    if index is not None:
+        return full_world_space(catalog)[index]
+    # keys not in canonical form, such as '{b,a}|G', and malformed ones
     match = re.fullmatch(r"\{([^{}|]*)\}\|([GI])", key)
     if not match:
         raise ParseError(f"bad world key {key!r}; expected e.g. '{{t1,t2}}|G'")
@@ -50,6 +61,28 @@ def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
     except Exception as exc:
         raise ParseError(f"world key {key!r}: {exc}") from exc
     return World(transcript, Guilt(guilt_letter))
+
+
+@lru_cache(maxsize=16)
+def _transcript_labels(catalog: TestimonyCatalog) -> tuple[tuple[str, ...], ...]:
+    """The labels of every transcript, in canonical transcript order."""
+    return tuple(map(catalog.transcript_labels, catalog.all_transcripts()))
+
+
+@lru_cache(maxsize=16)
+def _world_keys(catalog: TestimonyCatalog) -> tuple[str, ...]:
+    """The key of every world, in canonical world order."""
+    keys: list[str] = []
+    for labels in _transcript_labels(catalog):
+        prefix = "{" + ",".join(labels) + "}|"
+        keys += (prefix + Guilt.GUILTY.value, prefix + Guilt.INNOCENT.value)
+    return tuple(keys)
+
+
+@lru_cache(maxsize=16)
+def _world_key_index(catalog: TestimonyCatalog) -> dict[str, int]:
+    """Canonical world key -> position in the world order (and in world_algebra's atoms)."""
+    return {key: i for i, key in enumerate(_world_keys(catalog))}
 
 
 def atom_key(catalog: TestimonyCatalog, atom: frozenset) -> str:
@@ -127,16 +160,18 @@ def disposition_from_jsonable(
 
 
 def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, Any]:
+    algebra = charge.algebra
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
-    if not charge.algebra.is_atomized_by_points:
+    if not algebra.is_atomized_by_points:
         doc["atoms"] = [
             [world_key(catalog, w) for w in sorted(atom)]
-            for atom in charge.algebra.atoms
+            for atom in algebra.atoms
         ]
-    doc["masses"] = {
-        atom_key(catalog, atom): format_rational(mass)
-        for atom, mass in zip(charge.algebra.atoms, charge.masses)
-    }
+    if algebra.is_atomized_by_points and algebra is world_algebra(catalog):
+        keys: Iterable[str] = _world_keys(catalog)
+    else:
+        keys = (atom_key(catalog, atom) for atom in algebra.atoms)
+    doc["masses"] = dict(zip(keys, map(format_rational, charge.masses)))
     return doc
 
 
@@ -157,31 +192,39 @@ def charge_from_jsonable(
         for raw in raw_atoms:
             atoms.append(frozenset(parse_world_key(catalog, key) for key in raw))
         try:
-            algebra = BooleanSubalgebra(worlds, tuple(sorted(atoms, key=min)))
+            # an empty atom has no first world; the partition check rejects it
+            ordered = sorted(atoms, key=lambda atom: min(atom, default=-1))
+            algebra = BooleanSubalgebra(worlds, tuple(ordered))
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
+        key_to_index = {atom_key(catalog, atom): i for i, atom in enumerate(algebra.atoms)}
     else:
-        algebra = powerset_algebra(worlds)
+        algebra = world_algebra(catalog)
+        key_to_index = _world_key_index(catalog)
 
     raw_masses = obj["masses"]
     if not isinstance(raw_masses, Mapping):
         raise ParseError('"masses" must be an object mapping atom keys to rationals')
-    key_to_atom = {atom_key(catalog, atom): atom for atom in algebra.atoms}
-    masses: dict[frozenset, Fraction] = {}
+    masses = [ZERO] * len(algebra.atoms)
+    # a prior repeats few mass literals, so each distinct one is parsed once
+    parsed: dict[str, Fraction] = {}
     for key, raw_value in raw_masses.items():
-        if key not in key_to_atom:
+        index = key_to_index.get(key)
+        if index is None:
             raise ParseError(f"mass key {key!r} is not an atom of the charge's algebra")
         if not isinstance(raw_value, str):
             raise ParseError(
                 f"mass for {key!r} must be an exact rational string, got {raw_value!r}"
             )
-        try:
-            value = as_rational(raw_value, name=f"mass[{key}]")
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        masses[key_to_atom[key]] = value
+        value = parsed.get(raw_value)
+        if value is None:
+            try:
+                value = parsed[raw_value] = as_rational(raw_value, name=f"mass[{key}]")
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+        masses[index] = value
     try:
-        charge = Charge.from_atom_masses(algebra, masses)
+        charge = Charge(algebra, tuple(masses))
     except ValueError as exc:
         raise ParseError(f"invalid charge: {exc}") from exc
     return catalog, charge
@@ -203,10 +246,10 @@ def charge_document_from_jsonable(
 def certificate_to_jsonable(certificate: RationalizationCertificate) -> dict[str, Any]:
     catalog = certificate.disposition.catalog
     rows = []
-    for transcript in catalog.all_transcripts():
+    for transcript, labels in zip(catalog.all_transcripts(), _transcript_labels(catalog)):
         rows.append(
             {
-                "transcript": transcript_labels_list(catalog, transcript),
+                "transcript": list(labels),
                 "verdict": certificate.disposition.verdict(transcript).value,
                 "posterior": format_rational(certificate.posteriors[transcript]),
             }
@@ -248,7 +291,7 @@ def event_from_spec(catalog: TestimonyCatalog, spec: str) -> frozenset:
     if spec.startswith("["):
         try:
             keys = json.loads(spec)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
             raise ParseError(f"event spec is not valid JSON: {exc}") from exc
         if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
             raise ParseError("a JSON event spec must be an array of world keys")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, ForeignTestimony
@@ -23,9 +23,9 @@ from .errors import CapExceeded, ForeignTestimony
 DEFAULT_WORLD_CAP = 12
 
 #: Largest world cap any catalog may be given.  ``rationalize`` followed
-#: by ``verify_rationalization`` peaks at about 1.05 kB per world (n=16:
-#: 151 MB for 131072 worlds on CPython 3.11), so this ceiling bounds a run
-#: at 2^21 worlds and about 2.2 GB; a cap above it is refused before any
+#: by ``verify_rationalization`` peaks at about 0.8 kB per world (n=16:
+#: 100 MB for 131072 worlds on CPython 3.11), so this ceiling bounds a run
+#: at 2^21 worlds and about 1.6 GB; a cap above it is refused before any
 #: world is built.  Testimony indices stay below it, so no transcript
 #: outgrows every catalog.
 WORLD_CAP_CEILING = 20
@@ -265,17 +265,7 @@ class BooleanSubalgebra:
         ground_set = frozenset(self.ground)
         if len(ground_set) != len(self.ground):
             raise ValueError("ground elements must be distinct")
-        covered = 0
-        for atom in self.atoms:
-            if not atom:
-                raise ValueError("atoms must be nonempty")
-            if not atom <= ground_set:
-                raise ValueError("atom contains elements outside the ground set")
-            covered += len(atom)
-        union = frozenset().union(*self.atoms) if self.atoms else frozenset()
-        # equal sizes rule out overlaps, equal union rules out gaps
-        if covered != len(ground_set) or union != ground_set:
-            raise ValueError("atoms must partition the ground set")
+        _check_partition(self.atoms, ground_set)
         object.__setattr__(self, "_ground_set", ground_set)
         object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.ground)})
 
@@ -287,7 +277,14 @@ class BooleanSubalgebra:
     @property
     def is_atomized_by_points(self) -> bool:
         """True when every atom is a singleton (full powerset algebra)."""
-        return all(len(a) == 1 for a in self.atoms)
+        return self.points is not None
+
+    @cached_property
+    def points(self) -> tuple[Hashable, ...] | None:
+        """The element of each atom, in atom order, when every atom is a singleton."""
+        if any(len(a) != 1 for a in self.atoms):
+            return None
+        return tuple(next(iter(a)) for a in self.atoms)
 
     def atom_sort_key(self, atom: frozenset) -> int:
         pos: dict = self._position  # type: ignore[attr-defined]
@@ -310,13 +307,69 @@ class BooleanSubalgebra:
             if outside:
                 new_atoms.append(frozenset(outside))
         new_atoms.sort(key=self.atom_sort_key)
-        return BooleanSubalgebra(self.ground, tuple(new_atoms))
+        # The ground is unchanged, so the child shares this algebra's
+        # ground set and position index; its atoms are still checked.
+        child = object.__new__(BooleanSubalgebra)
+        object.__setattr__(child, "ground", self.ground)
+        object.__setattr__(child, "atoms", tuple(new_atoms))
+        _check_partition(child.atoms, self._ground_set)  # type: ignore[attr-defined]
+        object.__setattr__(child, "_ground_set", self._ground_set)  # type: ignore[attr-defined]
+        object.__setattr__(child, "_position", self._position)  # type: ignore[attr-defined]
+        return child
+
+
+def _check_partition(atoms: tuple[frozenset, ...], ground_set: frozenset) -> None:
+    """ValueError unless the atoms are nonempty blocks partitioning the ground set."""
+    covered = 0
+    for atom in atoms:
+        if not atom:
+            raise ValueError("atoms must be nonempty")
+        if not atom <= ground_set:
+            raise ValueError("atom contains elements outside the ground set")
+        covered += len(atom)
+    union = frozenset().union(*atoms) if atoms else frozenset()
+    # equal sizes rule out overlaps, equal union rules out gaps
+    if covered != len(ground_set) or union != ground_set:
+        raise ValueError("atoms must partition the ground set")
 
 
 def powerset_algebra(ground: Sequence[Hashable]) -> BooleanSubalgebra:
     """The full powerset algebra: one singleton atom per element."""
     ground = tuple(ground)
     return BooleanSubalgebra(ground, tuple(frozenset({e}) for e in ground))
+
+
+def world_algebra(catalog: TestimonyCatalog) -> BooleanSubalgebra:
+    """The powerset algebra of the catalog's world space, built once per catalog.
+
+    Its atoms are the singleton worlds in canonical order, so atoms 2k and
+    2k+1 are the guilty and innocent worlds of the k-th transcript of
+    ``catalog.all_transcripts()``.
+    """
+    return _world_algebra(catalog.labels)
+
+
+@lru_cache(maxsize=16)
+def _world_algebra(labels: tuple[str, ...]) -> BooleanSubalgebra:
+    return powerset_algebra(_world_space(labels))
+
+
+def is_world_powerset(algebra: BooleanSubalgebra) -> bool:
+    """True iff the algebra is the powerset of a world space in canonical order.
+
+    Its ground and its singleton atoms then both list the worlds of some
+    catalog in canonical order, as ``world_algebra``'s do, so atoms 2k and
+    2k+1 are the guilty and innocent worlds of the k-th transcript.
+    """
+    ground = algebra.ground
+    size = len(ground)
+    return (
+        size >= 2
+        and size & (size - 1) == 0
+        and set(map(type, ground)) == {World}
+        and ground == tuple(range(size))  # world codes are canonical positions
+        and algebra.points == ground
+    )
 
 
 def atoms_of_generated_algebra(

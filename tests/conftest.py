@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import pytest
 
-from jurybayes.charges import Charge
-from jurybayes.errors import CatalogMismatch
+from jurybayes.charges import Charge, mix
+from jurybayes.dispositions import Disposition
+from jurybayes.errors import CatalogMismatch, ParseError
+from jurybayes.rationals import format_rational
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -24,6 +27,7 @@ from jurybayes.worlds import (
     World,
     event_of_transcript,
     full_world_space,
+    powerset_algebra,
 )
 
 
@@ -104,6 +108,65 @@ def oracle_transcript_posteriors(
         if mass:
             guilty = prior.measure({w for w in worlds if w.guilt is Guilt.GUILTY})
         yield transcript, mass, guilty
+
+
+def oracle_rationalize_prior(disposition: Disposition, theta: Fraction) -> Charge:
+    """The even-odds prior built literally: the equal mixture of a
+    convicting-side and an acquitting-side point charge."""
+    catalog = disposition.catalog
+    worlds = full_world_space(catalog)
+    algebra = powerset_algebra(worlds)
+    n_convict = len(disposition.convicting)
+    n_acquit = (1 << len(catalog)) - n_convict
+    convict_masses: dict[frozenset, Fraction] = {}
+    acquit_masses: dict[frozenset, Fraction] = {}
+    for world in worlds:
+        atom = frozenset({world})
+        if world.transcript in disposition.convicting:
+            guilty_share = theta if world.guilt is Guilt.GUILTY else 1 - theta
+            convict_masses[atom] = guilty_share / n_convict
+        else:
+            guilty_share = 1 - theta if world.guilt is Guilt.GUILTY else theta
+            acquit_masses[atom] = guilty_share / n_acquit
+    return mix(
+        Fraction(1, 2),
+        Charge.from_atom_masses(algebra, convict_masses),
+        Charge.from_atom_masses(algebra, acquit_masses),
+    )
+
+
+def oracle_mass_check(masses) -> tuple[type, str] | None:
+    """The error class and message a naive Fraction sum gives ``Charge``'s masses."""
+    total = Fraction(0)
+    for m in masses:
+        if not isinstance(m, Fraction):
+            return TypeError, f"atom mass must be Fraction, got {type(m).__name__}"
+        if m < 0:
+            return ValueError, f"atom mass must be nonnegative, got {m}"
+        total += m
+    if total != 1:
+        return ValueError, f"atom masses must sum to 1, got {format_rational(total)}"
+    return None
+
+
+def oracle_world_key(catalog: TestimonyCatalog, world: World) -> str:
+    """A world key built from the catalog's labels."""
+    labels = catalog.transcript_labels(world.transcript)
+    return "{" + ",".join(labels) + "}|" + world.guilt.value
+
+
+def oracle_parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
+    """A world key parsed by pattern and label lookup alone."""
+    match = re.fullmatch(r"\{([^{}|]*)\}\|([GI])", key)
+    if not match:
+        raise ParseError(f"bad world key {key!r}; expected e.g. '{{t1,t2}}|G'")
+    inner, guilt_letter = match.groups()
+    labels = [part for part in inner.split(",") if part] if inner else []
+    try:
+        transcript = catalog.transcript(labels)
+    except Exception as exc:
+        raise ParseError(f"world key {key!r}: {exc}") from exc
+    return World(transcript, Guilt(guilt_letter))
 
 
 def random_masses(rng: random.Random, count: int) -> tuple[Fraction, ...]:

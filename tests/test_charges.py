@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jurybayes.charges import Charge, ConditionalResult, greedy_split, mix
+from jurybayes.charges import Charge, ConditionalResult, fraction_sum, greedy_split, mix
 from jurybayes.errors import (
     AlgebraMismatch,
     DegeneratePrior,
@@ -23,6 +23,7 @@ from jurybayes.worlds import atoms_of_generated_algebra, powerset_algebra
 
 from conftest import (
     oracle_inner_outer,
+    oracle_mass_check,
     random_charge,
     random_masses,
     random_partition,
@@ -146,6 +147,54 @@ class TestCondition:
         assert result == ConditionalResult(F(1, 2), F(1, 2))
         with pytest.raises(ZeroConditioningEvent):
             ConditionalResult(F(1, 2), F(0))
+
+
+def charge_check(algebra, masses):
+    try:
+        Charge(algebra, masses)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestMassValidation:
+    """Per-denominator integer sums against a naive Fraction sum."""
+
+    def test_same_error_class_and_message_as_fraction_sum(self, rng):
+        algebra = powerset_algebra(tuple(range(6)))
+        outcomes = set()
+        for _ in range(400):
+            masses = list(random_masses(rng, 6))
+            kind = rng.randrange(5)
+            i = rng.randrange(6)
+            if kind == 1:  # negative mass, possibly balanced to keep the sum at one
+                masses[i] -= random_rational(rng, F(1, 40), F(1))
+                if rng.random() < 0.5:
+                    masses[(i + 1) % 6] += 1 - sum(masses)
+            elif kind == 2:  # not a Fraction, possibly after a bad mass
+                masses[i] = rng.choice((1, 0.5, "1/2", None, True, F(1, 2) + 0j))
+                if rng.random() < 0.5:
+                    masses[rng.randrange(i + 1)] = F(-1, 3)
+            elif kind == 3:  # sum off by a small amount
+                masses[i] += F(rng.choice((-1, 1)), rng.randrange(2, 10**6))
+                masses[i] = abs(masses[i])
+            elif kind == 4:  # many distinct denominators
+                weights = [rng.randrange(1, 10**4) for _ in range(6)]
+                masses = [F(w, sum(weights) + rng.randrange(0, 2)) for w in weights]
+            expected = oracle_mass_check(masses)
+            assert charge_check(algebra, tuple(masses)) == expected
+            outcomes.add(None if expected is None else expected[1].split(",")[0])
+        assert outcomes == {
+            None,
+            "atom mass must be Fraction",
+            "atom mass must be nonnegative",
+            "atom masses must sum to 1",
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=50), max_size=12))
+    def test_fraction_sum_is_exact(self, values):
+        assert fraction_sum(values) == sum(values, F(0))
 
 
 class TestMix:

@@ -158,6 +158,26 @@ class TestExitCodes:
         assert code == 3
         assert "ParseError" in err
 
+    def test_json_the_decoder_cannot_hold_exits_3(self, capsys, tmp_path):
+        uniform = str(DATA / "uniform_n2.json")
+        documents = {
+            "digits.json": '{"catalog": [' + "1" * 5000 + "]}",
+            "deep.json": "[" * 100_000 + "]" * 100_000,
+            "latin1.json": '{"catalog": ["\xe9"]}',
+        }
+        for name, text in documents.items():
+            path = tmp_path / name
+            path.write_bytes(text.encode("latin-1"))
+            code, out, err = run_cli(capsys, "rationalize", str(path), "--theta", "3/4")
+            assert (code, out) == (3, "")
+            assert err.startswith("error[ParseError]: ") and err.count("\n") == 1
+        for given in ("[" + "1" * 5000 + "]", "[" * 100_000):
+            code, out, err = run_cli(
+                capsys, "extend", uniform, "--event", "guilt", "--given", given, "--target", "1/2"
+            )
+            assert (code, out) == (3, "")
+            assert err.startswith("error[ParseError]: ") and err.count("\n") == 1
+
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "rationalize", "no-such-file.json", "--theta", "3/4")
         assert code == 3
@@ -297,6 +317,40 @@ class TestWorldCap:
             got, out, err = run_cli(capsys, "rationalize", disposition, "--theta", "3/4", *flag)
             assert (got, out) == (code, "")
             assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("odds", "--prior", "1:2", "--lr", "8"),
+            ("threshold", "--weights", "1", "3"),
+            ("rate", "--gamma", "1/2", "--theta", "3/4"),
+            ("scenario", "spann"),
+            ("scenario", "posner"),
+            ("verify", str(DATA / "two_witness_n2.json"), str(DATA / "uniform_n2.json"),
+             "--theta", "3/4"),
+            ("extend", str(DATA / "guilt_coarse_n1.json"), "--event", "guilt",
+             "--given", "heard:t1", "--target", "9/10"),
+        ],
+    )
+    def test_every_command_checks_the_cap(self, capsys, monkeypatch, argv):
+        cases = [
+            (("--world-cap", "-1"), None, 3, "ParseError"),
+            ((), "-1", 3, "ParseError"),
+            ((), "many", 3, "ParseError"),
+            (("--world-cap", str(worlds.WORLD_CAP_CEILING + 1)), None, 10, "CapExceeded"),
+            ((), str(worlds.WORLD_CAP_CEILING + 1), 10, "CapExceeded"),
+        ]
+        for flag, env, code, error in cases:
+            if env is None:
+                monkeypatch.delenv("JURYBAYES_WORLD_CAP", raising=False)
+            else:
+                monkeypatch.setenv("JURYBAYES_WORLD_CAP", env)
+            got, out, err = run_cli(capsys, *argv, *flag)
+            assert (got, out) == (code, "")
+            assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+        monkeypatch.setenv("JURYBAYES_WORLD_CAP", "4")
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_console_entry_point_runs():

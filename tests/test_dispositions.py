@@ -39,10 +39,17 @@ from jurybayes.worlds import (
     event_of_transcript,
     full_world_space,
     guilt_event,
+    is_world_powerset,
     powerset_algebra,
+    world_algebra,
 )
 
-from conftest import oracle_transcript_posteriors, random_masses, random_partition
+from conftest import (
+    oracle_rationalize_prior,
+    oracle_transcript_posteriors,
+    random_masses,
+    random_partition,
+)
 
 
 def catalog(n: int) -> TestimonyCatalog:
@@ -127,6 +134,26 @@ class TestRationalize:
             rationalize(Disposition(cat, [Transcript()]), F(3, 4))
         with pytest.raises(AxiomViolation):
             rationalize(Disposition(cat, []), F(3, 4))
+
+    def test_closed_form_matches_two_charge_mixture(self, rng):
+        for n in range(1, 7):
+            cat = catalog(n)
+            nonempty = [t for t in cat.all_transcripts() if len(t) > 0]
+            for trial in range(8):
+                # the first trial convicts every nonempty transcript: n_A = 1
+                k = len(nonempty) if trial == 0 else rng.randrange(1, len(nonempty) + 1)
+                disposition = Disposition(cat, rng.sample(nonempty, k))
+                theta = F(rng.randrange(1, 60), 60) / 2 + F(1, 2)
+                certificate = rationalize(disposition, theta)
+                oracle = oracle_rationalize_prior(disposition, theta)
+                assert certificate.prior.algebra.ground == oracle.algebra.ground
+                assert certificate.prior.algebra.atoms == oracle.algebra.atoms
+                assert certificate.prior.masses == oracle.masses
+                assert certificate.prior.algebra is world_algebra(cat)
+                assert certificate.posteriors == {
+                    t: theta if t in disposition.convicting else 1 - theta
+                    for t in cat.all_transcripts()
+                }
 
     def test_rejection_is_exactly_axiom_failure_exhaustively(self):
         # all 2^(2^n) dispositions for n <= 3
@@ -410,6 +437,48 @@ class TestTranscriptPosteriorsKernel:
             assert ZeroTranscriptMass in errors and None in errors
         if make is coarse_prior:
             assert {NotExpressible, ZeroTranscriptMass, None} <= errors
+
+    def test_point_path_matches_measure_oracle(self, rng):
+        """Canonical point priors take the pairwise path; reorderings do not."""
+        seen = set()
+        for n in range(0, 6):
+            cat = catalog(n)
+            worlds = full_world_space(cat)
+            shuffled = list(worlds)
+            rng.shuffle(shuffled)
+            singletons = [frozenset({w}) for w in worlds]
+            algebras = {
+                "cached": world_algebra(cat),
+                "rebuilt": powerset_algebra(worlds),
+                "shuffled ground": powerset_algebra(shuffled),
+                "shuffled atoms": BooleanSubalgebra(
+                    worlds, tuple(rng.sample(singletons, len(singletons)))
+                ),
+            }
+            for name, algebra in algebras.items():
+                canonical = algebra.ground == worlds and algebra.atoms == tuple(singletons)
+                assert is_world_powerset(algebra) == canonical, name
+                seen.add(canonical)
+                for _ in range(6):
+                    weights = [rng.choice((0, 0, 1, 2, 5)) for _ in worlds]
+                    weights[rng.randrange(len(weights))] += 1
+                    prior = Charge(algebra, tuple(F(w, sum(weights)) for w in weights))
+                    assert list(transcript_posteriors(prior, cat)) == list(
+                        oracle_transcript_posteriors(prior, cat)
+                    ), name
+                    assert list(transcript_posteriors(prior)) == list(
+                        oracle_transcript_posteriors(prior)
+                    ), name
+        assert seen == {True, False}
+
+    def test_world_powerset_needs_world_elements(self):
+        cat = catalog(1)
+        assert not is_world_powerset(powerset_algebra(range(4)))
+        assert not is_world_powerset(powerset_algebra(full_world_space(cat)[:2] + (2, 3)))
+        assert not is_world_powerset(powerset_algebra(full_world_space(cat)[:3]))
+        assert not is_world_powerset(
+            BooleanSubalgebra(full_world_space(cat), (frozenset(full_world_space(cat)),))
+        )
 
     def test_foreign_catalog_and_foreign_ground(self, rng):
         prior = point_prior_with_gaps(rng, catalog(2))

@@ -4,10 +4,14 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jurybayes import serialize
 from jurybayes.charges import Charge
 from jurybayes.dispositions import Disposition, rationalize
-from jurybayes.errors import CatalogMismatch, ParseError
+from jurybayes.errors import CatalogMismatch, ForeignTestimony, JuryBayesError, ParseError
+from jurybayes.rationals import as_rational
 from jurybayes.serialize import (
     atom_key,
     certificate_to_jsonable,
@@ -30,7 +34,10 @@ from jurybayes.worlds import (
     full_world_space,
     guilt_event,
     powerset_algebra,
+    world_algebra,
 )
+
+from conftest import oracle_parse_world_key, oracle_world_key
 
 
 @pytest.fixture
@@ -51,6 +58,39 @@ class TestWorldKeys:
 
     def test_bad_keys_rejected(self, cat):
         for bad in ("t1|G", "{t1}", "{t1}|X", "{zz}|G"):
+            with pytest.raises(ParseError):
+                parse_world_key(cat, bad)
+
+    def test_cached_keys_match_the_label_path(self):
+        for n in range(5):
+            cat = TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+            for world in full_world_space(cat):
+                key = world_key(cat, world)
+                assert key == oracle_world_key(cat, world)
+                assert parse_world_key(cat, key) == world
+        with pytest.raises(ForeignTestimony):
+            world_key(TestimonyCatalog(("a",)), World(Transcript({3}), Guilt.GUILTY))
+
+    def test_keys_outside_canonical_form_parse_as_before(self):
+        cat = TestimonyCatalog(("a", "b", "c"))
+        keys = [
+            "{b,a}|G", "{a,a}|I", "{c,,a}|G", "{,}|I", "{a,b,a,b}|G",
+            "{a, b}|G", "{a}|g", "{d}|G", "{a}|I ", "{a}G", "", "{}|GI",
+        ]
+        for key in keys:
+            try:
+                expected = oracle_parse_world_key(cat, key)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    parse_world_key(cat, key)
+                assert str(got.value) == str(exc)
+            else:
+                assert parse_world_key(cat, key) == expected
+        assert parse_world_key(cat, "{b,a}|G") == World(cat.transcript(["a", "b"]), Guilt.GUILTY)
+        assert parse_world_key(cat, "{a,a}|I") == World(cat.transcript(["a"]), Guilt.INNOCENT)
+
+    def test_non_string_keys_rejected(self, cat):
+        for bad in (1, None, ["{}|G"], {"{}|G": 1}):
             with pytest.raises(ParseError):
                 parse_world_key(cat, bad)
 
@@ -150,6 +190,35 @@ class TestChargeFormat:
         with pytest.raises(ParseError):
             charge_from_jsonable(bad_atoms)  # atoms miss half the world space
 
+    def test_cached_world_algebra_serializes_like_any_point_algebra(self, rng):
+        for n in range(4):
+            cat = TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+            worlds = full_world_space(cat)
+            weights = [rng.randrange(0, 4) for _ in worlds]
+            weights[0] += 1
+            masses = tuple(F(w, sum(weights)) for w in weights)
+            cached = charge_to_jsonable(cat, Charge(world_algebra(cat), masses))
+            rebuilt = charge_to_jsonable(cat, Charge(powerset_algebra(worlds), masses))
+            assert json.dumps(cached) == json.dumps(rebuilt)
+            assert charge_from_jsonable(cached)[1].algebra is world_algebra(cat)
+
+    def test_each_distinct_mass_literal_is_parsed_once(self, cat, monkeypatch):
+        certificate = rationalize(Disposition.from_label_sets(cat, [["t1"]]), F(3, 4))
+        doc = charge_to_jsonable(cat, certificate.prior)
+        literals = []
+
+        def counting(value, *, name="value"):
+            literals.append(value)
+            return as_rational(value, name=name)
+
+        monkeypatch.setattr(serialize, "as_rational", counting)
+        _, restored = charge_from_jsonable(doc)
+        assert restored == certificate.prior
+        assert sorted(literals) == sorted(set(doc["masses"].values()))
+        bad = dict(doc, masses={**doc["masses"], "{t1}|G": "1/0"})
+        with pytest.raises(ParseError, match=r"mass\[\{t1\}\|G\]"):
+            charge_from_jsonable(bad)
+
     def test_certificate_document_provides_its_prior(self, cat):
         disposition = Disposition.from_label_sets(cat, [["t1"]])
         certificate = rationalize(disposition, F(3, 4))
@@ -196,3 +265,114 @@ def test_require_same_catalog(cat):
     require_same_catalog(cat, TestimonyCatalog(("t1", "t2")))
     with pytest.raises(CatalogMismatch):
         require_same_catalog(cat, TestimonyCatalog(("t1",)))
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: the parsers may only raise this package's own errors.
+
+GOOD_LABELS = ("a", "b", "t1")
+LABELS = GOOD_LABELS + ("", "a b", "x|y", "{")
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+# Mostly well-formed pieces, so that examples reach the deeper checks.
+good_catalogs = st.lists(st.sampled_from(GOOD_LABELS), unique=True, max_size=3)
+catalogs = st.one_of(
+    good_catalogs, good_catalogs, st.lists(st.sampled_from(LABELS), max_size=4), json_values
+)
+
+
+def key_text(labels: list[str], guilt: str) -> str:
+    return "{" + ",".join(labels) + "}|" + guilt
+
+
+world_keys = (
+    st.builds(
+        key_text, st.lists(st.sampled_from(GOOD_LABELS), max_size=3), st.sampled_from("GI")
+    )
+    | st.builds(
+        key_text,
+        st.lists(st.sampled_from(LABELS), max_size=3),
+        st.sampled_from(("G", "I", "X", "")),
+    )
+    | st.text(max_size=8)
+)
+mass_literals = (
+    st.sampled_from(("0", "1", "1/2", "1/4", "-1/2", "1/0", "0.25", " 1/3 ", "1e5", "1e-9999", "x"))
+    | st.text(max_size=6)
+)
+charge_fields = {
+    "catalog": catalogs,
+    "masses": st.dictionaries(world_keys, mass_literals | json_values, max_size=6)
+    | json_values,
+}
+charge_docs = st.fixed_dictionaries(charge_fields) | st.fixed_dictionaries(
+    {
+        **charge_fields,
+        "atoms": st.lists(
+            st.lists(st.one_of(world_keys, st.none(), st.integers(), json_values), max_size=3),
+            max_size=4,
+        )
+        | json_values,
+    }
+)
+disposition_docs = st.fixed_dictionaries(
+    {
+        "catalog": catalogs,
+        "convicting": st.lists(
+            st.lists(st.sampled_from(LABELS) | json_values, max_size=3), max_size=4
+        )
+        | json_values,
+    },
+    optional={"default": st.sampled_from(("acquit", "convict")) | json_values},
+)
+event_specs = (
+    st.text(max_size=12)
+    | st.builds(
+        str.__add__,
+        st.sampled_from(("guilt", "transcript:", "heard:", "[", " guilt ")),
+        st.text(max_size=8),
+    )
+    | st.builds(
+        lambda kind, labels: kind + "+".join(labels),
+        st.sampled_from(("transcript:", "heard:")),
+        st.lists(st.sampled_from(LABELS), max_size=3),
+    )
+    | st.lists(world_keys | json_values, max_size=4).map(json.dumps)
+    | json_values.map(json.dumps)
+)
+
+
+def only_package_errors(parse, *args):
+    try:
+        parse(*args)
+    except JuryBayesError:
+        pass
+
+
+@settings(max_examples=250, deadline=None)
+@given(doc=charge_docs | st.builds(lambda prior: {"prior": prior}, charge_docs) | json_values)
+def test_fuzz_charge_documents(doc):
+    only_package_errors(charge_document_from_jsonable, doc)
+    only_package_errors(charge_from_jsonable, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=disposition_docs | json_values)
+def test_fuzz_disposition_documents(doc):
+    only_package_errors(disposition_from_jsonable, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=event_specs, n=st.integers(0, 3))
+def test_fuzz_event_specs(spec, n):
+    cat = TestimonyCatalog(("a", "b", "t1")[:n])
+    only_package_errors(event_from_spec, cat, spec)

@@ -24,6 +24,7 @@ from jurybayes.worlds import (
     is_expressible,
     is_logically_independent,
     powerset_algebra,
+    world_algebra,
     world_set,
 )
 
@@ -62,6 +63,13 @@ class TestWorldSpace:
         masks = [w.transcript.mask for w in worlds]
         assert masks == [0, 0, 1, 1, 2, 2, 3, 3]
         assert [w.guilt for w in worlds[:2]] == [Guilt.GUILTY, Guilt.INNOCENT]
+
+    def test_world_algebra_is_built_once_in_canonical_order(self):
+        for n in range(4):
+            algebra = world_algebra(catalog(n))
+            assert algebra is world_algebra(catalog(n))
+            assert algebra == powerset_algebra(full_world_space(catalog(n)))
+            assert algebra.points == full_world_space(catalog(n))
 
     def test_world_sets_are_built_once(self):
         cat = catalog(3)
@@ -294,6 +302,17 @@ class TestAdjoin:
     def test_adjoin_expressible_set_changes_nothing(self):
         algebra = atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}])
         assert algebra.adjoin({3, 4}).atoms == algebra.atoms
+
+    def test_child_shares_the_parents_ground_index(self, rng):
+        ground = tuple(range(12))
+        algebra = atoms_of_generated_algebra(ground, [set(range(6))])
+        for _ in range(5):
+            child = algebra.adjoin(frozenset(rng.sample(ground, 5)))
+            assert child.ground_set is algebra.ground_set
+            assert child == BooleanSubalgebra(ground, child.atoms)  # a valid partition
+            keys = [child.atom_sort_key(atom) for atom in child.atoms]
+            assert keys == sorted(keys)
+            algebra = child
 
     def test_powerset_algebra_atomizes_by_points(self):
         algebra = powerset_algebra((1, 2, 3))
