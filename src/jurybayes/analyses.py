@@ -31,6 +31,7 @@ from .worlds import (
     full_world_space,
     guilt_event,
     heard_event,
+    world_set,
 )
 
 HALF = Fraction(1, 2)
@@ -359,21 +360,40 @@ def build_ratio_bounded_convicting_prior(
             f"{format_rational(config.theta)} under the ratio bound; "
             f"catalog has {len(catalog)}"
         )
-    worlds = full_world_space(catalog)
-    guilt = guilt_event(catalog)
-    algebra = atoms_of_generated_algebra(worlds, [guilt])
-    charge = Charge.from_atom_masses(
-        algebra, {atom: HALF for atom in algebra.atoms}
-    )
-
+    # The prior is what the chain of
+    #     charge.extend_conditional(guilt, H_k, theta_k, strict=False)
+    # for k = 1..m builds from the even-odds guilt algebra, written in
+    # closed form.  H_k = heard_event(catalog, Transcript(range(k))) nests
+    # inside H_{k-1} (H_0 is the world space), so before step k the atoms
+    # are G and I intersected with each layer H_{j-1} - H_j (j < k), which
+    # H_k misses, and the two tails G & H_{k-1} and I & H_{k-1}, with
+    # masses t_G and t_I, which H_k cuts.  No atom lies inside H_k, so the
+    # forced masses in_e and in_c are 0 and _conditional_scale gives
+    #     s = min(t_G / theta_k, t_I / (1 - theta_k)) / 2.
+    # greedy_split then fills the cut tails with theta_k * s and
+    # (1 - theta_k) * s, each at most half the tail, and layer H_{k-1} - H_k
+    # keeps the rest.  The atoms in canonical order are the layers in
+    # turn, guilty part first, then the tails of H_m.
     growth = 1 + config.gamma
-    chain: list[frozenset] = []
-    target = HALF
-    for step in range(1, count.steps + 1):
+    masses: list[Fraction] = []
+    tail_g = tail_i = target = HALF
+    for _ in range(count.steps):
         target = min(target * growth, config.theta)
-        heard = heard_event(catalog, Transcript(range(step)))
-        chain.append(heard)
-        charge = charge.extend_conditional(guilt, heard, target, strict=False)
+        scale = min(tail_g / target, tail_i / (1 - target)) / 2
+        inside_g, inside_i = target * scale, (1 - target) * scale
+        masses += (tail_g - inside_g, tail_i - inside_i)
+        tail_g, tail_i = inside_g, inside_i
+    masses += (tail_g, tail_i)
+
+    guilt = guilt_event(catalog)
+    chain = tuple(
+        heard_event(catalog, Transcript(range(k))) for k in range(1, count.steps + 1)
+    )
+    nested = (world_set(catalog), *chain)  # H_0, H_1, ..., H_m
+    layers = [outer - inner for outer, inner in zip(nested, chain)] + [nested[-1]]
+    atoms = tuple(part for layer in layers for part in (layer & guilt, layer - guilt))
+    algebra = BooleanSubalgebra(full_world_space(catalog), atoms)
+    charge = Charge(algebra, tuple(masses))
 
     posteriors = [charge.measure(guilt)]
     for heard in chain:
@@ -382,6 +402,6 @@ def build_ratio_bounded_convicting_prior(
         catalog=catalog,
         config=config,
         charge=charge,
-        chain=tuple(chain),
+        chain=chain,
         posteriors=tuple(posteriors),
     )

@@ -52,6 +52,9 @@ from .worlds import TestimonyCatalog, check_world_cap, is_expressible
 
 WORLD_CAP_ENV = "JURYBAYES_WORLD_CAP"
 
+#: 128 + SIGPIPE: stdout was closed before the report was written.
+EXIT_BROKEN_PIPE = 141
+
 #: Documented exit codes; 0 is success, 1 an unclassified domain error.
 EXIT_CODES: dict[type, int] = {
     AxiomViolation: 2,
@@ -83,6 +86,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.world_cap = world_cap(args)
         doc = args.handler(args)
         print(render(doc, args.format))
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         if getattr(args, "out", None):
             try:
                 with open(args.out, "w", encoding="utf-8") as handle:
@@ -92,6 +96,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except JuryBayesError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), 1)
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  Point stdout at
+        # devnull so the interpreter's final flush cannot raise again, and
+        # exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return 0
 
 

@@ -32,7 +32,7 @@ from .worlds import (
 )
 
 #: Labels must stay clear of the characters world keys and event specs use.
-_LABEL_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def world_key(catalog: TestimonyCatalog, world: World) -> str:
@@ -101,7 +101,7 @@ def catalog_from_jsonable(labels: Any, *, world_cap: int | None = None) -> Testi
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParseError('"catalog" must be a list of strings')
     for label in labels:
-        if not _LABEL_RE.match(label):
+        if not _LABEL_RE.fullmatch(label):
             raise ParseError(
                 f"label {label!r} is not serializable; use letters, digits, '_', '.', '-'"
             )

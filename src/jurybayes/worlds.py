@@ -189,24 +189,29 @@ def check_world_cap(cap: int) -> int:
     return cap
 
 
+# The world-space caches below are keyed by the catalog size: the worlds
+# of a catalog depend only on how many testimonies it has, not on their
+# labels, so same-size catalogs share one copy.
+
+
 def full_world_space(catalog: TestimonyCatalog) -> tuple[World, ...]:
     """All 2^(n+1) worlds of the catalog in canonical order."""
-    return _world_space(catalog.labels)
+    return _world_space(len(catalog))
 
 
 @lru_cache(maxsize=64)
-def _world_space(labels: tuple[str, ...]) -> tuple[World, ...]:
-    return tuple(map(_world_of_code, range(2 << len(labels))))
+def _world_space(n: int) -> tuple[World, ...]:
+    return tuple(map(_world_of_code, range(2 << n)))
 
 
 def world_set(catalog: TestimonyCatalog) -> frozenset[World]:
-    """All worlds of the catalog as a set, built once per catalog."""
-    return _world_set(catalog.labels)
+    """All worlds of the catalog as a set, built once per catalog size."""
+    return _world_set(len(catalog))
 
 
 @lru_cache(maxsize=64)
-def _world_set(labels: tuple[str, ...]) -> frozenset[World]:
-    return frozenset(_world_space(labels))
+def _world_set(n: int) -> frozenset[World]:
+    return frozenset(_world_space(n))
 
 
 def event_of_transcript(
@@ -221,25 +226,34 @@ def event_of_transcript(
 
 def guilt_event(catalog: TestimonyCatalog) -> frozenset[World]:
     """All worlds in which the defendant is materially guilty."""
-    return _guilt_event(catalog.labels)
+    return _guilt_event(len(catalog))
 
 
 @lru_cache(maxsize=64)
-def _guilt_event(labels: tuple[str, ...]) -> frozenset[World]:
-    return frozenset(_world_space(labels)[::2])  # the even codes
+def _guilt_event(n: int) -> frozenset[World]:
+    return frozenset(_world_space(n)[::2])  # the even codes
 
 
 def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[World]:
     """All worlds whose transcript contains the given testimonies.
 
     This is the cumulative "these testimonies were heard" event; the
-    exact-transcript event is ``event_of_transcript``.
+    exact-transcript event is ``event_of_transcript``.  Only the
+    supersets of the transcript are visited, so the cost follows the
+    event's size rather than the world space's.
     """
     catalog._check_transcript(transcript)
     need = transcript.mask
-    return frozenset(
-        w for w in full_world_space(catalog) if (w >> 1) & need == need
-    )
+    if not need:
+        return world_set(catalog)
+    # Each testimony outside the transcript doubles the codes: once absent,
+    # once present (bit i of the transcript is bit i+1 of the world code).
+    codes = [2 * need, 2 * need + 1]
+    for i in range(len(catalog)):
+        if not need >> i & 1:
+            bit = 2 << i
+            codes += [c | bit for c in codes]
+    return frozenset(map(full_world_space(catalog).__getitem__, codes))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +281,6 @@ class BooleanSubalgebra:
             raise ValueError("ground elements must be distinct")
         _check_partition(self.atoms, ground_set)
         object.__setattr__(self, "_ground_set", ground_set)
-        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.ground)})
 
     @property
     def ground_set(self) -> frozenset:
@@ -286,8 +299,13 @@ class BooleanSubalgebra:
             return None
         return tuple(next(iter(a)) for a in self.atoms)
 
+    @cached_property
+    def _position(self) -> dict[Hashable, int]:
+        """Each ground element's index, built on first use."""
+        return {e: i for i, e in enumerate(self.ground)}
+
     def atom_sort_key(self, atom: frozenset) -> int:
-        pos: dict = self._position  # type: ignore[attr-defined]
+        pos = self._position
         return min(pos[e] for e in atom)
 
     def members(self) -> Iterator[frozenset]:
@@ -314,7 +332,7 @@ class BooleanSubalgebra:
         object.__setattr__(child, "atoms", tuple(new_atoms))
         _check_partition(child.atoms, self._ground_set)  # type: ignore[attr-defined]
         object.__setattr__(child, "_ground_set", self._ground_set)  # type: ignore[attr-defined]
-        object.__setattr__(child, "_position", self._position)  # type: ignore[attr-defined]
+        object.__setattr__(child, "_position", self._position)
         return child
 
 
@@ -340,18 +358,18 @@ def powerset_algebra(ground: Sequence[Hashable]) -> BooleanSubalgebra:
 
 
 def world_algebra(catalog: TestimonyCatalog) -> BooleanSubalgebra:
-    """The powerset algebra of the catalog's world space, built once per catalog.
+    """The powerset algebra of the catalog's world space, built once per catalog size.
 
     Its atoms are the singleton worlds in canonical order, so atoms 2k and
     2k+1 are the guilty and innocent worlds of the k-th transcript of
     ``catalog.all_transcripts()``.
     """
-    return _world_algebra(catalog.labels)
+    return _world_algebra(len(catalog))
 
 
 @lru_cache(maxsize=16)
-def _world_algebra(labels: tuple[str, ...]) -> BooleanSubalgebra:
-    return powerset_algebra(_world_space(labels))
+def _world_algebra(n: int) -> BooleanSubalgebra:
+    return powerset_algebra(_world_space(n))
 
 
 def is_world_powerset(algebra: BooleanSubalgebra) -> bool:

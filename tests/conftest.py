@@ -15,9 +15,15 @@ from typing import Iterator, Sequence
 
 import pytest
 
+from jurybayes.analyses import (
+    HALF,
+    RateBoundConfig,
+    RatioBoundedPrior,
+    min_convicting_testimony_count,
+)
 from jurybayes.charges import Charge, mix
 from jurybayes.dispositions import Disposition
-from jurybayes.errors import CatalogMismatch, ParseError
+from jurybayes.errors import CatalogMismatch, CatalogTooSmall, ParseError
 from jurybayes.rationals import format_rational
 from jurybayes.worlds import (
     BooleanSubalgebra,
@@ -25,8 +31,11 @@ from jurybayes.worlds import (
     TestimonyCatalog,
     Transcript,
     World,
+    atoms_of_generated_algebra,
     event_of_transcript,
     full_world_space,
+    guilt_event,
+    heard_event,
     powerset_algebra,
 )
 
@@ -132,6 +141,46 @@ def oracle_rationalize_prior(disposition: Disposition, theta: Fraction) -> Charg
         Fraction(1, 2),
         Charge.from_atom_masses(algebra, convict_masses),
         Charge.from_atom_masses(algebra, acquit_masses),
+    )
+
+
+def oracle_ratio_bounded_prior(
+    catalog: TestimonyCatalog, config: RateBoundConfig
+) -> RatioBoundedPrior:
+    """The ratio-bounded convicting prior built step by step: one
+    ``extend_conditional`` per nested heard-event."""
+    count = min_convicting_testimony_count(config)
+    if len(catalog) < count.steps:
+        raise CatalogTooSmall(
+            f"need at least {count.steps} testimonies to reach "
+            f"{format_rational(config.theta)} under the ratio bound; "
+            f"catalog has {len(catalog)}"
+        )
+    worlds = full_world_space(catalog)
+    guilt = guilt_event(catalog)
+    algebra = atoms_of_generated_algebra(worlds, [guilt])
+    charge = Charge.from_atom_masses(
+        algebra, {atom: HALF for atom in algebra.atoms}
+    )
+
+    growth = 1 + config.gamma
+    chain: list[frozenset] = []
+    target = HALF
+    for step in range(1, count.steps + 1):
+        target = min(target * growth, config.theta)
+        heard = heard_event(catalog, Transcript(range(step)))
+        chain.append(heard)
+        charge = charge.extend_conditional(guilt, heard, target, strict=False)
+
+    posteriors = [charge.measure(guilt)]
+    for heard in chain:
+        posteriors.append(charge.conditional(guilt, heard).value)
+    return RatioBoundedPrior(
+        catalog=catalog,
+        config=config,
+        charge=charge,
+        chain=tuple(chain),
+        posteriors=tuple(posteriors),
     )
 
 

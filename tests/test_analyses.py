@@ -22,6 +22,7 @@ from jurybayes.analyses import (
 from jurybayes.charges import Charge
 from jurybayes.dispositions import guilt_prior, posner_even_odds_prior
 from jurybayes.errors import (
+    CapExceeded,
     CatalogTooSmall,
     DegeneratePrior,
     EmptyMatchWithMatchingDefendant,
@@ -36,7 +37,7 @@ from jurybayes.worlds import (
     powerset_algebra,
 )
 
-from conftest import random_charge, random_partition
+from conftest import oracle_ratio_bounded_prior, random_charge, random_partition
 
 
 class TestOdds:
@@ -315,6 +316,63 @@ class TestRatioBoundedPrior:
             build_ratio_bounded_convicting_prior(
                 self.catalog(2), RateBoundConfig(F(1, 10), F(3, 4))
             )
+
+    def assert_matches_oracle(self, catalog: TestimonyCatalog, config: RateBoundConfig):
+        built = build_ratio_bounded_convicting_prior(catalog, config)
+        oracle = oracle_ratio_bounded_prior(catalog, config)
+        assert built.charge.algebra.ground == oracle.charge.algebra.ground
+        assert built.charge.algebra.atoms == oracle.charge.algebra.atoms
+        assert built.charge.masses == oracle.charge.masses
+        assert built.chain == oracle.chain
+        assert built.posteriors == oracle.posteriors
+        return built
+
+    @pytest.mark.parametrize("gamma", [F(1, 10), F(1, 5), F(1, 2), F(1), F(3)])
+    def test_closed_form_matches_extension_chain(self, gamma):
+        for theta in (F(1, 10), F(1, 2), F(11, 20), F(2, 3), F(3, 4), F(9, 10), F(19, 20)):
+            config = RateBoundConfig(gamma, theta)
+            steps = min_convicting_testimony_count(config).steps
+            for n in (steps, steps + 1, steps + 2):
+                built = self.assert_matches_oracle(self.catalog(n), config)
+                assert len(built.charge.algebra.atoms) == 2 * (steps + 1)
+            if theta <= F(1, 2):
+                assert steps == 0 and built.posteriors == (F(1, 2),)
+            if gamma >= 1 and theta > F(1, 2):
+                assert steps == 1
+
+    def test_closed_form_with_last_target_capped_at_theta(self):
+        for gamma, theta in ((F(1, 2), F(2, 3)), (F(1, 3), F(7, 10)), (F(1, 10), F(3, 5))):
+            config = RateBoundConfig(gamma, theta)
+            steps = min_convicting_testimony_count(config).steps
+            assert F(1, 2) * (1 + gamma) ** steps > theta
+            for n in (steps, steps + 2):
+                built = self.assert_matches_oracle(self.catalog(n), config)
+                assert built.posteriors[-1] == theta
+
+    def test_closed_form_on_random_configurations(self, rng):
+        checked = 0
+        while checked < 40:
+            gamma = F(rng.randrange(1, 40), rng.randrange(1, 40))
+            theta = F(rng.randrange(1, 50), 50)
+            config = RateBoundConfig(gamma, theta)
+            steps = min_convicting_testimony_count(config).steps
+            if steps > 8:
+                continue
+            self.assert_matches_oracle(self.catalog(rng.randrange(steps, 9)), config)
+            checked += 1
+
+    def test_closed_form_fails_like_the_extension_chain(self):
+        for n, config in (
+            (2, RateBoundConfig(F(1, 10), F(3, 4))),
+            (0, RateBoundConfig(F(1), F(3, 4))),
+            (12, RateBoundConfig(F(1, 10**6), F(3, 4))),
+        ):
+            errors = []
+            for build in (build_ratio_bounded_convicting_prior, oracle_ratio_bounded_prior):
+                with pytest.raises((CatalogTooSmall, CapExceeded)) as info:
+                    build(self.catalog(n), config)
+                errors.append((info.type, str(info.value)))
+            assert errors[0] == errors[1]
 
     def test_confession_needs_no_ratio_bound(self):
         # without the bound a single testimony can carry the verdict

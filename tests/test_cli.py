@@ -178,6 +178,13 @@ class TestExitCodes:
             assert (code, out) == (3, "")
             assert err.startswith("error[ParseError]: ") and err.count("\n") == 1
 
+    def test_label_with_trailing_newline_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "newline.json"
+        bad.write_text(json.dumps({"catalog": ["a\n"], "convicting": [["a\n"]]}))
+        code, out, err = run_cli(capsys, "rationalize", str(bad), "--theta", "3/4")
+        assert (code, out) == (3, "")
+        assert err.startswith("error[ParseError]: ") and err.count("\n") == 1
+
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "rationalize", "no-such-file.json", "--theta", "3/4")
         assert code == 3
@@ -361,3 +368,24 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["posterior"] == "4:1"
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # the n=12 report is about 1 MB, far more than a pipe buffers, so the
+    # child is still writing when the reader goes away
+    disposition = tmp_path / "n12.json"
+    disposition.write_text(
+        json.dumps({"catalog": [f"t{i}" for i in range(12)], "convicting": [["t0"]]})
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jurybayes.cli", "rationalize", str(disposition),
+         "--theta", "3/4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(16).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

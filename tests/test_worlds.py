@@ -80,6 +80,15 @@ class TestWorldSpace:
         assert world_set(cat) == algebra.ground_set
         assert guilt_event(cat) is guilt_event(catalog(3))
 
+    def test_world_caches_are_shared_by_same_size_catalogs(self):
+        first = TestimonyCatalog(("a", "b", "c"))
+        second = TestimonyCatalog(("x", "y", "z"))
+        assert full_world_space(first) is full_world_space(second)
+        assert world_set(first) is world_set(second)
+        assert guilt_event(first) is guilt_event(second)
+        assert world_algebra(first) is world_algebra(second)
+        assert full_world_space(first) is not full_world_space(catalog(2))
+
     def test_cap_enforced_and_overridable(self):
         labels = tuple(f"t{i}" for i in range(13))
         with pytest.raises(CapExceeded):
@@ -327,7 +336,7 @@ class TestIntegerEncoding:
             assert cls.__hash__ is int.__hash__
             assert cls.__eq__ is int.__eq__
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(9))
     def test_matches_naive_pair_construction(self, n):
         cat = catalog(n)
         naive = naive_world_space(n)
@@ -345,6 +354,9 @@ class TestIntegerEncoding:
             assert {as_naive(w) for w in heard_event(cat, t)} == {
                 p for p in naive if t.members <= p[0]
             }
+        assert heard_event(cat, Transcript()) == frozenset(space)
+        full = Transcript(range(n))
+        assert heard_event(cat, full) == event_of_transcript(cat, full)
 
     @settings(max_examples=200, deadline=None)
     @given(
