@@ -94,7 +94,6 @@ from .worlds import (
     heard_event,
     is_expressible,
     is_logically_independent,
-    is_world_powerset,
     powerset_algebra,
     world_algebra,
 )

@@ -263,10 +263,6 @@ class RateBoundConfig:
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie strictly between 0 and 1")
 
-    @property
-    def prior_guilt(self) -> Fraction:
-        return HALF
-
 
 @dataclass(frozen=True)
 class TestimonyCountBound:

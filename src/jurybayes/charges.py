@@ -69,10 +69,6 @@ class Charge:
         total = fraction_sum(self.masses)
         if total != 1:
             raise ValueError(f"atom masses must sum to 1, got {format_rational(total)}")
-        # point-atomized algebras get an O(|event|) measure fast path
-        points = self.algebra.points
-        point_mass = None if points is None else dict(zip(points, self.masses))
-        object.__setattr__(self, "_point_mass", point_mass)
 
     # -- constructors -------------------------------------------------
 
@@ -108,9 +104,9 @@ class Charge:
         event = frozenset(event)
         if not event <= self.algebra.ground_set:
             raise NotExpressible("event contains elements outside the ground set")
-        point_mass = self._point_mass  # type: ignore[attr-defined]
-        if point_mass is not None:
-            return fraction_sum(point_mass[e] for e in event)
+        if self.algebra.is_world_powerset:
+            # atom i is the world with code i
+            return fraction_sum(map(self.masses.__getitem__, event))
         total = ZERO
         for atom, m in zip(self.algebra.atoms, self.masses):
             if atom <= event:
@@ -222,29 +218,25 @@ class Charge:
                 )
             self._check_strictly_independent(given)
 
-        # Feasible allocations: the mass the adjoined event can absorb on
-        # each side of the target event.
-        in_e = out_e = in_c = out_c = ZERO
+        # One pass sorts the atoms to the complement side (0) and the event
+        # side (1) of the target event, and tallies per side the mass forced
+        # into the adjoined event (atoms inside it) and the mass it can
+        # reach (atoms meeting it).
+        sides: tuple[list, list] = ([], [])
+        forced = [ZERO, ZERO]
+        reachable = [ZERO, ZERO]
         for atom, m in zip(self.algebra.atoms, self.masses):
-            on_event_side = atom <= event
+            on_event = atom <= event
+            sides[on_event].append((atom, m))
             if atom <= given:
-                if on_event_side:
-                    in_e += m
-                else:
-                    in_c += m
+                forced[on_event] += m
             if not atom.isdisjoint(given):
-                if on_event_side:
-                    out_e += m
-                else:
-                    out_c += m
+                reachable[on_event] += m
 
-        scale = self._conditional_scale(theta, in_e, out_e, in_c, out_c)
-        rho_event = theta * scale
-        rho_complement = (1 - theta) * scale
-
+        scale = self._conditional_scale(theta, forced[1], reachable[1], forced[0], reachable[0])
         part_mass = {
-            **self._allocate_side(given, rho_event, event_side=True, event=event),
-            **self._allocate_side(given, rho_complement, event_side=False, event=event),
+            **greedy_split(sides[1], given, theta * scale - forced[1]),
+            **greedy_split(sides[0], given, (1 - theta) * scale - forced[0]),
         }
         new_algebra = self.algebra.adjoin(given)
         return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
@@ -312,23 +304,6 @@ class Charge:
                 "conditional value is defined on it"
             )
         return scale
-
-    def _allocate_side(
-        self,
-        given: frozenset,
-        budget: Fraction,
-        *,
-        event_side: bool,
-        event: frozenset,
-    ) -> dict[frozenset, Fraction]:
-        """Greedy fill of atom-inside-given parts on one side of the event."""
-        side = [
-            (atom, m)
-            for atom, m in zip(self.algebra.atoms, self.masses)
-            if (atom <= event) == event_side
-        ]
-        forced = sum((m for atom, m in side if atom <= given), start=ZERO)
-        return greedy_split(side, given, budget - forced)
 
 
 def fraction_sum(values: Iterable[Fraction]) -> Fraction:

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a charge against a disposition's threshold behaviour")
     p.add_argument("disposition_file")
     p.add_argument("charge_file", help="a charge document or a certificate (its prior is used)")
-    p.add_argument("--theta", required=True)
+    p.add_argument("--theta", required=True, help="threshold in (0, 1), e.g. 3/4")
     add_common(p)
     p.set_defaults(handler=cmd_verify)
 

@@ -30,7 +30,6 @@ from .worlds import (
     Transcript,
     World,
     guilt_event,
-    is_world_powerset,
     world_algebra,
     world_set,
 )
@@ -189,12 +188,12 @@ def transcript_posteriors(
     event cuts through an atom, or, when that event has positive mass,
     whose guilty and innocent worlds share an atom.  A zero-mass
     transcript yields (T, 0, 0).  A prior on a world space's powerset in
-    canonical order (``is_world_powerset``; every ``rationalize`` prior)
-    is read pairwise from its masses.
+    canonical order (``BooleanSubalgebra.is_world_powerset``; every
+    ``rationalize`` prior) is read pairwise from its masses.
     """
     if catalog is not None:
         _require_world_ground(prior, catalog)
-    if is_world_powerset(prior.algebra):
+    if prior.algebra.is_world_powerset:
         # one atom per world, canonical order: guilty then innocent per transcript
         masses = prior.masses
         for guilty_world, guilty_mass, innocent_mass in zip(
@@ -245,9 +244,14 @@ def verify_rationalization(
 
     Recomputes every conditional from the prior's atom masses; it never
     trusts a certificate's posterior table.  Returns the first failing
-    transcript (canonical order) as witness.
+    transcript (canonical order) as witness.  Raises ThetaOutOfRange
+    unless 0 < theta < 1.
     """
     theta = as_rational(theta, name="theta")
+    if not 0 < theta < 1:
+        raise ThetaOutOfRange(
+            f"verification threshold must satisfy 0 < theta < 1, got {format_rational(theta)}"
+        )
     catalog = disposition.catalog
     posteriors: dict[Transcript, Fraction] = {}
     witness: Transcript | None = None

@@ -162,15 +162,14 @@ def disposition_from_jsonable(
 def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, Any]:
     algebra = charge.algebra
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
-    if not algebra.is_atomized_by_points:
-        doc["atoms"] = [
-            [world_key(catalog, w) for w in sorted(atom)]
-            for atom in algebra.atoms
-        ]
-    if algebra.is_atomized_by_points and algebra is world_algebra(catalog):
+    if algebra.is_world_powerset and len(algebra.ground) == 2 << len(catalog):
         keys: Iterable[str] = _world_keys(catalog)
     else:
-        keys = (atom_key(catalog, atom) for atom in algebra.atoms)
+        atom_keys = [[world_key(catalog, w) for w in sorted(atom)] for atom in algebra.atoms]
+        # the atoms partition the ground, so equal counts mean all singletons
+        if len(algebra.atoms) != len(algebra.ground):
+            doc["atoms"] = atom_keys
+        keys = map(";".join, atom_keys)
     doc["masses"] = dict(zip(keys, map(format_rational, charge.masses)))
     return doc
 

@@ -22,12 +22,14 @@ from .errors import CapExceeded, ForeignTestimony
 #: and every construction in this package is exponential in n.
 DEFAULT_WORLD_CAP = 12
 
-#: Largest world cap any catalog may be given.  ``rationalize`` followed
-#: by ``verify_rationalization`` peaks at about 0.8 kB per world (n=16:
-#: 100 MB for 131072 worlds on CPython 3.11), so this ceiling bounds a run
-#: at 2^21 worlds and about 1.6 GB; a cap above it is refused before any
-#: world is built.  Testimony indices stay below it, so no transcript
-#: outgrows every catalog.
+#: Largest world cap any catalog may be given.  Library ``rationalize``
+#: followed by ``verify_rationalization`` peaks at about 0.65 kB per world
+#: (two-witness disposition, n=16: 84 MB for 131072 worlds on CPython
+#: 3.11), so this ceiling bounds that path at 2^21 worlds and about
+#: 1.3 GB.  The figure covers the library path only: the CLI's
+#: ``rationalize --out`` peaked at 976 MB already at n=18.  A cap above
+#: the ceiling is refused before any world is built.  Testimony indices
+#: stay below it, so no transcript outgrows every catalog.
 WORLD_CAP_CEILING = 20
 
 
@@ -287,17 +289,26 @@ class BooleanSubalgebra:
         """The ground as a set, built once at construction."""
         return self._ground_set  # type: ignore[attr-defined]
 
-    @property
-    def is_atomized_by_points(self) -> bool:
-        """True when every atom is a singleton (full powerset algebra)."""
-        return self.points is not None
-
     @cached_property
-    def points(self) -> tuple[Hashable, ...] | None:
-        """The element of each atom, in atom order, when every atom is a singleton."""
-        if any(len(a) != 1 for a in self.atoms):
-            return None
-        return tuple(next(iter(a)) for a in self.atoms)
+    def is_world_powerset(self) -> bool:
+        """True iff this is the powerset of a world space in canonical order.
+
+        Its ground and its singleton atoms then both list the worlds of
+        some catalog in canonical order, as ``world_algebra``'s do, so
+        atom i is the world with code i, and atoms 2k and 2k+1 are the
+        guilty and innocent worlds of the k-th transcript.
+        """
+        ground = self.ground
+        size = len(ground)
+        # the atoms partition the ground, so size-many of them are singletons
+        return (
+            size >= 2
+            and size & (size - 1) == 0
+            and len(self.atoms) == size
+            and set(map(type, ground)) == {World}
+            and ground == tuple(range(size))  # world codes are canonical positions
+            and all(map(frozenset.__contains__, self.atoms, ground))
+        )
 
     @cached_property
     def _position(self) -> dict[Hashable, int]:
@@ -372,24 +383,6 @@ def _world_algebra(n: int) -> BooleanSubalgebra:
     return powerset_algebra(_world_space(n))
 
 
-def is_world_powerset(algebra: BooleanSubalgebra) -> bool:
-    """True iff the algebra is the powerset of a world space in canonical order.
-
-    Its ground and its singleton atoms then both list the worlds of some
-    catalog in canonical order, as ``world_algebra``'s do, so atoms 2k and
-    2k+1 are the guilty and innocent worlds of the k-th transcript.
-    """
-    ground = algebra.ground
-    size = len(ground)
-    return (
-        size >= 2
-        and size & (size - 1) == 0
-        and set(map(type, ground)) == {World}
-        and ground == tuple(range(size))  # world codes are canonical positions
-        and algebra.points == ground
-    )
-
-
 def atoms_of_generated_algebra(
     ground: Sequence[Hashable], generators: Iterable[AbstractSet]
 ) -> BooleanSubalgebra:
@@ -408,12 +401,9 @@ def atoms_of_generated_algebra(
     for element in ground:
         signature = tuple(element in g for g in generators)
         cells.setdefault(signature, set()).add(element)
-    position = {e: i for i, e in enumerate(ground)}
-    atoms = sorted(
-        (frozenset(cell) for cell in cells.values()),
-        key=lambda a: min(position[e] for e in a),
-    )
-    return BooleanSubalgebra(ground, tuple(atoms))
+    # each cell was inserted at its first ground element, so the cells
+    # already come in atom order
+    return BooleanSubalgebra(ground, tuple(map(frozenset, cells.values())))
 
 
 def is_expressible(event: AbstractSet, algebra: BooleanSubalgebra) -> bool:

@@ -21,10 +21,16 @@ from jurybayes.analyses import (
     RatioBoundedPrior,
     min_convicting_testimony_count,
 )
-from jurybayes.charges import Charge, mix
+from jurybayes.charges import ZERO, Charge, greedy_split, mix
 from jurybayes.dispositions import Disposition
-from jurybayes.errors import CatalogMismatch, CatalogTooSmall, ParseError
-from jurybayes.rationals import format_rational
+from jurybayes.errors import (
+    CatalogMismatch,
+    CatalogTooSmall,
+    DegeneratePrior,
+    OutOfRange,
+    ParseError,
+)
+from jurybayes.rationals import RationalLike, as_rational, format_rational
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -117,6 +123,65 @@ def oracle_transcript_posteriors(
         if mass:
             guilty = prior.measure({w for w in worlds if w.guilt is Guilt.GUILTY})
         yield transcript, mass, guilty
+
+
+def oracle_extend_conditional(
+    charge: Charge,
+    event: frozenset,
+    given: frozenset,
+    theta: RationalLike,
+    *,
+    strict: bool = True,
+) -> Charge:
+    """``Charge.extend_conditional`` built side by side: one pass finds the
+    feasible masses, then each side of the target event is filtered again
+    and its forced mass summed again before its greedy split."""
+    event = frozenset(event)
+    given = frozenset(given)
+    theta = as_rational(theta, name="theta")
+    if not 0 <= theta <= 1:
+        raise OutOfRange(f"conditional target {format_rational(theta)} not in [0, 1]")
+    if not given <= charge.algebra.ground_set:
+        raise ValueError("adjoined event contains elements outside the ground set")
+    p_event = charge.measure(event)
+    if strict:
+        if p_event in (0, 1):
+            raise DegeneratePrior(
+                f"prior value of the event is {format_rational(p_event)}; "
+                "a conditional target needs it strictly between 0 and 1"
+            )
+        charge._check_strictly_independent(given)
+
+    in_e = out_e = in_c = out_c = ZERO
+    for atom, m in zip(charge.algebra.atoms, charge.masses):
+        on_event_side = atom <= event
+        if atom <= given:
+            if on_event_side:
+                in_e += m
+            else:
+                in_c += m
+        if not atom.isdisjoint(given):
+            if on_event_side:
+                out_e += m
+            else:
+                out_c += m
+    scale = Charge._conditional_scale(theta, in_e, out_e, in_c, out_c)
+
+    def allocate_side(budget: Fraction, event_side: bool) -> dict[frozenset, Fraction]:
+        side = [
+            (atom, m)
+            for atom, m in zip(charge.algebra.atoms, charge.masses)
+            if (atom <= event) == event_side
+        ]
+        forced = sum((m for atom, m in side if atom <= given), start=ZERO)
+        return greedy_split(side, given, budget - forced)
+
+    part_mass = {
+        **allocate_side(theta * scale, True),
+        **allocate_side((1 - theta) * scale, False),
+    }
+    new_algebra = charge.algebra.adjoin(given)
+    return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
 
 
 def oracle_rationalize_prior(disposition: Disposition, theta: Fraction) -> Charge:

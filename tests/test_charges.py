@@ -14,14 +14,26 @@ from jurybayes.errors import (
     AlgebraMismatch,
     DegeneratePrior,
     InvariantViolation,
+    JuryBayesError,
     NotExpressible,
     NotIndependent,
     OutOfRange,
     ZeroConditioningEvent,
 )
-from jurybayes.worlds import atoms_of_generated_algebra, powerset_algebra
+from jurybayes.worlds import (
+    BooleanSubalgebra,
+    Guilt,
+    TestimonyCatalog,
+    Transcript,
+    World,
+    atoms_of_generated_algebra,
+    full_world_space,
+    powerset_algebra,
+    world_algebra,
+)
 
 from conftest import (
+    oracle_extend_conditional,
     oracle_inner_outer,
     oracle_mass_check,
     random_charge,
@@ -30,6 +42,14 @@ from conftest import (
     random_rational,
     splitting_event,
 )
+
+
+def outcome(operation, *args, **kwargs):
+    """The result of an operation, or the class and message of its domain error."""
+    try:
+        return operation(*args, **kwargs)
+    except (JuryBayesError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def four_block_algebra():
@@ -88,6 +108,44 @@ class TestMeasure:
         for _ in range(20):
             event = frozenset(x for x in ground if rng.random() < 0.5)
             assert fast.measure(event) == slow.measure(event)
+
+    def test_world_powerset_path_matches_shuffled_singletons(self, rng):
+        """``world_algebra`` reads masses by world code; the same masses on
+        shuffled singleton atoms take the atom loop."""
+        for n in range(6):
+            cat = TestimonyCatalog(f"t{i}" for i in range(n))
+            worlds = full_world_space(cat)
+            canonical = world_algebra(cat)
+            atoms = list(canonical.atoms)
+            while tuple(atoms) == canonical.atoms:
+                rng.shuffle(atoms)
+            shuffled = BooleanSubalgebra(worlds, tuple(atoms))
+            assert canonical.is_world_powerset and not shuffled.is_world_powerset
+            masses = random_masses(rng, len(worlds))
+            fast = Charge(canonical, masses)
+            slow = Charge(shuffled, tuple(masses[w] for (w,) in shuffled.atoms))
+            # a world of the next catalog size, and an element of no world space
+            foreign = (World(Transcript({n}), Guilt.GUILTY), "x")
+
+            def posterior(charge, event):
+                return dict(zip(charge.algebra.atoms, charge.condition(event).masses))
+
+            for _ in range(20):
+                event = frozenset(w for w in worlds if rng.random() < 0.5)
+                given = frozenset(w for w in worlds if rng.random() < 0.5)
+                assert fast.measure(event) == slow.measure(event)
+                assert fast.inner_outer(event) == slow.inner_outer(event)
+                assert outcome(fast.conditional, event, given) == outcome(
+                    slow.conditional, event, given
+                )
+                assert outcome(posterior, fast, given) == outcome(posterior, slow, given)
+                for element in foreign:
+                    spoiled = event | {element}
+                    expected = outcome(slow.measure, spoiled)
+                    assert expected[0] is NotExpressible
+                    assert outcome(fast.measure, spoiled) == expected
+                    assert outcome(fast.conditional, event, spoiled) == expected
+                    assert outcome(fast.condition, spoiled) == expected
 
 
 class TestCondition:
@@ -434,6 +492,38 @@ class TestExtendConditional:
             already.extend_conditional(event, member, F(1, 5), strict=False)
         same = already.extend_conditional(event, member, F(2, 3), strict=False)
         assert same.conditional(event, member).value == F(2, 3)
+
+    def test_single_pass_matches_the_side_by_side_oracle(self, rng):
+        seen = set()
+        for _ in range(400):
+            ground = tuple(range(rng.randrange(1, 8)))
+            partition = random_partition(rng, ground, min_block=rng.choice((1, 2)))
+            charge = random_charge(rng, atoms_of_generated_algebra(ground, partition))
+            if rng.random() < 0.9:
+                picks = [a for a in charge.algebra.atoms if rng.random() < 0.5]
+                event = frozenset().union(*picks)
+            else:  # usually cuts through an atom
+                event = frozenset(x for x in ground if rng.random() < 0.5)
+            given = frozenset(x for x in ground if rng.random() < 0.5)
+            theta = rng.choice(
+                (F(0), F(1), F(-1, 3), F(4, 3), random_rational(rng), random_rational(rng))
+            )
+            strict = rng.random() < 0.5
+            got, expected = (
+                outcome(extend, charge, event, given, theta, strict=strict)
+                for extend in (Charge.extend_conditional, oracle_extend_conditional)
+            )
+            if isinstance(expected, Charge):
+                assert isinstance(got, Charge)
+                assert got.algebra == expected.algebra
+                assert got.masses == expected.masses
+                seen.add((strict, Charge))
+            else:
+                assert got == expected
+                seen.add((strict, expected[0]))
+        assert {(True, Charge), (False, Charge), (True, NotIndependent),
+                (True, DegeneratePrior), (False, OutOfRange), (True, OutOfRange),
+                (False, NotExpressible)} <= seen
 
 
 @settings(max_examples=40, deadline=None)

@@ -226,6 +226,16 @@ class TestExitCodes:
         assert code == 17
         assert "ThetaOutOfRange" in err
 
+    @pytest.mark.parametrize("theta", ["2", "-1", "0", "1"])
+    def test_verify_theta_outside_the_unit_interval_exits_17(self, capsys, theta):
+        code, out, err = run_cli(
+            capsys,
+            "verify", str(DATA / "two_witness_n2.json"), str(DATA / "uniform_n2.json"),
+            "--theta", theta,
+        )
+        assert (code, out) == (17, "")
+        assert err.startswith("error[ThetaOutOfRange]: ") and err.count("\n") == 1
+
     def test_bad_rational_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "odds", "--prior", "1:2", "--lr", "fast")
         assert code == 3

@@ -39,7 +39,6 @@ from jurybayes.worlds import (
     event_of_transcript,
     full_world_space,
     guilt_event,
-    is_world_powerset,
     powerset_algebra,
     world_algebra,
 )
@@ -221,6 +220,25 @@ class TestVerify:
             verify_rationalization(
                 Disposition(cat, [cat.transcript(["t0"])]), F(3, 4), concentrated
             )
+
+    @pytest.mark.parametrize("theta", [F(2), F(-1), F(0), F(1)])
+    def test_theta_outside_the_open_unit_interval_is_refused_first(self, theta):
+        cat = catalog(1)
+        disposition = Disposition(cat, [cat.transcript(["t0"])])
+        empty = Transcript()
+        priors = (
+            rationalize(disposition, F(3, 4)).prior,
+            # a foreign world space, and a zero-mass transcript: both would
+            # raise on the first transcript read
+            Charge.uniform_on_atoms(powerset_algebra(full_world_space(catalog(2)))),
+            Charge.from_atom_masses(
+                powerset_algebra(full_world_space(cat)),
+                {frozenset({World(empty, g)}): F(1, 2) for g in Guilt},
+            ),
+        )
+        for prior in priors:
+            with pytest.raises(ThetaOutOfRange, match=r"0 < theta < 1"):
+                verify_rationalization(disposition, theta, prior)
 
     def test_wrong_world_space_is_a_catalog_mismatch(self):
         cat = catalog(1)
@@ -457,7 +475,7 @@ class TestTranscriptPosteriorsKernel:
             }
             for name, algebra in algebras.items():
                 canonical = algebra.ground == worlds and algebra.atoms == tuple(singletons)
-                assert is_world_powerset(algebra) == canonical, name
+                assert algebra.is_world_powerset == canonical, name
                 seen.add(canonical)
                 for _ in range(6):
                     weights = [rng.choice((0, 0, 1, 2, 5)) for _ in worlds]
@@ -473,12 +491,12 @@ class TestTranscriptPosteriorsKernel:
 
     def test_world_powerset_needs_world_elements(self):
         cat = catalog(1)
-        assert not is_world_powerset(powerset_algebra(range(4)))
-        assert not is_world_powerset(powerset_algebra(full_world_space(cat)[:2] + (2, 3)))
-        assert not is_world_powerset(powerset_algebra(full_world_space(cat)[:3]))
-        assert not is_world_powerset(
-            BooleanSubalgebra(full_world_space(cat), (frozenset(full_world_space(cat)),))
-        )
+        assert not powerset_algebra(range(4)).is_world_powerset
+        assert not powerset_algebra(full_world_space(cat)[:2] + (2, 3)).is_world_powerset
+        assert not powerset_algebra(full_world_space(cat)[:3]).is_world_powerset
+        assert not BooleanSubalgebra(
+            full_world_space(cat), (frozenset(full_world_space(cat)),)
+        ).is_world_powerset
 
     def test_foreign_catalog_and_foreign_ground(self, rng):
         prior = point_prior_with_gaps(rng, catalog(2))

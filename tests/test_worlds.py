@@ -69,7 +69,7 @@ class TestWorldSpace:
             algebra = world_algebra(catalog(n))
             assert algebra is world_algebra(catalog(n))
             assert algebra == powerset_algebra(full_world_space(catalog(n)))
-            assert algebra.points == full_world_space(catalog(n))
+            assert algebra.is_world_powerset
 
     def test_world_sets_are_built_once(self):
         cat = catalog(3)
@@ -206,6 +206,23 @@ class TestGeneratedAlgebra:
         with pytest.raises(ValueError):
             atoms_of_generated_algebra((1, 2), [{3}])
 
+    def test_atoms_come_in_order_of_their_first_ground_element(self, rng):
+        for _ in range(40):
+            ground = [f"e{i}" for i in range(rng.randrange(1, 12))]
+            rng.shuffle(ground)
+            generators = [
+                frozenset(x for x in ground if rng.random() < 0.5)
+                for _ in range(rng.randrange(0, 4))
+            ]
+            algebra = atoms_of_generated_algebra(ground, generators)
+            firsts = [min(ground.index(e) for e in atom) for atom in algebra.atoms]
+            assert firsts == sorted(set(firsts))
+            # oracle: the cells of equal membership sign-patterns
+            cells: dict[tuple[bool, ...], set] = {}
+            for e in ground:
+                cells.setdefault(tuple(e in g for g in generators), set()).add(e)
+            assert set(algebra.atoms) == set(map(frozenset, cells.values()))
+
     @pytest.mark.parametrize("size", range(1, 7))
     def test_membership_closed_under_complement_and_union(self, size, rng):
         ground = tuple(range(size))
@@ -324,9 +341,16 @@ class TestAdjoin:
             algebra = child
 
     def test_powerset_algebra_atomizes_by_points(self):
-        algebra = powerset_algebra((1, 2, 3))
-        assert algebra.is_atomized_by_points
-        assert not atoms_of_generated_algebra((1, 2), []).is_atomized_by_points
+        cat = catalog(2)
+        worlds = full_world_space(cat)
+        algebra = powerset_algebra(worlds)
+        assert algebra.atoms == tuple(frozenset({w}) for w in worlds)
+        assert algebra.is_world_powerset
+        # generators that separate every world give the same atoms, in order
+        separating = [guilt_event(cat)] + [heard_event(cat, Transcript({i})) for i in range(2)]
+        assert atoms_of_generated_algebra(worlds, separating).is_world_powerset
+        assert not atoms_of_generated_algebra(worlds, []).is_world_powerset
+        assert not powerset_algebra((1, 2, 3)).is_world_powerset
 
 
 class TestIntegerEncoding:
