@@ -3,7 +3,7 @@
 Reads JSON inputs, dispatches to the library, and prints deterministic
 reports: JSON by default (exact rational strings only), or a
 human-readable table in which decimal columns are explicitly
-approximate.  Every domain error maps to a documented exit code.
+approximate.  Every domain error exits with its class's documented code.
 """
 
 from __future__ import annotations
@@ -17,27 +17,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import analyses, dispositions, scoring
-from .errors import (
-    AlgebraMismatch,
-    AxiomViolation,
-    CapExceeded,
-    CatalogMismatch,
-    CatalogTooSmall,
-    DegeneratePrior,
-    DegenerateUtilities,
-    EmptyMatchWithMatchingDefendant,
-    ForeignTestimony,
-    JuryBayesError,
-    NonpositiveRatio,
-    NotExpressible,
-    NotIndependent,
-    OutOfRange,
-    ParseError,
-    ThetaOutOfRange,
-    UndefinedRatio,
-    ZeroConditioningEvent,
-    ZeroTranscriptMass,
-)
+from .errors import JuryBayesError, ParseError
 from .rationals import approx_decimal, as_rational, format_rational
 from .serialize import (
     certificate_to_jsonable,
@@ -46,7 +26,6 @@ from .serialize import (
     disposition_from_jsonable,
     event_from_spec,
     require_same_catalog,
-    transcript_labels_list,
 )
 from .worlds import TestimonyCatalog, check_world_cap, is_expressible
 
@@ -54,28 +33,6 @@ WORLD_CAP_ENV = "JURYBAYES_WORLD_CAP"
 
 #: 128 + SIGPIPE: stdout was closed before the report was written.
 EXIT_BROKEN_PIPE = 141
-
-#: Documented exit codes; 0 is success, 1 an unclassified domain error.
-EXIT_CODES: dict[type, int] = {
-    AxiomViolation: 2,
-    ParseError: 3,
-    CatalogMismatch: 4,
-    NotIndependent: 5,
-    CapExceeded: 10,
-    ForeignTestimony: 11,
-    NotExpressible: 12,
-    ZeroConditioningEvent: 13,
-    AlgebraMismatch: 14,
-    OutOfRange: 15,
-    DegeneratePrior: 16,
-    ThetaOutOfRange: 17,
-    ZeroTranscriptMass: 18,
-    DegenerateUtilities: 19,
-    NonpositiveRatio: 20,
-    UndefinedRatio: 21,
-    CatalogTooSmall: 22,
-    EmptyMatchWithMatchingDefendant: 23,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -95,7 +52,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ParseError(f"cannot write {args.out}: {exc}") from exc
     except JuryBayesError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
+        return exc.exit_code
     except BrokenPipeError:
         # The reader closed stdout early (e.g. `| head`).  Point stdout at
         # devnull so the interpreter's final flush cannot raise again, and
@@ -198,6 +155,8 @@ def cmd_rationalize(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
+    # a bad threshold is refused before either file is read
+    theta = dispositions.verification_theta(parse_cli_rational(args.theta, "--theta"))
     disposition = disposition_from_jsonable(
         load_json(args.disposition_file), world_cap=args.world_cap
     )
@@ -205,7 +164,6 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
         load_json(args.charge_file), world_cap=args.world_cap
     )
     require_same_catalog(disposition.catalog, charge_catalog)
-    theta = parse_cli_rational(args.theta, "--theta")
     result = dispositions.verify_rationalization(disposition, theta, charge)
     doc: dict[str, Any] = {
         "theta": format_rational(theta),
@@ -213,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
         "witness": None,
     }
     if result.witness is not None:
-        doc["witness"] = transcript_labels_list(disposition.catalog, result.witness)
+        doc["witness"] = list(disposition.catalog.transcript_labels(result.witness))
         doc["witness_posterior"] = format_rational(result.posteriors[result.witness])
     return doc
 
@@ -371,7 +329,7 @@ def scenario_posner(cap: int | None) -> dict[str, Any]:
         worst = posterior if worst is None else min(worst, posterior)
         rows.append(
             {
-                "transcript": transcript_labels_list(catalog, transcript),
+                "transcript": list(catalog.transcript_labels(transcript)),
                 "posterior": format_rational(posterior),
             }
         )
@@ -419,7 +377,7 @@ def load_json(path: str) -> Any:
 def parse_cli_rational(text: str, flag: str) -> Fraction:
     try:
         return as_rational(text, name=flag)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -237,6 +237,16 @@ def transcript_posteriors(
         yield transcript, transcript_mass, guilty.get(transcript, ZERO)
 
 
+def verification_theta(theta: RationalLike) -> Fraction:
+    """theta as an exact rational; ThetaOutOfRange unless 0 < theta < 1."""
+    theta = as_rational(theta, name="theta")
+    if not 0 < theta < 1:
+        raise ThetaOutOfRange(
+            f"verification threshold must satisfy 0 < theta < 1, got {format_rational(theta)}"
+        )
+    return theta
+
+
 def verify_rationalization(
     disposition: Disposition, theta: RationalLike, prior: Charge
 ) -> VerificationResult:
@@ -247,11 +257,7 @@ def verify_rationalization(
     transcript (canonical order) as witness.  Raises ThetaOutOfRange
     unless 0 < theta < 1.
     """
-    theta = as_rational(theta, name="theta")
-    if not 0 < theta < 1:
-        raise ThetaOutOfRange(
-            f"verification threshold must satisfy 0 < theta < 1, got {format_rational(theta)}"
-        )
+    theta = verification_theta(theta)
     catalog = disposition.catalog
     posteriors: dict[Transcript, Fraction] = {}
     witness: Transcript | None = None

@@ -122,12 +122,6 @@ class DoxasticState:
     def is_complete(self) -> bool:
         return all(a is not Attitude.SUSPEND for a in self.attitudes)
 
-    def attitude(self, name: str) -> Attitude:
-        for pair, att in zip(self.pairs, self.attitudes):
-            if pair.name == name:
-                return att
-        raise KeyError(name)
-
 
 def score(state: DoxasticState, world: Hashable, weights: ScoreWeights) -> Fraction:
     """Realized score at a world: +R per true belief, -W per false one."""

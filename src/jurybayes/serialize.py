@@ -16,13 +16,12 @@ from typing import Any, Iterable, Mapping
 
 from .charges import ZERO, Charge
 from .dispositions import Disposition, RationalizationCertificate
-from .errors import CapExceeded, CatalogMismatch, ParseError
+from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, ParseError
 from .rationals import as_rational, format_rational
 from .worlds import (
     BooleanSubalgebra,
     Guilt,
     TestimonyCatalog,
-    Transcript,
     World,
     event_of_transcript,
     full_world_space,
@@ -58,7 +57,7 @@ def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
     labels = [part for part in inner.split(",") if part] if inner else []
     try:
         transcript = catalog.transcript(labels)
-    except Exception as exc:
+    except ForeignTestimony as exc:
         raise ParseError(f"world key {key!r}: {exc}") from exc
     return World(transcript, Guilt(guilt_letter))
 
@@ -87,10 +86,6 @@ def _world_key_index(catalog: TestimonyCatalog) -> dict[str, int]:
 
 def atom_key(catalog: TestimonyCatalog, atom: frozenset) -> str:
     return ";".join(world_key(catalog, w) for w in sorted(atom))
-
-
-def transcript_labels_list(catalog: TestimonyCatalog, transcript: Transcript) -> list[str]:
-    return list(catalog.transcript_labels(transcript))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +129,7 @@ def disposition_to_jsonable(disposition: Disposition) -> dict[str, Any]:
     convicting = sorted(disposition.convicting, key=lambda t: t.mask)
     return {
         "catalog": list(catalog.labels),
-        "convicting": [transcript_labels_list(catalog, t) for t in convicting],
+        "convicting": [list(catalog.transcript_labels(t)) for t in convicting],
         "default": "acquit",
     }
 
@@ -151,7 +146,7 @@ def disposition_from_jsonable(
         raise ParseError('"convicting" must be a list of label lists')
     try:
         return Disposition.from_label_sets(catalog, raw)
-    except Exception as exc:
+    except ForeignTestimony as exc:
         raise ParseError(f"bad convicting transcript: {exc}") from exc
 
 
@@ -282,7 +277,7 @@ def event_from_spec(catalog: TestimonyCatalog, spec: str) -> frozenset:
         labels = [part for part in rest.split("+") if part]
         try:
             transcript = catalog.transcript(labels)
-        except Exception as exc:
+        except ForeignTestimony as exc:
             raise ParseError(f"event spec {spec!r}: {exc}") from exc
         if kind == "transcript":
             return event_of_transcript(catalog, transcript)

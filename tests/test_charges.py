@@ -95,19 +95,25 @@ class TestMeasure:
             Charge(algebra, (F(1, 2), F(1, 2), F(1, 2), F(-1, 2)))
         with pytest.raises(ValueError):
             Charge(algebra, (F(1, 2), F(1, 2), F(0), F(1, 2)))
+        with pytest.raises(ValueError, match="3 masses for 4 atoms"):
+            Charge(algebra, (F(1, 2), F(1, 4), F(1, 4)))
+        with pytest.raises(ValueError, match="not atoms of the algebra"):
+            Charge.from_atom_masses(algebra, {frozenset({0}): F(1)})
 
-    def test_point_atomized_fast_path_matches_general(self, rng):
+    def test_int_ground_powerset_matches_singleton_generated_algebra(self, rng):
         ground = tuple(range(7))
         fine = powerset_algebra(ground)
+        # both sides take the atom loop; an int-ground fast path would fail here untested
+        assert not fine.is_world_powerset
         masses = random_masses(rng, 7)
-        fast = Charge(fine, masses)
-        slow = Charge.from_atom_masses(
+        powerset = Charge(fine, masses)
+        generated = Charge.from_atom_masses(
             atoms_of_generated_algebra(ground, [{x} for x in ground]),
             {frozenset({i}): m for i, m in enumerate(masses)},
         )
         for _ in range(20):
             event = frozenset(x for x in ground if rng.random() < 0.5)
-            assert fast.measure(event) == slow.measure(event)
+            assert powerset.measure(event) == generated.measure(event)
 
     def test_world_powerset_path_matches_shuffled_singletons(self, rng):
         """``world_algebra`` reads masses by world code; the same masses on
@@ -307,6 +313,10 @@ class TestInnerOuter:
             subset = frozenset(x for x in range(6) if rng.random() < 0.5)
             assert charge.inner_outer(subset) == oracle_inner_outer(charge, subset)
 
+    def test_subset_outside_the_ground_rejected(self):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            uniform4().inner_outer({0, 99})
+
 
 class TestExtend:
     def test_expressible_set_keeps_its_value(self):
@@ -465,6 +475,10 @@ class TestExtendConditional:
         charge = uniform4()
         with pytest.raises(OutOfRange):
             charge.extend_conditional({0, 1, 2, 3}, {0, 2, 4, 6}, F(3, 2))
+
+    def test_adjoined_event_outside_the_ground_rejected(self):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            uniform4().extend_conditional({0, 1, 2, 3}, {0, 2, 99}, F(1, 2))
 
     def test_nested_refinement_needs_relaxed_mode(self):
         algebra = atoms_of_generated_algebra(tuple(range(8)), [set(range(4))])

@@ -236,6 +236,15 @@ class TestExitCodes:
         assert (code, out) == (17, "")
         assert err.startswith("error[ThetaOutOfRange]: ") and err.count("\n") == 1
 
+    def test_verify_refuses_theta_before_reading_files(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "verify", str(DATA / "two_witness_n2.json"), str(tmp_path / "missing.json"),
+            "--theta", "2",
+        )
+        assert (code, out) == (17, "")
+        assert err.startswith("error[ThetaOutOfRange]: ") and err.count("\n") == 1
+
     def test_bad_rational_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "odds", "--prior", "1:2", "--lr", "fast")
         assert code == 3

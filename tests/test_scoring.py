@@ -202,6 +202,37 @@ class TestDoxasticState:
             DoxasticState((taut,), (Attitude.BELIEVE_POSITIVE,)), 0, ScoreWeights(2, 1)
         ) == 2
 
+    def test_pairs_stay_on_their_world_set(self):
+        with pytest.raises(ValueError, match="exceeds its world set"):
+            PropositionPair("p", {0, 5}, {0, 1})
+        _, pair = one_pair_setup(F(1, 2))
+        assert pair.holds_at(0) and not pair.holds_at(1)
+        with pytest.raises(ValueError, match="outside pair 's'"):
+            pair.holds_at(7)
+
+    def test_state_shape_validated(self):
+        _, pair = one_pair_setup(F(1, 2))
+        other = PropositionPair("t", {1}, (0, 1))
+        elsewhere = PropositionPair("t", {1}, (1, 2))
+        with pytest.raises(ValueError, match="one attitude per pair"):
+            state([pair, other], Attitude.SUSPEND)
+        with pytest.raises(ValueError, match="names must be distinct"):
+            state([pair, pair], Attitude.SUSPEND, Attitude.SUSPEND)
+        with pytest.raises(ValueError, match="share one world set"):
+            state([pair, elsewhere], Attitude.SUSPEND, Attitude.SUSPEND)
+
+    def test_pairs_must_live_on_the_charges_world_set(self):
+        charge, _ = one_pair_setup(F(1, 2))
+        elsewhere = PropositionPair("t", {1}, (1, 2))
+        weights = ScoreWeights(1, 1)
+        for scorer in (
+            lambda: expected_score(state([elsewhere], Attitude.SUSPEND), charge, weights),
+            lambda: optimal_doxastic_state(charge, [elsewhere], weights),
+            lambda: brute_force_optimal(charge, [elsewhere], weights),
+        ):
+            with pytest.raises(ValueError, match="different world set"):
+                scorer()
+
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             ScoreWeights(0, 1)

@@ -123,6 +123,13 @@ class TestDispositionFormat:
         with pytest.raises(ParseError):
             disposition_from_jsonable({"catalog": ["a"], "convicting": [["b"]]})
 
+    @pytest.mark.parametrize(
+        "entry", [[1], [None], [["a"]], [{"a": 1}], [True], [1.5], [10**399], ["c"]]
+    )
+    def test_non_label_entries_are_parse_errors(self, entry):
+        with pytest.raises(ParseError, match="bad convicting transcript"):
+            disposition_from_jsonable({"catalog": ["a", "b"], "convicting": [entry]})
+
     def test_shape_errors(self):
         with pytest.raises(ParseError):
             disposition_from_jsonable(["not", "an", "object"])
@@ -259,6 +266,11 @@ class TestEventSpecs:
         for bad in ("nonsense", "transcript:zz", "[1, 2]", "[bad json"):
             with pytest.raises(ParseError):
                 event_from_spec(cat, bad)
+
+    @pytest.mark.parametrize("spec", ["heard:c", '["{c}|G"]', "transcript:\x00"])
+    def test_foreign_labels_are_parse_errors(self, cat, spec):
+        with pytest.raises(ParseError, match="not in the catalog"):
+            event_from_spec(cat, spec)
 
 
 def test_require_same_catalog(cat):
