@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet
+from typing import TYPE_CHECKING, AbstractSet
 
-from .charges import Charge
 from .errors import (
     CapExceeded,
     CatalogTooSmall,
@@ -23,16 +22,12 @@ from .errors import (
     UndefinedRatio,
 )
 from .rationals import RationalLike, as_rational, exact_decimal, format_rational
-from .worlds import (
-    BooleanSubalgebra,
-    TestimonyCatalog,
-    Transcript,
-    atoms_of_generated_algebra,
-    full_world_space,
-    guilt_event,
-    heard_event,
-    world_set,
-)
+
+# The odds and rate-bound analyses need no world machinery, so the two
+# builders that do import charges and worlds where they run.
+if TYPE_CHECKING:
+    from .charges import Charge
+    from .worlds import BooleanSubalgebra, TestimonyCatalog
 
 HALF = Fraction(1, 2)
 
@@ -176,6 +171,9 @@ class SpannSpace:
 
 
 def build_spann_space() -> SpannSpace:
+    from .charges import Charge
+    from .worlds import atoms_of_generated_algebra
+
     ground = tuple(
         (father, child, paternity)
         for father in BLOOD_TYPES
@@ -349,6 +347,16 @@ def build_ratio_bounded_convicting_prior(
     the guilt posterior at the largest bound-respecting value.  Every
     prescription and every preserved earlier value is exact.
     """
+    from .charges import Charge
+    from .worlds import (
+        BooleanSubalgebra,
+        Transcript,
+        full_world_space,
+        guilt_event,
+        heard_event,
+        world_set,
+    )
+
     count = min_convicting_testimony_count(config)
     if len(catalog) < count.steps:
         raise CatalogTooSmall(

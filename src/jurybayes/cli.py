@@ -16,18 +16,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import analyses, dispositions, scoring
+# Only what every command needs is imported here: each handler imports
+# the modules it runs, so a process loads no more than its command uses.
 from .errors import JuryBayesError, ParseError
 from .rationals import approx_decimal, as_rational, format_rational
-from .serialize import (
-    certificate_to_jsonable,
-    charge_document_from_jsonable,
-    charge_to_jsonable,
-    disposition_from_jsonable,
-    event_from_spec,
-    require_same_catalog,
-)
-from .worlds import TestimonyCatalog, check_world_cap, is_expressible
 
 WORLD_CAP_ENV = "JURYBAYES_WORLD_CAP"
 
@@ -147,16 +139,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_rationalize(args: argparse.Namespace) -> dict[str, Any]:
+    from .dispositions import rationalize
+    from .serialize import certificate_to_jsonable, disposition_from_jsonable
+
     disposition = disposition_from_jsonable(
         load_json(args.disposition_file), world_cap=args.world_cap
     )
-    certificate = dispositions.rationalize(disposition, parse_cli_rational(args.theta, "--theta"))
+    certificate = rationalize(disposition, parse_cli_rational(args.theta, "--theta"))
     return certificate_to_jsonable(certificate)
 
 
 def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
+    from .dispositions import verification_theta, verify_rationalization
+    from .serialize import (
+        charge_document_from_jsonable,
+        disposition_from_jsonable,
+        require_same_catalog,
+    )
+
     # a bad threshold is refused before either file is read
-    theta = dispositions.verification_theta(parse_cli_rational(args.theta, "--theta"))
+    theta = verification_theta(parse_cli_rational(args.theta, "--theta"))
     disposition = disposition_from_jsonable(
         load_json(args.disposition_file), world_cap=args.world_cap
     )
@@ -164,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
         load_json(args.charge_file), world_cap=args.world_cap
     )
     require_same_catalog(disposition.catalog, charge_catalog)
-    result = dispositions.verify_rationalization(disposition, theta, charge)
+    result = verify_rationalization(disposition, theta, charge)
     doc: dict[str, Any] = {
         "theta": format_rational(theta),
         "holds": result.ok,
@@ -177,6 +179,8 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_extend(args: argparse.Namespace) -> dict[str, Any]:
+    from .serialize import charge_document_from_jsonable, charge_to_jsonable, event_from_spec
+
     catalog, charge = charge_document_from_jsonable(
         load_json(args.charge_file), world_cap=args.world_cap
     )
@@ -196,10 +200,12 @@ def cmd_extend(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
+    from .scoring import ScoreWeights, UtilityQuadruple, verdict_threshold
+
     if args.weights is not None:
         reward, penalty = (parse_cli_rational(v, "--weights") for v in args.weights)
         try:
-            weights = scoring.ScoreWeights(reward, penalty)
+            weights = ScoreWeights(reward, penalty)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
         return {
@@ -209,8 +215,8 @@ def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
             "threshold": format_rational(weights.belief_threshold),
         }
     values = [parse_cli_rational(v, "--quadruple") for v in args.quadruple]
-    quadruple = scoring.UtilityQuadruple(*values)
-    threshold = scoring.verdict_threshold(quadruple)
+    quadruple = UtilityQuadruple(*values)
+    threshold = verdict_threshold(quadruple)
     comparison = ">=" if quadruple.threshold_denominator > 0 else "<="
     return {
         "kind": "verdict-utilities",
@@ -226,12 +232,14 @@ def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
+    from .analyses import Odds, posterior_odds
+
     try:
-        prior = analyses.Odds.parse(args.prior)
+        prior = Odds.parse(args.prior)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     ratio = parse_cli_rational(args.lr, "--lr")
-    posterior = analyses.posterior_odds(prior, ratio)
+    posterior = posterior_odds(prior, ratio)
     return {
         "prior": prior.display(),
         "likelihood_ratio": format_rational(ratio),
@@ -241,14 +249,16 @@ def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
+    from .analyses import RateBoundConfig, min_convicting_testimony_count
+
     try:
-        config = analyses.RateBoundConfig(
+        config = RateBoundConfig(
             parse_cli_rational(args.gamma, "--gamma"),
             parse_cli_rational(args.theta, "--theta"),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    bound = analyses.min_convicting_testimony_count(config)
+    bound = min_convicting_testimony_count(config)
     doc: dict[str, Any] = {
         "gamma": format_rational(config.gamma),
         "theta": format_rational(config.theta),
@@ -257,10 +267,13 @@ def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
         "poi_violated": bound.poi_violated,
     }
     if args.build:
+        from .analyses import build_ratio_bounded_convicting_prior
+        from .worlds import TestimonyCatalog
+
         cat = TestimonyCatalog(
             tuple(f"t{i}" for i in range(bound.steps)), world_cap=args.world_cap
         )
-        built = analyses.build_ratio_bounded_convicting_prior(cat, config)
+        built = build_ratio_bounded_convicting_prior(cat, config)
         doc["posterior_trail"] = [format_rational(p) for p in built.posteriors]
         doc["ratio_window"] = [
             format_rational(1 / (1 + config.gamma)),
@@ -280,7 +293,10 @@ def cmd_scenario(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def scenario_spann() -> dict[str, Any]:
-    space = analyses.build_spann_space()
+    from .analyses import build_spann_space
+    from .worlds import is_expressible
+
+    space = build_spann_space()
     return {
         "scenario": "spann",
         "size": len(space.ground),
@@ -292,37 +308,45 @@ def scenario_spann() -> dict[str, Any]:
 
 
 def scenario_two_witness(cap: int | None) -> dict[str, Any]:
+    from .dispositions import (
+        Disposition,
+        guilt_prior,
+        is_open_door,
+        rationalize,
+        verify_rationalization,
+    )
+    from .worlds import TestimonyCatalog
+
     catalog = TestimonyCatalog(("w1", "w2", "w3", "w4"), world_cap=cap)
-    disposition = dispositions.Disposition(
+    disposition = Disposition(
         catalog, (t for t in catalog.all_transcripts() if len(t) >= 2)
     )
     theta = Fraction(3, 4)
-    certificate = dispositions.rationalize(disposition, theta)
-    verified = dispositions.verify_rationalization(disposition, theta, certificate.prior)
+    certificate = rationalize(disposition, theta)
+    verified = verify_rationalization(disposition, theta, certificate.prior)
     return {
         "scenario": "two-witness",
         "catalog": list(catalog.labels),
         "rule": "convict iff at least two witnesses testify",
         "theta": format_rational(theta),
         "rationalizable": bool(verified),
-        "guilt_prior": format_rational(
-            dispositions.guilt_prior(certificate.prior, catalog)
-        ),
-        "open_door": dispositions.is_open_door(certificate.prior),
+        "guilt_prior": format_rational(guilt_prior(certificate.prior, catalog)),
+        "open_door": is_open_door(certificate.prior),
         "convicting_posterior": format_rational(theta),
         "acquitting_posterior": format_rational(1 - theta),
     }
 
 
 def scenario_posner(cap: int | None) -> dict[str, Any]:
+    from .dispositions import guilt_prior, posner_even_odds_prior, transcript_posteriors
+    from .worlds import TestimonyCatalog
+
     catalog = TestimonyCatalog(("t1", "t2"), world_cap=cap)
     theta = Fraction(3, 4)
-    prior = dispositions.posner_even_odds_prior(catalog, theta)
+    prior = posner_even_odds_prior(catalog, theta)
     rows = []
     worst: Fraction | None = None
-    for transcript, transcript_mass, guilty_mass in dispositions.transcript_posteriors(
-        prior, catalog
-    ):
+    for transcript, transcript_mass, guilty_mass in transcript_posteriors(prior, catalog):
         if len(transcript) == 0:
             continue
         posterior = guilty_mass / transcript_mass
@@ -337,7 +361,7 @@ def scenario_posner(cap: int | None) -> dict[str, Any]:
         "scenario": "posner",
         "catalog": list(catalog.labels),
         "theta": format_rational(theta),
-        "guilt_prior": format_rational(dispositions.guilt_prior(prior, catalog)),
+        "guilt_prior": format_rational(guilt_prior(prior, catalog)),
         "min_nonempty_posterior": format_rational(worst if worst is not None else Fraction(0)),
         "nonempty_posteriors": rows,
     }
@@ -358,6 +382,8 @@ def world_cap(args: argparse.Namespace) -> int | None:
             cap, source = int(env), WORLD_CAP_ENV
         except ValueError as exc:
             raise ParseError(f"{WORLD_CAP_ENV} must be an integer, got {env!r}") from exc
+    from .worlds import check_world_cap
+
     try:
         return check_world_cap(cap)
     except ValueError as exc:

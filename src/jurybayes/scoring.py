@@ -17,11 +17,13 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Hashable, Iterable, Sequence
 
-from .charges import Charge
 from .errors import CapExceeded, DegenerateUtilities, OutOfRange
 from .rationals import RationalLike, as_rational, format_rational
+
+if TYPE_CHECKING:
+    from .charges import Charge
 
 #: Enumeration ceiling for the brute-force oracle (3^k states).
 BRUTE_FORCE_PAIR_CAP = 16

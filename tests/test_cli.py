@@ -1,6 +1,7 @@
 """Command-line behaviour: golden outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -408,3 +409,38 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+#: Run ``cli.main`` on the arguments and print its exit code and the
+#: package modules it loaded.
+_MODULES_LOADED = """\
+import contextlib, io, json, sys
+from jurybayes.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("jurybayes."))]))
+"""
+_WORLD_MACHINERY = {"worlds", "charges", "dispositions", "serialize"}
+
+
+@pytest.mark.parametrize(
+    "argv,never",
+    [
+        (("odds", "--prior", "1:2", "--lr", "8"), _WORLD_MACHINERY),
+        (("threshold", "--weights", "1", "3"), _WORLD_MACHINERY),
+        (("rate", "--gamma", "1/2", "--theta", "3/4"), _WORLD_MACHINERY),
+        (("rationalize", str(DATA / "two_witness_n2.json"), "--theta", "3/4"),
+         {"analyses", "scoring"}),
+        (("verify", str(DATA / "two_witness_n2.json"), str(DATA / "uniform_n2.json"),
+          "--theta", "3/4"), {"analyses", "scoring"}),
+    ],
+)
+def test_commands_import_only_what_they_run(argv, never):
+    env = {k: v for k, v in os.environ.items() if k != "JURYBAYES_WORLD_CAP"}
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULES_LOADED, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, loaded = json.loads(result.stdout)
+    assert code == 0
+    assert never.isdisjoint(name.removeprefix("jurybayes.") for name in loaded)

@@ -1,13 +1,20 @@
 """Error classes against README's exit-code table; no assert in the package source."""
 
 import ast
+import pkgutil
 import re
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-import jurybayes.cli  # noqa: F401  (imports every module, so every error class exists)
+import jurybayes
 from jurybayes.errors import JuryBayesError
+
+# Every error class must exist before the table is checked, wherever it
+# is defined, and the package loads its modules only on first use.
+for _module in pkgutil.iter_modules(jurybayes.__path__):
+    import_module(f"jurybayes.{_module.name}")
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "jurybayes"
