@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 # Only what every command needs is imported here: each handler imports
 # the modules it runs, so a process loads no more than its command uses.
-from .errors import JuryBayesError, ParseError
+from .errors import JuryBayesError, NonpositiveRatio, OutOfRange, ParseError, ThetaOutOfRange
 from .rationals import approx_decimal, as_rational, format_rational
 
 WORLD_CAP_ENV = "JURYBAYES_WORLD_CAP"
@@ -204,10 +204,11 @@ def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
 
     if args.weights is not None:
         reward, penalty = (parse_cli_rational(v, "--weights") for v in args.weights)
-        try:
-            weights = ScoreWeights(reward, penalty)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        if reward <= 0 or penalty <= 0:
+            raise OutOfRange(
+                f"--weights {' '.join(args.weights)} must both be strictly positive"
+            )
+        weights = ScoreWeights(reward, penalty)
         return {
             "kind": "belief-weights",
             "reward": format_rational(weights.reward),
@@ -234,10 +235,13 @@ def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
     from .analyses import Odds, posterior_odds
 
-    try:
-        prior = Odds.parse(args.prior)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    left, sep, right = args.prior.partition(":")
+    if not sep:
+        raise ParseError(f"--prior must look like 'a:b', got {args.prior!r}")
+    in_favor, against = (parse_cli_rational(v, "--prior") for v in (left, right))
+    if in_favor <= 0 or against <= 0:
+        raise NonpositiveRatio(f"--prior {args.prior} must have two strictly positive parts")
+    prior = Odds(in_favor, against)
     ratio = parse_cli_rational(args.lr, "--lr")
     posterior = posterior_odds(prior, ratio)
     return {
@@ -251,13 +255,13 @@ def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
     from .analyses import RateBoundConfig, min_convicting_testimony_count
 
-    try:
-        config = RateBoundConfig(
-            parse_cli_rational(args.gamma, "--gamma"),
-            parse_cli_rational(args.theta, "--theta"),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    gamma = parse_cli_rational(args.gamma, "--gamma")
+    theta = parse_cli_rational(args.theta, "--theta")
+    if gamma <= 0:
+        raise OutOfRange(f"--gamma {args.gamma} must be strictly positive")
+    if not 0 < theta < 1:
+        raise ThetaOutOfRange(f"--theta {args.theta} must lie strictly between 0 and 1")
+    config = RateBoundConfig(gamma, theta)
     bound = min_convicting_testimony_count(config)
     doc: dict[str, Any] = {
         "gamma": format_rational(config.gamma),

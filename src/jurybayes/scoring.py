@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import TYPE_CHECKING, AbstractSet, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, DegenerateUtilities, OutOfRange
@@ -208,8 +210,12 @@ def brute_force_optimal(
 ) -> tuple[DoxasticState, ...]:
     """All expected-score maximizers, by enumeration of every state.
 
-    Enumerates all 3^k consistent attitude assignments in deterministic
-    order; the oracle against which the closed form is checked.
+    Each side of each pair is measured once, and its expected score
+    p*R - (1-p)*W (suspension scores 0) is scaled to an integer over one
+    common denominator.  All 3^k consistent attitude assignments are then
+    enumerated in deterministic order and each is valued by adding its
+    pairs' integers.  It never uses the W/(R+W) threshold: it is the
+    oracle against which the closed form is checked.
     """
     pairs = tuple(pairs)
     if len(pairs) > BRUTE_FORCE_PAIR_CAP:
@@ -218,17 +224,29 @@ def brute_force_optimal(
             f"{BRUTE_FORCE_PAIR_CAP}"
         )
     _require_same_ground(pairs, charge)
-    best_value: Fraction | None = None
-    best_states: list[DoxasticState] = []
-    for combo in itertools.product(ATTITUDE_ORDER, repeat=len(pairs)):
-        state = DoxasticState(pairs, combo)
-        value = expected_score(state, charge, weights)
+    # duplicate names fail here, before any side is measured
+    DoxasticState(pairs, ATTITUDE_ORDER[:1] * len(pairs))
+    values = []
+    for pair in pairs:
+        for side in (pair.positive, pair.negative):
+            p = charge.measure(side)
+            values.append(p * weights.reward - (1 - p) * weights.penalty)
+    common = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (common // v.denominator) for v in values]
+    # one row per pair, one column per attitude in ATTITUDE_ORDER
+    table = tuple(zip(scaled[0::2], scaled[1::2], itertools.repeat(0)))
+    best_value: int | None = None
+    best: list[tuple[int, ...]] = []
+    for combo in itertools.product(range(len(ATTITUDE_ORDER)), repeat=len(pairs)):
+        value = sum(map(getitem, table, combo))
         if best_value is None or value > best_value:
             best_value = value
-            best_states = [state]
+            best = [combo]
         elif value == best_value:
-            best_states.append(state)
-    return tuple(best_states)
+            best.append(combo)
+    return tuple(
+        DoxasticState(pairs, tuple(ATTITUDE_ORDER[i] for i in combo)) for combo in best
+    )
 
 
 def _require_same_ground(pairs: Iterable[PropositionPair], charge: Charge) -> None:

@@ -24,6 +24,7 @@ from jurybayes.analyses import (
 from jurybayes.charges import ZERO, Charge, greedy_split, mix
 from jurybayes.dispositions import Disposition
 from jurybayes.errors import (
+    CapExceeded,
     CatalogMismatch,
     CatalogTooSmall,
     DegeneratePrior,
@@ -31,6 +32,15 @@ from jurybayes.errors import (
     ParseError,
 )
 from jurybayes.rationals import RationalLike, as_rational, format_rational
+from jurybayes.scoring import (
+    ATTITUDE_ORDER,
+    BRUTE_FORCE_PAIR_CAP,
+    DoxasticState,
+    PropositionPair,
+    ScoreWeights,
+    _require_same_ground,
+    expected_score,
+)
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -247,6 +257,31 @@ def oracle_ratio_bounded_prior(
         chain=tuple(chain),
         posteriors=tuple(posteriors),
     )
+
+
+def oracle_brute_force_optimal(
+    charge: Charge, pairs: Sequence[PropositionPair], weights: ScoreWeights
+) -> tuple[DoxasticState, ...]:
+    """Every expected-score maximizer, each of the 3^k states valued by
+    ``expected_score``, which measures every believed side again."""
+    pairs = tuple(pairs)
+    if len(pairs) > BRUTE_FORCE_PAIR_CAP:
+        raise CapExceeded(
+            f"brute force over {len(pairs)} pairs exceeds the cap of "
+            f"{BRUTE_FORCE_PAIR_CAP}"
+        )
+    _require_same_ground(pairs, charge)
+    best_value: Fraction | None = None
+    best_states: list[DoxasticState] = []
+    for combo in itertools.product(ATTITUDE_ORDER, repeat=len(pairs)):
+        state = DoxasticState(pairs, combo)
+        value = expected_score(state, charge, weights)
+        if best_value is None or value > best_value:
+            best_value = value
+            best_states = [state]
+        elif value == best_value:
+            best_states.append(state)
+    return tuple(best_states)
 
 
 def oracle_mass_check(masses) -> tuple[type, str] | None:

@@ -246,6 +246,45 @@ class TestExitCodes:
         assert (code, out) == (17, "")
         assert err.startswith("error[ThetaOutOfRange]: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,code,error,message",
+        [
+            (("rate", "--gamma", "1/2", "--theta", "2"), 17, "ThetaOutOfRange",
+             "--theta 2 must lie strictly between 0 and 1"),
+            (("rate", "--gamma", "1/2", "--theta", "0"), 17, "ThetaOutOfRange",
+             "--theta 0 must lie strictly between 0 and 1"),
+            (("rate", "--gamma", "0", "--theta", "3/4"), 15, "OutOfRange",
+             "--gamma 0 must be strictly positive"),
+            (("rate", "--gamma=-1/2", "--theta", "2"), 15, "OutOfRange",
+             "--gamma -1/2 must be strictly positive"),
+            (("threshold", "--weights", "0", "1"), 15, "OutOfRange",
+             "--weights 0 1 must both be strictly positive"),
+            (("threshold", "--weights", "1", "-2"), 15, "OutOfRange",
+             "--weights 1 -2 must both be strictly positive"),
+            (("odds", "--prior", "0:1", "--lr", "2"), 20, "NonpositiveRatio",
+             "--prior 0:1 must have two strictly positive parts"),
+            (("odds", "--prior", "1:-2", "--lr", "2"), 20, "NonpositiveRatio",
+             "--prior 1:-2 must have two strictly positive parts"),
+        ],
+    )
+    def test_range_errors_have_their_own_exit_codes(self, capsys, argv, code, error, message):
+        assert run_cli(capsys, *argv) == (code, "", f"error[{error}]: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rate", "--gamma", "x", "--theta", "2"),
+            ("rate", "--gamma", "0", "--theta", "3/4/5"),
+            ("threshold", "--weights", "0", "zz"),
+            ("odds", "--prior", "0-1", "--lr", "2"),
+            ("odds", "--prior", "a:0", "--lr", "2"),
+        ],
+    )
+    def test_malformed_range_literals_still_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error[ParseError]: ") and err.count("\n") == 1
+
     def test_bad_rational_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "odds", "--prior", "1:2", "--lr", "fast")
         assert code == 3

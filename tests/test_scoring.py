@@ -1,12 +1,13 @@
 """Belief scoring, the threshold optimizer and its oracle, verdict utilities."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from jurybayes.charges import Charge
-from jurybayes.errors import CapExceeded, DegenerateUtilities, OutOfRange
+from jurybayes.errors import CapExceeded, DegenerateUtilities, NotExpressible, OutOfRange
 from jurybayes.scoring import (
     Attitude,
     DoxasticState,
@@ -20,9 +21,17 @@ from jurybayes.scoring import (
     score,
     verdict_threshold,
 )
-from jurybayes.worlds import powerset_algebra
+from jurybayes.worlds import (
+    TestimonyCatalog,
+    Transcript,
+    atoms_of_generated_algebra,
+    full_world_space,
+    guilt_event,
+    heard_event,
+    powerset_algebra,
+)
 
-from conftest import random_masses, random_rational
+from conftest import oracle_brute_force_optimal, random_masses, random_rational
 
 
 def one_pair_setup(p: F):
@@ -186,6 +195,121 @@ class TestOptimalState:
         ]
         with pytest.raises(CapExceeded):
             brute_force_optimal(charge, pairs, ScoreWeights(1, 1))
+
+
+def outcome(fn, *args):
+    """A call's result, or its error class and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def coarse_algebra(rng: random.Random):
+    """A catalog of 1-6 testimonies, coarsened by guilt and 0-2 heard events."""
+    catalog = TestimonyCatalog(tuple(f"t{i}" for i in range(rng.randrange(1, 7))))
+    generators = [guilt_event(catalog)] + [
+        heard_event(catalog, Transcript({rng.randrange(len(catalog))}))
+        for _ in range(rng.randrange(3))
+    ]
+    return atoms_of_generated_algebra(full_world_space(catalog), generators)
+
+
+def powerset_case_algebra(rng: random.Random):
+    """The powerset of 2-5 plain points or of a 1-2 testimony world space."""
+    if rng.random() < 0.5:
+        return powerset_algebra(tuple(range(rng.randrange(2, 6))))
+    return powerset_algebra(full_world_space(TestimonyCatalog(("a", "b")[: rng.randrange(1, 3)])))
+
+
+def scoring_case(rng: random.Random, algebra):
+    """Charge, k in 0..5 pairs of atom unions, and weights; in half the
+    cases one side of the first pair measures exactly W/(R+W)."""
+    atoms = algebra.atoms
+    ground = algebra.ground_set
+    weights = ScoreWeights(
+        random_rational(rng, F(1, 10), F(5), max_denominator=9),
+        random_rational(rng, F(1, 10), F(5), max_denominator=9),
+    )
+    k = rng.randrange(6)
+    pairs = []
+    for i in range(k):
+        trivial = rng.random() < 0.05
+        while True:
+            chosen = [a for a in atoms if rng.random() < 0.5]
+            positive = frozenset().union(*chosen)
+            if trivial or positive not in (frozenset(), ground):
+                break
+        pairs.append(PropositionPair(f"p{i}", positive, ground, allow_trivial=trivial))
+    masses = dict(zip(atoms, random_masses(rng, len(atoms))))
+    if pairs and rng.random() < 0.5:
+        side = pairs[0].positive if rng.random() < 0.5 else pairs[0].negative
+        inside = [a for a in atoms if a <= side]
+        outside = [a for a in atoms if not a <= side]
+        if inside and outside:
+            t = weights.belief_threshold
+            for part, total in ((inside, t), (outside, 1 - t)):
+                for atom, m in zip(part, random_masses(rng, len(part))):
+                    masses[atom] = m * total
+    charge = Charge(algebra, tuple(masses[a] for a in atoms))
+    return charge, tuple(pairs), weights
+
+
+class TestBruteForceAgainstOracle:
+    """Per-pair values against the per-state enumeration kept in conftest."""
+
+    def test_same_maximizers_in_the_same_order(self):
+        rng = random.Random(9)
+        cases = [coarse_algebra] * 240 + [powerset_case_algebra] * 120
+        ties = 0
+        for make_algebra in cases:
+            charge, pairs, weights = scoring_case(rng, make_algebra(rng))
+            maximizers = brute_force_optimal(charge, pairs, weights)
+            assert maximizers == oracle_brute_force_optimal(charge, pairs, weights)
+            ties += len(maximizers) > 1
+        assert ties >= 60
+
+    def test_same_errors(self):
+        rng = random.Random(10)
+        algebra = coarse_algebra(rng)
+        while len(algebra.atoms) < 2:
+            algebra = coarse_algebra(rng)
+        ground = algebra.ground_set
+        charge = Charge(algebra, random_masses(rng, len(algebra.atoms)))
+        fine = PropositionPair("fine", algebra.atoms[0], ground)
+        cut = PropositionPair("cut", {min(algebra.atoms[1])}, ground)
+        elsewhere = PropositionPair("elsewhere", {0}, (0, 1))
+        weights = ScoreWeights(2, 3)
+        for pairs, error in (
+            ((fine, cut), NotExpressible),
+            ((fine, cut, fine), ValueError),  # duplicate names win over the cut
+            ((fine, elsewhere), ValueError),
+            ((fine,) * 17, CapExceeded),
+        ):
+            got = outcome(brute_force_optimal, charge, pairs, weights)
+            assert got == outcome(oracle_brute_force_optimal, charge, pairs, weights)
+            assert got[0] is error
+
+    def test_each_side_is_measured_once(self, monkeypatch):
+        rng = random.Random(11)
+        algebra = coarse_algebra(rng)
+        while len(algebra.atoms) < 4:
+            algebra = coarse_algebra(rng)
+        ground = algebra.ground_set
+        charge = Charge(algebra, random_masses(rng, len(algebra.atoms)))
+        pairs = [
+            PropositionPair(f"p{i}", algebra.atoms[i % 4], ground) for i in range(5)
+        ]
+        calls = []
+        measure = Charge.measure
+        monkeypatch.setattr(
+            Charge, "measure", lambda self, event: calls.append(event) or measure(self, event)
+        )
+        brute_force_optimal(charge, pairs, ScoreWeights(1, 3))
+        assert len(calls) == 2 * 5
+        calls.clear()
+        oracle_brute_force_optimal(charge, pairs, ScoreWeights(1, 3))
+        assert len(calls) == 2 * 5 * 3**4  # each believed side of each state
 
 
 class TestDoxasticState:
