@@ -271,8 +271,6 @@ class Charge:
         the midpoint of the feasible interval, which in the strict case
         reduces to min(P(A)/theta, (1-P(A))/(1-theta)) / 2.
         """
-        lo = ZERO
-        hi: Fraction | None = None
         if theta == 0:
             if in_e > 0:
                 raise OutOfRange(
@@ -290,7 +288,7 @@ class Charge:
         else:
             lo = max(in_e / theta, in_c / (1 - theta))
             hi = min(out_e / theta, out_c / (1 - theta))
-        if hi is None or lo > hi:
+        if lo > hi:
             lo_bound = in_e / (in_e + out_c) if in_e + out_c > 0 else ONE
             hi_bound = out_e / (out_e + in_c) if out_e + in_c > 0 else ZERO
             raise OutOfRange(

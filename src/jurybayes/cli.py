@@ -14,7 +14,8 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, NoReturn, Sequence
 
 # Only what every command needs is imported here: each handler imports
 # the modules it runs, so a process loads no more than its command uses.
@@ -28,11 +29,8 @@ EXIT_BROKEN_PIPE = 141
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # every command takes the cap, so a bad one fails before any dispatch
-        args.world_cap = world_cap(args)
+        args = build_parser().parse_args(argv)
         doc = args.handler(args)
         print(render(doc, args.format))
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
@@ -43,7 +41,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             except OSError as exc:
                 raise ParseError(f"cannot write {args.out}: {exc}") from exc
     except JuryBayesError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        # one line, even for a message that quotes an argument holding a newline
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"error[{type(exc).__name__}]: {message}", file=sys.stderr)
         return exc.exit_code
     except BrokenPipeError:
         # The reader closed stdout early (e.g. `| head`).  Point stdout at
@@ -56,8 +56,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
+class Parser(argparse.ArgumentParser):
+    """Raises ParseError for usage errors, and reads "-1/2" or "-1e5" as a value, not an option."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern admits only "-1" and "-0.5"; no option starts with a digit
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="jurybayes",
         description=(
             "Exact-rational juror models: rationalize verdict dispositions, "
@@ -73,13 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
         p.add_argument(
-            "--world-cap", type=int, default=None,
+            "--world-cap", type=parse_world_cap, default=os.environ.get(WORLD_CAP_ENV),
             help=f"override the world-space cap (also {WORLD_CAP_ENV})",
         )
 
+    def add_rational(p: Any, flag: str, **kwargs: Any) -> None:
+        p.add_argument(flag, type=partial(rational, flag), **kwargs)
+
     p = sub.add_parser("rationalize", help="build a certificate prior for a disposition file")
     p.add_argument("disposition_file")
-    p.add_argument("--theta", required=True, help="threshold in (1/2, 1), e.g. 3/4")
+    add_rational(p, "--theta", required=True, help="threshold in (1/2, 1), e.g. 3/4")
     p.add_argument("--out", help="also write the certificate JSON to this file")
     add_common(p)
     p.set_defaults(handler=cmd_rationalize)
@@ -87,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a charge against a disposition's threshold behaviour")
     p.add_argument("disposition_file")
     p.add_argument("charge_file", help="a charge document or a certificate (its prior is used)")
-    p.add_argument("--theta", required=True, help="threshold in (0, 1), e.g. 3/4")
+    add_rational(p, "--theta", required=True, help="threshold in (0, 1), e.g. 3/4")
     add_common(p)
     p.set_defaults(handler=cmd_verify)
 
@@ -95,30 +110,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("charge_file")
     p.add_argument("--event", required=True, help="existing event, e.g. 'guilt'")
     p.add_argument("--given", required=True, help="event to adjoin, e.g. 'heard:t1' or a JSON world-key array")
-    p.add_argument("--target", required=True, help="conditional value in [0, 1]")
+    add_rational(p, "--target", required=True, help="conditional value in [0, 1]")
     p.add_argument("--out", help="also write the extended charge JSON to this file")
     add_common(p)
     p.set_defaults(handler=cmd_extend)
 
     p = sub.add_parser("threshold", help="belief or verdict-utility threshold")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--weights", nargs=2, metavar=("R", "W"),
-                       help="reward and penalty, threshold W/(R+W)")
-    group.add_argument("--quadruple", nargs=4,
-                       metavar=("CONVICT_GUILTY", "CONVICT_INNOCENT", "ACQUIT_GUILTY", "ACQUIT_INNOCENT"),
-                       help="four-outcome utilities")
+    add_rational(group, "--weights", nargs=2, metavar=("R", "W"),
+                 help="reward and penalty, threshold W/(R+W)")
+    add_rational(group, "--quadruple", nargs=4,
+                 metavar=("CONVICT_GUILTY", "CONVICT_INNOCENT", "ACQUIT_GUILTY", "ACQUIT_INNOCENT"),
+                 help="four-outcome utilities")
     add_common(p)
     p.set_defaults(handler=cmd_threshold)
 
     p = sub.add_parser("odds", help="posterior odds from prior odds and a likelihood ratio")
     p.add_argument("--prior", required=True, help="odds a:b, e.g. 1:2")
-    p.add_argument("--lr", required=True, help="likelihood ratio, e.g. 8")
+    add_rational(p, "--lr", required=True, help="likelihood ratio, e.g. 8")
     add_common(p)
     p.set_defaults(handler=cmd_odds)
 
     p = sub.add_parser("rate", help="testimony count needed under a posterior-ratio bound")
-    p.add_argument("--gamma", required=True, help="ratio slack, bound is 1+gamma")
-    p.add_argument("--theta", required=True, help="verdict threshold in (0, 1)")
+    add_rational(p, "--gamma", required=True, help="ratio slack, bound is 1+gamma")
+    add_rational(p, "--theta", required=True, help="verdict threshold in (0, 1)")
     p.add_argument(
         "--build", action="store_true",
         help="construct the convicting prior and emit its exact posterior trail",
@@ -145,7 +160,7 @@ def cmd_rationalize(args: argparse.Namespace) -> dict[str, Any]:
     disposition = disposition_from_jsonable(
         load_json(args.disposition_file), world_cap=args.world_cap
     )
-    certificate = rationalize(disposition, parse_cli_rational(args.theta, "--theta"))
+    certificate = rationalize(disposition, args.theta)
     return certificate_to_jsonable(certificate)
 
 
@@ -158,7 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     )
 
     # a bad threshold is refused before either file is read
-    theta = verification_theta(parse_cli_rational(args.theta, "--theta"))
+    theta = verification_theta(args.theta)
     disposition = disposition_from_jsonable(
         load_json(args.disposition_file), world_cap=args.world_cap
     )
@@ -186,13 +201,12 @@ def cmd_extend(args: argparse.Namespace) -> dict[str, Any]:
     )
     event = event_from_spec(catalog, args.event)
     given = event_from_spec(catalog, args.given)
-    target = parse_cli_rational(args.target, "--target")
-    extended = charge.extend_conditional(event, given, target)
+    extended = charge.extend_conditional(event, given, args.target)
     achieved = extended.conditional(event, given)
     return {
         "event": args.event,
         "given": args.given,
-        "target": format_rational(target),
+        "target": format_rational(args.target),
         "achieved": format_rational(achieved.value),
         "given_mass": format_rational(achieved.conditioning_mass),
         "charge": charge_to_jsonable(catalog, extended),
@@ -203,11 +217,9 @@ def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
     from .scoring import ScoreWeights, UtilityQuadruple, verdict_threshold
 
     if args.weights is not None:
-        reward, penalty = (parse_cli_rational(v, "--weights") for v in args.weights)
+        reward, penalty = args.weights
         if reward <= 0 or penalty <= 0:
-            raise OutOfRange(
-                f"--weights {' '.join(args.weights)} must both be strictly positive"
-            )
+            raise OutOfRange(f"--weights {reward} {penalty} must both be strictly positive")
         weights = ScoreWeights(reward, penalty)
         return {
             "kind": "belief-weights",
@@ -215,8 +227,7 @@ def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
             "penalty": format_rational(weights.penalty),
             "threshold": format_rational(weights.belief_threshold),
         }
-    values = [parse_cli_rational(v, "--quadruple") for v in args.quadruple]
-    quadruple = UtilityQuadruple(*values)
+    quadruple = UtilityQuadruple(*args.quadruple)
     threshold = verdict_threshold(quadruple)
     comparison = ">=" if quadruple.threshold_denominator > 0 else "<="
     return {
@@ -238,15 +249,14 @@ def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
     left, sep, right = args.prior.partition(":")
     if not sep:
         raise ParseError(f"--prior must look like 'a:b', got {args.prior!r}")
-    in_favor, against = (parse_cli_rational(v, "--prior") for v in (left, right))
+    in_favor, against = map(partial(rational, "--prior"), (left, right))
     if in_favor <= 0 or against <= 0:
         raise NonpositiveRatio(f"--prior {args.prior} must have two strictly positive parts")
     prior = Odds(in_favor, against)
-    ratio = parse_cli_rational(args.lr, "--lr")
-    posterior = posterior_odds(prior, ratio)
+    posterior = posterior_odds(prior, args.lr)
     return {
         "prior": prior.display(),
-        "likelihood_ratio": format_rational(ratio),
+        "likelihood_ratio": format_rational(args.lr),
         "posterior": posterior.display(),
         "posterior_probability": format_rational(posterior.probability),
     }
@@ -255,13 +265,11 @@ def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
     from .analyses import RateBoundConfig, min_convicting_testimony_count
 
-    gamma = parse_cli_rational(args.gamma, "--gamma")
-    theta = parse_cli_rational(args.theta, "--theta")
-    if gamma <= 0:
+    if args.gamma <= 0:
         raise OutOfRange(f"--gamma {args.gamma} must be strictly positive")
-    if not 0 < theta < 1:
+    if not 0 < args.theta < 1:
         raise ThetaOutOfRange(f"--theta {args.theta} must lie strictly between 0 and 1")
-    config = RateBoundConfig(gamma, theta)
+    config = RateBoundConfig(args.gamma, args.theta)
     bound = min_convicting_testimony_count(config)
     doc: dict[str, Any] = {
         "gamma": format_rational(config.gamma),
@@ -375,23 +383,14 @@ def scenario_posner(cap: int | None) -> dict[str, Any]:
 # Plumbing.
 
 
-def world_cap(args: argparse.Namespace) -> int | None:
-    """The --world-cap flag, else JURYBAYES_WORLD_CAP, else None (the default cap)."""
-    cap, source = args.world_cap, "--world-cap"
-    if cap is None:
-        env = os.environ.get(WORLD_CAP_ENV)
-        if env is None:
-            return None
-        try:
-            cap, source = int(env), WORLD_CAP_ENV
-        except ValueError as exc:
-            raise ParseError(f"{WORLD_CAP_ENV} must be an integer, got {env!r}") from exc
+def parse_world_cap(text: str) -> int:
+    """Convert --world-cap, or its JURYBAYES_WORLD_CAP default when the flag is absent."""
     from .worlds import check_world_cap
 
     try:
-        return check_world_cap(cap)
+        return check_world_cap(int(text))
     except ValueError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
+        raise ParseError(f"the world cap must be a nonnegative integer, got {text!r}") from exc
 
 
 def load_json(path: str) -> Any:
@@ -404,7 +403,8 @@ def load_json(path: str) -> Any:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def parse_cli_rational(text: str, flag: str) -> Fraction:
+def rational(flag: str, text: str) -> Fraction:
+    """The rational literal given for the flag, or ParseError naming the flag."""
     try:
         return as_rational(text, name=flag)
     except ValueError as exc:

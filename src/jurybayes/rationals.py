@@ -20,6 +20,8 @@ RationalLike = int | str | Fraction
 #: about a second to parse.
 MAX_LITERAL_DIGITS = 4300
 
+APPROX_PLACES = 6  #: places after the point in a rounded display decimal
+
 
 def as_rational(value: RationalLike, *, name: str = "value") -> Fraction:
     """Convert an int, Fraction, or exact string ("3/4", "0.9", "2") to Fraction.
@@ -105,7 +107,7 @@ def exact_decimal(value: Fraction) -> str | None:
     return f"{sign}{whole}.{frac}"
 
 
-def approx_decimal(value: Fraction, places: int = 6) -> str:
+def approx_decimal(value: Fraction) -> str:
     """Display-only decimal: exact when terminating, otherwise rounded.
 
     Rounded values carry a trailing '…' marker so reports never pass an
@@ -114,7 +116,7 @@ def approx_decimal(value: Fraction, places: int = 6) -> str:
     exact = exact_decimal(value)
     if exact is not None:
         return exact
-    scaled = round(value * 10**places)
+    scaled = round(value * 10**APPROX_PLACES)
     sign = "-" if scaled < 0 else ""
-    digits = _digits(abs(scaled)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}…"
+    digits = _digits(abs(scaled)).rjust(APPROX_PLACES + 1, "0")
+    return f"{sign}{digits[:-APPROX_PLACES]}.{digits[-APPROX_PLACES:]}…"

@@ -37,10 +37,9 @@ _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+")
 def world_key(catalog: TestimonyCatalog, world: World) -> str:
     keys = _world_keys(catalog)
     # a world's code is its position in the canonical world order
-    if isinstance(world, World) and world < len(keys):
-        return keys[world]
-    labels = catalog.transcript_labels(world.transcript)
-    return "{" + ",".join(labels) + "}|" + world.guilt.value
+    if not (isinstance(world, World) and world < len(keys)):
+        catalog.transcript_labels(world.transcript)  # raises ForeignTestimony
+    return keys[world]
 
 
 def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:

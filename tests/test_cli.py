@@ -1,15 +1,21 @@
 """Command-line behaviour: golden outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jurybayes import worlds
+from jurybayes import errors, worlds
 from jurybayes.cli import main
 from jurybayes.rationals import as_rational
 
@@ -338,6 +344,17 @@ class TestTableFormat:
         assert "transcript" in out and "verdict" in out
         assert "{t1,t2}" in out
 
+    def test_verify_table_renders_a_missing_witness_as_a_dash(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        disposition = str(DATA / "two_witness_n2.json")
+        assert run_cli(capsys, "rationalize", disposition, "--theta", "3/4",
+                       "--out", str(cert))[0] == 0
+        code, out, err = run_cli(
+            capsys, "verify", disposition, str(cert), "--theta", "3/4", "--format", "table"
+        )
+        assert (code, err) == (0, "")
+        assert out == "theta: 3/4 (~0.75)\nholds: True\nwitness: -\n"
+
 
 class TestWorldCap:
     def test_env_var_cap_applies(self, capsys, tmp_path, monkeypatch):
@@ -417,6 +434,174 @@ class TestWorldCap:
             assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
         monkeypatch.setenv("JURYBAYES_WORLD_CAP", "4")
         assert run_cli(capsys, *argv)[0] == 0
+
+
+class TestUsageErrors:
+    """The argument parser converts every value and ends every usage error as ParseError."""
+
+    # argparse's wording may change between Python versions, so only a prefix is pinned
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("rate", "--gamma", "1/2"), "the following arguments are required: --theta"),
+            (("scenario", "nope"), "argument name: invalid choice: 'nope'"),
+            (("odds", "--prior", "1:2", "--lr", "8", "--format", "xml"),
+             "argument --format: invalid choice: 'xml'"),
+            ((), "the following arguments are required: command"),
+            (("threshold", "--weights", "1"), "argument --weights: expected 2 arguments"),
+            (("rate", "--gamma", "1/2", "--theta", "3/4", "--bogus"),
+             "unrecognized arguments: --bogus"),
+            (("odds", "--prior", "1:2", "--lr", "8", "--world-cap", "x"),
+             "the world cap must be a nonnegative integer, got 'x'"),
+            (("rate", "--gamma", "1/2", "--theta", "3/4/5"),
+             "--theta: cannot parse '3/4/5' as a rational"),
+            # a malformed literal wins over a range error and over a file read
+            (("odds", "--prior", "0:1", "--lr", "x"), "--lr: cannot parse 'x' as a rational"),
+            (("extend", "missing.json", "--event", "guilt", "--given", "heard:t1",
+              "--target", "x"), "--target: cannot parse 'x' as a rational"),
+        ],
+    )
+    def test_usage_errors_exit_3_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error[ParseError]: {message}") and err.count("\n") == 1
+
+    def test_cap_variable_and_flag_share_one_converter(self, capsys, monkeypatch):
+        monkeypatch.setenv("JURYBAYES_WORLD_CAP", "x")
+        argv = ("odds", "--prior", "1:2", "--lr", "8")
+        assert run_cli(capsys, *argv) == (
+            3, "", "error[ParseError]: the world cap must be a nonnegative integer, got 'x'\n"
+        )
+        # the variable is a default, so the flag wins without it being read
+        assert run_cli(capsys, *argv, "--world-cap", "4") == (0, golden("odds_shooting.json"), "")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: jurybayes")
+
+    def test_negative_rationals_follow_their_flag_after_a_space(self, capsys):
+        assert run_cli(capsys, "rate", "--gamma", "-1/2", "--theta", "3/4") == (
+            15, "", "error[OutOfRange]: --gamma -1/2 must be strictly positive\n"
+        )
+        assert run_cli(capsys, "rate", "--gamma", "-1e-3", "--theta", "-.5") == (
+            15, "", "error[OutOfRange]: --gamma -1/1000 must be strictly positive\n"
+        )
+        code, out, err = run_cli(capsys, "threshold", "--quadruple", "1", "-9/2", "0", "0")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["utilities"]["convict_innocent"] == "-9/2"
+        assert report["threshold"] == "9/11"
+
+    def test_range_messages_print_the_parsed_value(self, capsys):
+        assert run_cli(capsys, "rate", "--gamma", "1/2", "--theta", "2.0") == (
+            17, "", "error[ThetaOutOfRange]: --theta 2 must lie strictly between 0 and 1\n"
+        )
+
+    def test_a_newline_in_an_argument_prints_escaped(self, capsys):
+        code, out, err = run_cli(capsys, "rationalize", "a\nb", "--theta", "3/4")
+        assert (code, out) == (3, "")
+        assert err.startswith("error[ParseError]: cannot read a\\nb: ") and err.count("\n") == 1
+        assert run_cli(capsys, "odds", "--prior", "1:2", "--lr", "8", "x\ny") == (
+            3, "", "error[ParseError]: unrecognized arguments: x\\ny\n"
+        )
+
+    def test_unwritable_out_path_exits_3(self, capsys, tmp_path):
+        out_path = tmp_path / "no-such-dir" / "cert.json"
+        code, _, err = run_cli(
+            capsys, "rationalize", str(DATA / "two_witness_n2.json"), "--theta", "3/4",
+            "--out", str(out_path),
+        )
+        assert code == 3
+        assert err.startswith(f"error[ParseError]: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+
+
+_EXIT_CODES = {
+    cls.__name__: cls.exit_code
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.JuryBayesError)
+}
+_FILES = tuple(str(DATA / name) for name in sorted(os.listdir(DATA)))
+_CAPS = ("0", "1", "2", "3", "4")
+_BAD_CAPS = ("-1", "x", "", "1e3")
+_RATIONALS = ("3/4", "1/2", "9/10", "0.8", "1", "8", "-9", "-9/2", "0")
+_BAD_RATIONALS = ("2", "-1", "-1/2", "-0.5", "3/4/5", "1/0", "x", "1e5000", "-1e5", "-1/0", "")
+#: Per argument kind, well-formed values and values that must fail.
+_LITERALS = {
+    "FILE": (_FILES, ("missing.json",)),
+    "NAME": (("spann", "two-witness", "posner"), ("nope", "-1/2")),
+    "--theta": (_RATIONALS, _BAD_RATIONALS),
+    "--target": (_RATIONALS, _BAD_RATIONALS),
+    "--weights": (_RATIONALS, _BAD_RATIONALS),
+    "--quadruple": (_RATIONALS, _BAD_RATIONALS),
+    "--lr": (_RATIONALS, _BAD_RATIONALS),
+    "--gamma": (_RATIONALS, _BAD_RATIONALS),
+    "--prior": (("1:2", "1:10", "3/4:1"), ("0:1", "1:-2", "-1/2:1", "a:b", "12", "1:2:3")),
+    "--event": (("guilt", "heard:t1", "transcript:t1"), ("[]", "heard:zz", "x")),
+    "--given": (("heard:t1", "heard:t2", "transcript:", '["{}|G"]'), ("guilt", "[", "zz")),
+    "--format": (("json", "table"), ("xml",)),
+    "--world-cap": (_CAPS, _BAD_CAPS),
+}
+#: Each command's positionals and options, with how many values each option takes.
+_FORMS = (
+    ("rationalize", ("FILE",), {"--theta": 1}),
+    ("verify", ("FILE", "FILE"), {"--theta": 1}),
+    ("extend", ("FILE",), {"--event": 1, "--given": 1, "--target": 1}),
+    ("threshold", (), {"--weights": 2}),
+    ("threshold", (), {"--quadruple": 4}),
+    ("odds", (), {"--prior": 1, "--lr": 1}),
+    ("rate", (), {"--gamma": 1, "--theta": 1, "--build": 0}),
+    ("scenario", ("NAME",), {}),
+)
+
+
+def _asks_for_help_or_a_write(token: str) -> bool:
+    # -h/--help exit through SystemExit, and --out (or an abbreviation) writes a file
+    return token.startswith("-") and token.lstrip("-")[:1] in ("h", "o")
+
+
+_JUNK = st.sampled_from(
+    ("--", "-", "", "--bogus", "-x", "--weights", "--quadruple", "--theta", "rate",
+     *(v for pair in _LITERALS.values() for values in pair for v in values))
+) | st.text(max_size=6).filter(lambda token: not _asks_for_help_or_a_write(token))
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """A command with its real options, some left out, miscounted or malformed, plus junk."""
+
+    def value(kind: str) -> str:
+        good, bad = _LITERALS[kind]
+        return draw(st.sampled_from(good if draw(st.sampled_from(range(6))) else bad))
+
+    command, positionals, options = draw(st.sampled_from(_FORMS))
+    argv = [command, *map(value, positionals)]
+    for flag, count in {**options, "--format": 1, "--world-cap": 1}.items():
+        if draw(st.sampled_from(range(6))) < (5 if flag in options and count else 2):
+            count += draw(st.sampled_from((0,) * 8 + (-1, 1))) if count else 0
+            argv += [flag, *(value(flag) for _ in range(count))]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argvs(), cap_env=st.sampled_from(_CAPS * 4 + _BAD_CAPS))
+def test_fuzz_every_argv_ends_in_a_documented_code(argv, cap_env):
+    env = {"JURYBAYES_WORLD_CAP": cap_env}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    line = re.fullmatch(r"error\[(\w+)\]: [^\n]*\n", err.getvalue())
+    assert line is not None, err.getvalue()
+    # so exit 2 means AxiomViolation, and every code is one errors.py declares
+    assert _EXIT_CODES[line.group(1)] == code
 
 
 def test_console_entry_point_runs():

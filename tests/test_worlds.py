@@ -247,6 +247,12 @@ class TestGeneratedAlgebra:
         with pytest.raises(ValueError):
             BooleanSubalgebra((1, 2), (frozenset({1}), frozenset()))
 
+    def test_ground_must_be_distinct_and_hold_every_atom_element(self):
+        with pytest.raises(ValueError, match="ground elements must be distinct"):
+            BooleanSubalgebra((1, 1, 2), (frozenset({1, 2}),))
+        with pytest.raises(ValueError, match="outside the ground set"):
+            BooleanSubalgebra((1, 2), (frozenset({1}), frozenset({2, 3})))
+
 
 class TestExpressibility:
     def test_single_atom_is_expressible(self):
