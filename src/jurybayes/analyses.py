@@ -269,7 +269,8 @@ class TestimonyCountBound:
     ``steps`` is the exact-powering count: the least m with
     (1/2)(1+gamma)^m >= theta, ties convicting.  ``log_bound`` is the
     strict-inequality logarithmic form, reported for comparison only
-    (float, display precision).  ``poi_violated`` flags theta <= 1/2,
+    (float, display precision; past the float range of gamma or theta it
+    is computed from the rationals).  ``poi_violated`` flags theta <= 1/2,
     where the prior alone already meets the threshold.
     """
 
@@ -288,9 +289,13 @@ def min_convicting_testimony_count(config: RateBoundConfig) -> TestimonyCountBou
     """Least m such that (1/2)(1+gamma)^m reaches theta, by exact powering."""
     level = HALF
     growth = 1 + config.gamma
+    # (1+gamma)^m <= e^(m*gamma) and ln(2*theta) >= (2*theta-1)/(2*theta), so
+    # when the cap times gamma falls short of the latter, no m within the cap
+    # reaches theta: refuse at once rather than after the cap's steps
+    hopeless = RATE_STEP_CAP * config.gamma < (2 * config.theta - 1) / (2 * config.theta)
     steps = 0
     while level < config.theta:
-        if steps >= RATE_STEP_CAP:
+        if steps >= RATE_STEP_CAP or hopeless:
             raise CapExceeded(
                 f"more than {RATE_STEP_CAP} ratio-bounded steps needed to reach "
                 f"{format_rational(config.theta)} at gamma = "
@@ -298,12 +303,30 @@ def min_convicting_testimony_count(config: RateBoundConfig) -> TestimonyCountBou
             )
         level *= growth
         steps += 1
-    log_bound = math.log(2 * float(config.theta)) / math.log(float(growth))
+    try:
+        log_bound = math.log(2 * float(config.theta)) / math.log(float(growth))
+    except (ArithmeticError, ValueError):  # a float overflowed, or rounded to 0 or 1
+        try:
+            log_bound = float(_ln(2 * config.theta) / _ln(growth))
+        except OverflowError:
+            raise CapExceeded(
+                "the logarithmic bound ln(2*theta)/ln(1+gamma) is beyond the float range"
+            ) from None
     return TestimonyCountBound(
         steps=steps,
         log_bound=log_bound,
         poi_violated=config.theta <= HALF,
     )
+
+
+def _ln(q: Fraction) -> Fraction:
+    """ln q for a positive rational q, to float precision, even where float(q) is 0, 1 or inf."""
+    x = q - 1
+    if abs(x) < Fraction(1, 2**60):
+        return x  # ln(1+x) = x(1 - x/2 + ...), which is x to float precision
+    if abs(x) < HALF:
+        return Fraction(math.log1p(x))
+    return Fraction(math.log(q.numerator) - math.log(q.denominator))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .charges import ZERO, Charge
 from .dispositions import Disposition, RationalizationCertificate
@@ -35,7 +34,7 @@ _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def world_key(catalog: TestimonyCatalog, world: World) -> str:
-    keys = _world_keys(catalog)
+    keys = _key_table(catalog).keys
     # a world's code is its position in the canonical world order
     if not (isinstance(world, World) and world < len(keys)):
         catalog.transcript_labels(world.transcript)  # raises ForeignTestimony
@@ -45,7 +44,7 @@ def world_key(catalog: TestimonyCatalog, world: World) -> str:
 def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
     if not isinstance(key, str):
         raise ParseError(f"world key must be a string, got {key!r}")
-    index = _world_key_index(catalog).get(key)
+    index = _key_table(catalog).index.get(key)
     if index is not None:
         return full_world_space(catalog)[index]
     # keys not in canonical form, such as '{b,a}|G', and malformed ones
@@ -61,26 +60,27 @@ def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
     return World(transcript, Guilt(guilt_letter))
 
 
-@lru_cache(maxsize=16)
-def _transcript_labels(catalog: TestimonyCatalog) -> tuple[tuple[str, ...], ...]:
-    """The labels of every transcript, in canonical transcript order."""
-    return tuple(map(catalog.transcript_labels, catalog.all_transcripts()))
+class _KeyTable(NamedTuple):
+    labels: tuple[str, ...]
+    transcripts: tuple[tuple[str, ...], ...]  # each transcript's labels, in canonical order
+    keys: tuple[str, ...]  # each world's key, in canonical order
+    index: dict[str, int]  # key -> position in the world order and in world_algebra's atoms
 
 
-@lru_cache(maxsize=16)
-def _world_keys(catalog: TestimonyCatalog) -> tuple[str, ...]:
-    """The key of every world, in canonical world order."""
-    keys: list[str] = []
-    for labels in _transcript_labels(catalog):
-        prefix = "{" + ",".join(labels) + "}|"
-        keys += (prefix + Guilt.GUILTY.value, prefix + Guilt.INNOCENT.value)
-    return tuple(keys)
+#: The last-seen catalog's table for each size, like the world caches; never mutated.
+_key_tables: dict[int, _KeyTable] = {}
 
 
-@lru_cache(maxsize=16)
-def _world_key_index(catalog: TestimonyCatalog) -> dict[str, int]:
-    """Canonical world key -> position in the world order (and in world_algebra's atoms)."""
-    return {key: i for i, key in enumerate(_world_keys(catalog))}
+def _key_table(catalog: TestimonyCatalog) -> _KeyTable:
+    table = _key_tables.get(len(catalog))
+    if table is None or table.labels != catalog.labels:
+        rows: list[tuple[str, ...]] = [()]
+        for label in catalog.labels:  # appended to every row so far, in canonical order
+            rows += [row + (label,) for row in rows]
+        keys = tuple(f"{{{','.join(row)}}}|{guilt}" for row in rows for guilt in "GI")
+        index = {key: i for i, key in enumerate(keys)}
+        table = _key_tables[len(catalog)] = _KeyTable(catalog.labels, tuple(rows), keys, index)
+    return table
 
 
 def atom_key(catalog: TestimonyCatalog, atom: frozenset) -> str:
@@ -157,7 +157,7 @@ def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, A
     algebra = charge.algebra
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
     if algebra.is_world_powerset and len(algebra.ground) == 2 << len(catalog):
-        keys: Iterable[str] = _world_keys(catalog)
+        keys: Iterable[str] = _key_table(catalog).keys
     else:
         atom_keys = [[world_key(catalog, w) for w in sorted(atom)] for atom in algebra.atoms]
         # the atoms partition the ground, so equal counts mean all singletons
@@ -193,7 +193,7 @@ def charge_from_jsonable(
         key_to_index = {atom_key(catalog, atom): i for i, atom in enumerate(algebra.atoms)}
     else:
         algebra = world_algebra(catalog)
-        key_to_index = _world_key_index(catalog)
+        key_to_index = _key_table(catalog).index
 
     raw_masses = obj["masses"]
     if not isinstance(raw_masses, Mapping):
@@ -238,15 +238,14 @@ def charge_document_from_jsonable(
 
 def certificate_to_jsonable(certificate: RationalizationCertificate) -> dict[str, Any]:
     catalog = certificate.disposition.catalog
-    rows = []
-    for transcript, labels in zip(catalog.all_transcripts(), _transcript_labels(catalog)):
-        rows.append(
-            {
-                "transcript": list(labels),
-                "verdict": certificate.disposition.verdict(transcript).value,
-                "posterior": format_rational(certificate.posteriors[transcript]),
-            }
-        )
+    rows = [
+        {
+            "transcript": list(labels),
+            "verdict": certificate.disposition.verdict(transcript).value,
+            "posterior": format_rational(certificate.posteriors[transcript]),
+        }
+        for transcript, labels in zip(catalog.all_transcripts(), _key_table(catalog).transcripts)
+    ]
     return {
         "catalog": list(catalog.labels),
         "theta": format_rational(certificate.theta),

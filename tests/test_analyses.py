@@ -7,6 +7,8 @@ import pytest
 
 from jurybayes.analyses import (
     BLOOD_TYPES,
+    HALF,
+    RATE_STEP_CAP,
     Odds,
     RateBoundConfig,
     SuspectPool,
@@ -279,6 +281,44 @@ class TestTestimonyCountBound:
         bound = min_convicting_testimony_count(RateBoundConfig(F(1, 10), F(3, 4)))
         assert bound.log_bound == pytest.approx(math.log(1.5) / math.log(1.1))
         assert bound.steps == math.ceil(bound.log_bound)
+
+    def test_log_bound_keeps_the_float_formula_where_it_is_finite(self, rng):
+        for _ in range(40):
+            gamma = F(rng.randrange(1, 30), rng.randrange(1, 30))
+            theta = F(rng.randrange(1, 20), 20)
+            bound = min_convicting_testimony_count(RateBoundConfig(gamma, theta))
+            formula = math.log(2 * float(theta)) / math.log(float(1 + gamma))
+            assert bound.log_bound.hex() == formula.hex()
+
+    @pytest.mark.parametrize(
+        "gamma,theta,expected",
+        [
+            # float(1 + gamma) and float(2 * theta) both round to 1.0
+            (F(1, 10**300), HALF + F(1, 10**401), 2e-101),
+            (F(10**400), F(3, 4), math.log(1.5) / (400 * math.log(10))),  # 1 + gamma overflows
+            (F(1, 2), F(1, 10**400), (math.log(2) - 400 * math.log(10)) / math.log(1.5)),
+            (F(1, 10**40), HALF, 0.0),
+        ],
+    )
+    def test_log_bound_past_the_float_range(self, gamma, theta, expected):
+        bound = min_convicting_testimony_count(RateBoundConfig(gamma, theta))
+        assert bound.log_bound == pytest.approx(expected, rel=1e-12)
+
+    def test_log_bound_beyond_every_float_is_refused(self):
+        with pytest.raises(CapExceeded, match="beyond the float range"):
+            min_convicting_testimony_count(RateBoundConfig(F(1, 10**400), F(1, 10**400)))
+
+    def test_hopeless_inputs_are_refused_like_the_capped_loop(self):
+        # refused at once when RATE_STEP_CAP * gamma < (2 theta - 1) / (2 theta);
+        # exact powering confirms that no count within the cap reaches theta there
+        for theta in (HALF + F(1, 10**6), F(3, 4), F(999, 1000)):
+            edge = (2 * theta - 1) / (2 * theta) / RATE_STEP_CAP
+            for gamma in (edge * F(999, 1000), edge / 10**6):
+                assert HALF * (1 + gamma) ** RATE_STEP_CAP < theta
+                with pytest.raises(CapExceeded, match=f"more than {RATE_STEP_CAP} ratio"):
+                    min_convicting_testimony_count(RateBoundConfig(gamma, theta))
+            # above the edge the test admits the input, and the loop decides it
+            assert min_convicting_testimony_count(RateBoundConfig(edge * 2, theta)).steps
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -325,6 +325,30 @@ class TestExitCodes:
         assert code == 10
         assert "CapExceeded" in err
 
+    @pytest.mark.parametrize(
+        "gamma,theta,code,error",
+        [
+            # float(1 + gamma) is 1.0 and float(2 * theta) is 1.0
+            ("1e-300", "0.5" + "0" * 399 + "1", 0, None),
+            ("1e400", "3/4", 0, None),  # float(1 + gamma) overflows
+            ("1/2", "1e-400", 0, None),  # float(theta) is 0.0
+            ("1e-40", "3/4", 10, "CapExceeded"),  # no count within the cap reaches theta
+            ("1e-400", "3/4", 10, "CapExceeded"),
+            ("1e-400", "1e-400", 10, "CapExceeded"),  # the log bound is below -1e400
+        ],
+    )
+    def test_extreme_rate_literals_end_quickly_without_a_traceback(
+        self, capsys, gamma, theta, code, error
+    ):
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, "rate", "--gamma", gamma, "--theta", theta)
+        assert time.perf_counter() - start < 0.5
+        assert got == code
+        if error is None:
+            assert err == "" and json.loads(out)["steps"] <= 1
+        else:
+            assert out == "" and err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+
 
 class TestTableFormat:
     def test_table_marks_decimals_as_approximate(self, capsys):
@@ -528,16 +552,18 @@ _CAPS = ("0", "1", "2", "3", "4")
 _BAD_CAPS = ("-1", "x", "", "1e3")
 _RATIONALS = ("3/4", "1/2", "9/10", "0.8", "1", "8", "-9", "-9/2", "0")
 _BAD_RATIONALS = ("2", "-1", "-1/2", "-0.5", "3/4/5", "1/0", "x", "1e5000", "-1e5", "-1/0", "")
+#: Tiny and huge literals, past the float range, for rate's values.
+_EXTREME_RATIONALS = ("1e-40", "1e-400", "1e400", "0.5" + "0" * 399 + "1")
 #: Per argument kind, well-formed values and values that must fail.
 _LITERALS = {
     "FILE": (_FILES, ("missing.json",)),
     "NAME": (("spann", "two-witness", "posner"), ("nope", "-1/2")),
-    "--theta": (_RATIONALS, _BAD_RATIONALS),
+    "--theta": (_RATIONALS + _EXTREME_RATIONALS, _BAD_RATIONALS),
     "--target": (_RATIONALS, _BAD_RATIONALS),
     "--weights": (_RATIONALS, _BAD_RATIONALS),
     "--quadruple": (_RATIONALS, _BAD_RATIONALS),
     "--lr": (_RATIONALS, _BAD_RATIONALS),
-    "--gamma": (_RATIONALS, _BAD_RATIONALS),
+    "--gamma": (_RATIONALS + _EXTREME_RATIONALS, _BAD_RATIONALS),
     "--prior": (("1:2", "1:10", "3/4:1"), ("0:1", "1:-2", "-1/2:1", "a:b", "12", "1:2:3")),
     "--event": (("guilt", "heard:t1", "transcript:t1"), ("[]", "heard:zz", "x")),
     "--given": (("heard:t1", "heard:t2", "transcript:", '["{}|G"]'), ("guilt", "[", "zz")),

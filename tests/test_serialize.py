@@ -1,6 +1,10 @@
 """File formats: world keys, disposition and charge documents, event specs."""
 
+import gc
 import json
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -37,7 +41,7 @@ from jurybayes.worlds import (
     world_algebra,
 )
 
-from conftest import oracle_parse_world_key, oracle_world_key
+from conftest import oracle_parse_world_key, oracle_world_key, random_masses
 
 
 @pytest.fixture
@@ -93,6 +97,83 @@ class TestWorldKeys:
         for bad in (1, None, ["{}|G"], {"{}|G": 1}):
             with pytest.raises(ParseError):
                 parse_world_key(cat, bad)
+
+    def test_same_size_catalogs_in_turn_get_their_own_keys(self, rng):
+        first, flipped, other = ("a", "b", "c"), ("c", "b", "a"), ("x", "y", "z")
+        for labels in (first, flipped, first, other, first):
+            cat = TestimonyCatalog(labels)
+            worlds = full_world_space(cat)
+            for world in worlds:
+                key = world_key(cat, world)
+                assert key == oracle_world_key(cat, world)
+                assert parse_world_key(cat, key) == world
+            for key in ("{a,c}|G", "{c,a}|I", "{x}|G", "{}|I"):
+                try:
+                    expected = oracle_parse_world_key(cat, key)
+                except ParseError as exc:
+                    with pytest.raises(ParseError) as got:
+                        parse_world_key(cat, key)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert parse_world_key(cat, key) == expected
+            charge = Charge(world_algebra(cat), random_masses(rng, len(worlds)))
+            doc = charge_to_jsonable(cat, charge)
+            assert list(doc["masses"]) == [oracle_world_key(cat, w) for w in worlds]
+            assert charge_from_jsonable(doc) == (cat, charge)
+            certificate = rationalize(Disposition.from_label_sets(cat, [[labels[0]]]), F(3, 4))
+            rows = certificate_to_jsonable(certificate)["posteriors"]
+            transcripts = map(cat.transcript_labels, cat.all_transcripts())
+            assert [row["transcript"] for row in rows] == list(map(list, transcripts))
+
+    def test_threads_with_same_size_catalogs_each_get_their_own_keys(self):
+        # the per-size table is replaced, never mutated, so a thread keeps
+        # reading the table it looked up while another thread replaces it
+        catalogs = [TestimonyCatalog((f"{p}0", f"{p}1", f"{p}2")) for p in "abcdef"]
+        worlds = full_world_space(catalogs[0])
+        expected = {cat: [oracle_world_key(cat, w) for w in worlds] for cat in catalogs}
+        wrong = []
+
+        def work(offset):
+            for i in range(60):
+                cat = catalogs[(i + offset) % len(catalogs)]
+                keys = [world_key(cat, w) for w in worlds]
+                if keys != expected[cat] or tuple(parse_world_key(cat, k) for k in keys) != worlds:
+                    wrong.append(cat)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_catalogs_seen_before_leave_no_keys_behind(self):
+        # each n=8 label set's keys take about 80 kB; six of them retained
+        # would leave about 400 kB, one table per size leaves a few kB
+        def round_trip(prefix):
+            cat = TestimonyCatalog(tuple(f"{prefix}{i}" for i in range(8)))
+            disposition = Disposition.from_label_sets(cat, [[f"{prefix}0"]])
+            doc = certificate_to_jsonable(rationalize(disposition, F(3, 4)))
+            assert charge_document_from_jsonable(doc)[0] == cat
+
+        tracemalloc.start()
+        try:
+            round_trip("a")
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for prefix in "bcdef":
+                round_trip(prefix)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 40_000
 
 
 class TestDispositionFormat:
