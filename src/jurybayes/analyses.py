@@ -334,7 +334,8 @@ class RatioBoundedPrior:
     """A convicting prior whose posterior chain respects the ratio bound.
 
     ``posteriors[k]`` is the guilt posterior after the first k
-    testimonies, measured from ``charge`` (index 0 is the prior);
+    testimonies, read from ``charge``'s masses by suffix sums (index 0
+    is the prior);
     ``chain[k-1]`` is the k-th cumulative heard-event.
     """
 
@@ -400,7 +401,8 @@ def build_ratio_bounded_convicting_prior(
     # greedy_split then fills the cut tails with theta_k * s and
     # (1 - theta_k) * s, each at most half the tail, and layer H_{k-1} - H_k
     # keeps the rest.  The atoms in canonical order are the layers in
-    # turn, guilty part first, then the tails of H_m.
+    # turn, guilty part first, then the tails of H_m; the posterior trail
+    # is read back from these masses by suffix sums, not measured.
     growth = 1 + config.gamma
     masses: list[Fraction] = []
     tail_g = tail_i = target = HALF
@@ -422,13 +424,21 @@ def build_ratio_bounded_convicting_prior(
     algebra = BooleanSubalgebra(full_world_space(catalog), atoms)
     charge = Charge(algebra, tuple(masses))
 
-    posteriors = [charge.measure(guilt)]
-    for heard in chain:
-        posteriors.append(charge.conditional(guilt, heard).value)
+    # H_k is the union of atoms 2k onward, so P(G & H_k) and P(H_k) are
+    # the suffix sums of masses[2k::2] and masses[2k:].  H_k holds the
+    # tails of H_m, theta_m * s and (1 - theta_m) * s with s > 0, so
+    # P(H_k) > 0: no conditioning event is null, and ZeroConditioningEvent
+    # cannot arise here.
+    trail: list[Fraction] = []
+    guilty = heard_mass = Fraction(0)
+    for k in range(2 * count.steps, -1, -2):
+        guilty += masses[k]
+        heard_mass += masses[k] + masses[k + 1]
+        trail.append(guilty / heard_mass)
     return RatioBoundedPrior(
         catalog=catalog,
         config=config,
         charge=charge,
         chain=chain,
-        posteriors=tuple(posteriors),
+        posteriors=tuple(reversed(trail)),
     )

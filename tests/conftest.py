@@ -247,15 +247,22 @@ def oracle_ratio_bounded_prior(
         chain.append(heard)
         charge = charge.extend_conditional(guilt, heard, target, strict=False)
 
-    posteriors = [charge.measure(guilt)]
-    for heard in chain:
-        posteriors.append(charge.conditional(guilt, heard).value)
     return RatioBoundedPrior(
         catalog=catalog,
         config=config,
         charge=charge,
         chain=tuple(chain),
-        posteriors=tuple(posteriors),
+        posteriors=oracle_ratio_bounded_trail(charge, chain, guilt),
+    )
+
+
+def oracle_ratio_bounded_trail(
+    charge: Charge, chain: Sequence[frozenset], guilt: frozenset
+) -> tuple[Fraction, ...]:
+    """The guilt posterior trail measured from ``charge``: the prior,
+    then one ``conditional`` on each heard-event of ``chain``."""
+    return (charge.measure(guilt),) + tuple(
+        charge.conditional(guilt, heard).value for heard in chain
     )
 
 

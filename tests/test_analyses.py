@@ -39,7 +39,12 @@ from jurybayes.worlds import (
     powerset_algebra,
 )
 
-from conftest import oracle_ratio_bounded_prior, random_charge, random_partition
+from conftest import (
+    oracle_ratio_bounded_prior,
+    oracle_ratio_bounded_trail,
+    random_charge,
+    random_partition,
+)
 
 
 class TestOdds:
@@ -369,6 +374,10 @@ class TestRatioBoundedPrior:
         assert built.charge.masses == oracle.charge.masses
         assert built.chain == oracle.chain
         assert built.posteriors == oracle.posteriors
+        # the suffix-sum trail equals the trail measured from the built charge
+        assert built.posteriors == oracle_ratio_bounded_trail(
+            built.charge, built.chain, guilt_event(catalog)
+        )
         return built
 
     @pytest.mark.parametrize("gamma", [F(1, 10), F(1, 5), F(1, 2), F(1), F(3)])
@@ -404,6 +413,52 @@ class TestRatioBoundedPrior:
                 continue
             self.assert_matches_oracle(self.catalog(rng.randrange(steps, 9)), config)
             checked += 1
+
+    @pytest.mark.parametrize("gamma, steps", [(F(1, 10), 5), (F(1, 20), 9), (F(1, 25), 11)])
+    def test_trail_on_refine_configurations(self, gamma, steps):
+        # the rates and threshold the refine benchmark builds, beyond the
+        # random test's eight steps
+        config = RateBoundConfig(gamma, F(3, 4))
+        assert min_convicting_testimony_count(config).steps == steps
+        for n in (steps, steps + 1):
+            built = self.assert_matches_oracle(self.catalog(n), config)
+            assert built.within_bound() and built.convicts()
+
+    def test_trail_when_theta_is_reached_exactly(self):
+        # (1/2)(1+gamma)^m == theta: the tie convicts, no target is capped
+        for gamma, theta, steps in (
+            (F(1, 2), F(3, 4), 1),
+            (F(1, 4), F(25, 32), 2),
+            (F(1, 10), F(1331, 2000), 3),
+        ):
+            config = RateBoundConfig(gamma, theta)
+            assert min_convicting_testimony_count(config).steps == steps
+            for n in (steps, steps + 1):
+                built = self.assert_matches_oracle(self.catalog(n), config)
+                assert built.posteriors[-1] == theta
+                assert built.ratios == (1 + gamma,) * steps
+
+    def test_trail_is_read_without_measuring(self, monkeypatch):
+        calls = []
+        for name in ("measure", "conditional"):
+            method = getattr(Charge, name)
+            monkeypatch.setattr(
+                Charge,
+                name,
+                lambda self, *args, _name=name, _method=method: (
+                    calls.append(_name) or _method(self, *args)
+                ),
+            )
+        catalog = self.catalog(11)
+        built = build_ratio_bounded_convicting_prior(
+            catalog, RateBoundConfig(F(1, 25), F(3, 4))
+        )
+        assert calls == []
+        # the counters do see the measured trail: one measure, then one
+        # conditional (two measures) per heard-event
+        oracle_ratio_bounded_trail(built.charge, built.chain, guilt_event(catalog))
+        assert calls.count("conditional") == 11
+        assert calls.count("measure") == 1 + 2 * 11
 
     def test_closed_form_fails_like_the_extension_chain(self):
         for n, config in (
