@@ -287,22 +287,14 @@ RATE_STEP_CAP = 4096
 
 def min_convicting_testimony_count(config: RateBoundConfig) -> TestimonyCountBound:
     """Least m such that (1/2)(1+gamma)^m reaches theta, by exact powering."""
-    level = HALF
     growth = 1 + config.gamma
-    # (1+gamma)^m <= e^(m*gamma) and ln(2*theta) >= (2*theta-1)/(2*theta), so
-    # when the cap times gamma falls short of the latter, no m within the cap
-    # reaches theta: refuse at once rather than after the cap's steps
-    hopeless = RATE_STEP_CAP * config.gamma < (2 * config.theta - 1) / (2 * config.theta)
-    steps = 0
-    while level < config.theta:
-        if steps >= RATE_STEP_CAP or hopeless:
-            raise CapExceeded(
-                f"more than {RATE_STEP_CAP} ratio-bounded steps needed to reach "
-                f"{format_rational(config.theta)} at gamma = "
-                f"{format_rational(config.gamma)}"
-            )
-        level *= growth
-        steps += 1
+    steps = _least_reaching_power(growth, 2 * config.theta)
+    if steps is None:
+        raise CapExceeded(
+            f"more than {RATE_STEP_CAP} ratio-bounded steps needed to reach "
+            f"{format_rational(config.theta)} at gamma = "
+            f"{format_rational(config.gamma)}"
+        )
     try:
         log_bound = math.log(2 * float(config.theta)) / math.log(float(growth))
     except (ArithmeticError, ValueError):  # a float overflowed, or rounded to 0 or 1
@@ -317,6 +309,43 @@ def min_convicting_testimony_count(config: RateBoundConfig) -> TestimonyCountBou
         log_bound=log_bound,
         poi_violated=config.theta <= HALF,
     )
+
+
+def _least_reaching_power(growth: Fraction, target: Fraction) -> int | None:
+    """Least m with growth^m >= target, for growth > 1; None past RATE_STEP_CAP.
+
+    m is estimated from logarithms and then confirmed exactly on the
+    integers of growth^m: one power near the estimate, then a
+    multiplication (or exact division) per step to the least m.  A long
+    gamma thus costs one power instead of m Fraction multiplications,
+    each with a gcd on ever longer numbers.
+    """
+    if target <= 1:
+        return 0
+    # (1+gamma)^m <= e^(m*gamma) and ln(2*theta) >= (2*theta-1)/(2*theta), so
+    # when the cap times gamma falls short of the latter, no m within the cap
+    # reaches theta: refuse at once
+    if RATE_STEP_CAP * (growth - 1) < (target - 1) / target:
+        return None
+    # ln(2*theta)/ln(1+gamma) to float precision, so within a step of m
+    estimate = float(_ln(target) / _ln(growth))
+    if estimate > RATE_STEP_CAP + 1:
+        return None
+    g_num, g_den = growth.numerator, growth.denominator
+    t_num, t_den = target.numerator, target.denominator
+    steps = min(max(math.ceil(estimate) - 1, 0), RATE_STEP_CAP)
+    num, den = g_num**steps, g_den**steps  # growth^steps
+    while steps > 0 and num * t_den >= den * t_num:
+        steps -= 1
+        num //= g_num
+        den //= g_den
+    while num * t_den < den * t_num:
+        if steps == RATE_STEP_CAP:
+            return None
+        steps += 1
+        num *= g_num
+        den *= g_den
+    return steps
 
 
 def _ln(q: Fraction) -> Fraction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .charges import ZERO, Charge
@@ -173,68 +174,79 @@ def rationalize(
     )
 
 
+def _transcript_parts(
+    prior: Charge, catalog: TestimonyCatalog | None = None
+) -> Iterator[tuple[Transcript, Fraction, Fraction]]:
+    """Yield (T, P(E_T ∩ G), P(E_T ∩ ¬G)) for every transcript T.
+
+    The one per-transcript kernel: each part is one of the prior's own
+    atom masses, or zero, and nothing is added or divided, so callers
+    can work on the parts' integers.  Order, laziness and errors are
+    those documented on ``transcript_posteriors``.
+    """
+    algebra = prior.algebra
+    if catalog is not None:
+        _require_world_ground(prior, catalog)
+        order: Iterable[Transcript] = catalog.all_transcripts()
+    if algebra.is_world_powerset:
+        # one atom per world, canonical order: guilty then innocent per transcript
+        masses = prior.masses
+        if catalog is None:
+            order = map(attrgetter("transcript"), algebra.ground[0::2])
+        yield from zip(order, masses[0::2], masses[1::2])
+        return
+    if catalog is None:
+        first_seen: dict[Transcript, None] = {}
+        for world in algebra.ground:
+            if not isinstance(world, World):
+                raise TypeError("transcript posteriors need a charge over trial worlds")
+            first_seen[world.transcript] = None
+        order = first_seen
+    guilty: dict[Transcript, Fraction] = {}
+    innocent: dict[Transcript, Fraction] = {}
+    cut: set[Transcript] = set()
+    for atom, m in zip(algebra.atoms, prior.masses):
+        if len(atom) == 1:
+            (world,) = atom
+            side = guilty if world.guilt is Guilt.GUILTY else innocent
+            side[world.transcript] = m
+            continue
+        members = {w.transcript for w in atom}
+        # an atom across transcripts, or one transcript's two worlds with positive mass
+        if len(members) > 1 or m:
+            cut |= members
+    for transcript in order:
+        if transcript in cut:
+            raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
+        yield transcript, guilty.get(transcript, ZERO), innocent.get(transcript, ZERO)
+
+
 def transcript_posteriors(
     prior: Charge, catalog: TestimonyCatalog | None = None
 ) -> Iterator[tuple[Transcript, Fraction, Fraction]]:
     """Yield (T, P(E_T), P(E_T ∩ G)) for every transcript T.
 
-    One pass over the prior's atoms tallies every transcript; the tallies
+    One pass over the prior's atoms sorts them by transcript; the rows
     are then yielded lazily, so an error surfaces at the transcript the
     per-event ``measure`` path would have reached it.  With a catalog the
     prior must live on its world space (CatalogMismatch otherwise) and
     transcripts come in canonical order; without one every ground
     element must be a World (TypeError otherwise) and transcripts come in
-    ground order.  NotExpressible is raised on reaching a transcript whose
-    event cuts through an atom, or, when that event has positive mass,
-    whose guilty and innocent worlds share an atom.  A zero-mass
+    ground order.  NotExpressible is raised on reaching a transcript
+    whose event cuts through an atom, or, when that event has positive
+    mass, whose guilty and innocent worlds share an atom.  A zero-mass
     transcript yields (T, 0, 0).  A prior on a world space's powerset in
     canonical order (``BooleanSubalgebra.is_world_powerset``; every
-    ``rationalize`` prior) is read pairwise from its masses.
+    ``rationalize`` prior) is read pairwise from its masses.  Each
+    distinct pair of guilty and innocent masses is added once.
     """
-    if catalog is not None:
-        _require_world_ground(prior, catalog)
-    if prior.algebra.is_world_powerset:
-        # one atom per world, canonical order: guilty then innocent per transcript
-        masses = prior.masses
-        for guilty_world, guilty_mass, innocent_mass in zip(
-            prior.algebra.ground[0::2], masses[0::2], masses[1::2]
-        ):
-            yield guilty_world.transcript, guilty_mass + innocent_mass, guilty_mass
-        return
-    if catalog is not None:
-        order: Iterable[Transcript] = catalog.all_transcripts()
-    else:
-        first_seen: dict[Transcript, None] = {}
-        for world in prior.algebra.ground:
-            if not isinstance(world, World):
-                raise TypeError("transcript posteriors need a charge over trial worlds")
-            first_seen[world.transcript] = None
-        order = first_seen
-    mass: dict[Transcript, Fraction] = {}
-    guilty: dict[Transcript, Fraction] = {}
-    straddled: set[Transcript] = set()
-    mixed: set[Transcript] = set()
-    for atom, m in zip(prior.algebra.atoms, prior.masses):
-        if len(atom) == 1:
-            (world,) = atom
-            transcript = world.transcript
-            mass[transcript] = mass.get(transcript, ZERO) + m
-            if world.guilt is Guilt.GUILTY:
-                guilty[transcript] = m
-            continue
-        members = {w.transcript for w in atom}
-        if len(members) > 1:
-            straddled |= members
-            continue
-        # two worlds of one transcript: its guilty and innocent world
-        (transcript,) = members
-        mass[transcript] = mass.get(transcript, ZERO) + m
-        mixed.add(transcript)
-    for transcript in order:
-        transcript_mass = mass.get(transcript, ZERO)
-        if transcript in straddled or (transcript_mass and transcript in mixed):
-            raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
-        yield transcript, transcript_mass, guilty.get(transcript, ZERO)
+    totals: dict[tuple[int, int, int, int], Fraction] = {}
+    for transcript, guilty, innocent in _transcript_parts(prior, catalog):
+        key = (guilty.numerator, guilty.denominator, innocent.numerator, innocent.denominator)
+        total = totals.get(key)
+        if total is None:
+            total = totals[key] = guilty + innocent
+        yield transcript, total, guilty
 
 
 def verification_theta(theta: RationalLike) -> Fraction:
@@ -253,33 +265,51 @@ def verify_rationalization(
     """Check f(T) = convict iff P(guilt | transcript T) >= theta.
 
     Recomputes every conditional from the prior's atom masses; it never
-    trusts a certificate's posterior table.  Returns the first failing
-    transcript (canonical order) as witness.  Raises ThetaOutOfRange
-    unless 0 < theta < 1.
+    trusts a certificate's posterior table.  Each transcript is decided
+    by an integer cross-multiplication, and each distinct pair of
+    guilty and innocent masses is decided once.  Returns the first
+    failing transcript (canonical order) as witness.  Raises
+    ThetaOutOfRange unless 0 < theta < 1.
     """
     theta = verification_theta(theta)
     catalog = disposition.catalog
+    convicting = disposition.convicting
+    theta_num, theta_den = theta.numerator, theta.denominator
+    # (posterior, convicts) per distinct (guilty, innocent) pair, keyed on
+    # their integers: P(G | T) = gn*id / (gn*id + in*gd) = a/s, and with
+    # s > 0 it meets theta iff a*theta_den >= theta_num*s
+    decided: dict[tuple[int, int, int, int], tuple[Fraction, bool]] = {}
     posteriors: dict[Transcript, Fraction] = {}
     witness: Transcript | None = None
-    for transcript, transcript_mass, guilty_mass in transcript_posteriors(prior, catalog):
-        if transcript_mass == 0:
-            raise ZeroTranscriptMass(
-                f"P(E_T) = 0 for transcript "
-                f"{{{','.join(catalog.transcript_labels(transcript))}}}; "
-                "the threshold biconditional is undefined there"
-            )
-        posterior = guilty_mass / transcript_mass
+    for transcript, guilty, innocent in _transcript_parts(prior, catalog):
+        key = (guilty.numerator, guilty.denominator, innocent.numerator, innocent.denominator)
+        known = decided.get(key)
+        if known is None:
+            g_num, g_den, i_num, i_den = key
+            a = g_num * i_den
+            s = a + i_num * g_den
+            if s == 0:
+                raise ZeroTranscriptMass(
+                    f"P(E_T) = 0 for transcript "
+                    f"{{{','.join(catalog.transcript_labels(transcript))}}}; "
+                    "the threshold biconditional is undefined there"
+                )
+            known = decided[key] = (Fraction(a, s), a * theta_den >= theta_num * s)
+        posterior, convicts = known
         posteriors[transcript] = posterior
-        convicts = posterior >= theta
-        if witness is None and convicts != (transcript in disposition.convicting):
+        if witness is None and convicts != (transcript in convicting):
             witness = transcript
     return VerificationResult(witness is None, witness, posteriors)
 
 
 def is_open_door(prior: Charge) -> bool:
-    """True iff no positive-mass transcript pins guilt to 0 or 1."""
-    for _, transcript_mass, guilty_mass in transcript_posteriors(prior):
-        if transcript_mass and guilty_mass in (ZERO, transcript_mass):
+    """True iff no positive-mass transcript pins guilt to 0 or 1.
+
+    Guilt is pinned exactly when one of the transcript's guilty and
+    innocent masses is zero and the other is not.
+    """
+    for _, guilty, innocent in _transcript_parts(prior):
+        if bool(guilty) != bool(innocent):
             return False
     return True
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .charges import ZERO, Charge
-from .dispositions import Disposition, RationalizationCertificate
+from .dispositions import Disposition, RationalizationCertificate, Verdict
 from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, ParseError
 from .rationals import as_rational, format_rational
 from .worlds import (
@@ -164,8 +164,26 @@ def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, A
         if len(algebra.atoms) != len(algebra.ground):
             doc["atoms"] = atom_keys
         keys = map(";".join, atom_keys)
-    doc["masses"] = dict(zip(keys, map(format_rational, charge.masses)))
+    doc["masses"] = dict(zip(keys, map(_rational_formatter(), charge.masses)))
     return doc
+
+
+def _rational_formatter() -> Callable[[Fraction], str]:
+    """``format_rational`` that renders each distinct value once.
+
+    A prior repeats few values, so the strings are memoized on the
+    value's integers, which hash without a Fraction's modular inverse.
+    """
+    rendered: dict[tuple[int, int], str] = {}
+
+    def render(value: Fraction) -> str:
+        key = (value.numerator, value.denominator)
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = format_rational(value)
+        return text
+
+    return render
 
 
 def charge_from_jsonable(
@@ -238,11 +256,15 @@ def charge_document_from_jsonable(
 
 def certificate_to_jsonable(certificate: RationalizationCertificate) -> dict[str, Any]:
     catalog = certificate.disposition.catalog
+    convicting = certificate.disposition.convicting
+    posteriors = certificate.posteriors
+    render = _rational_formatter()
+    convict, acquit = Verdict.CONVICT.value, Verdict.ACQUIT.value
     rows = [
         {
             "transcript": list(labels),
-            "verdict": certificate.disposition.verdict(transcript).value,
-            "posterior": format_rational(certificate.posteriors[transcript]),
+            "verdict": convict if transcript in convicting else acquit,
+            "posterior": render(posteriors[transcript]),
         }
         for transcript, labels in zip(catalog.all_transcripts(), _key_table(catalog).transcripts)
     ]

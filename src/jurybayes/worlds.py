@@ -23,8 +23,8 @@ from .errors import CapExceeded, ForeignTestimony
 DEFAULT_WORLD_CAP = 12
 
 #: Largest world cap any catalog may be given.  Library ``rationalize``
-#: followed by ``verify_rationalization`` peaks at about 0.65 kB per world
-#: (two-witness disposition, n=16: 84 MB for 131072 worlds on CPython
+#: followed by ``verify_rationalization`` peaks at about 0.62 kB per world
+#: (two-witness disposition, n=16: 81 MB for 131072 worlds on CPython
 #: 3.11), so this ceiling bounds that path at 2^21 worlds and about
 #: 1.3 GB.  The figure covers the library path only: the CLI's
 #: ``rationalize --out`` peaked at 976 MB already at n=18.  A cap above

@@ -17,12 +17,13 @@ import pytest
 
 from jurybayes.analyses import (
     HALF,
+    RATE_STEP_CAP,
     RateBoundConfig,
     RatioBoundedPrior,
     min_convicting_testimony_count,
 )
 from jurybayes.charges import ZERO, Charge, greedy_split, mix
-from jurybayes.dispositions import Disposition
+from jurybayes.dispositions import Disposition, RationalizationCertificate
 from jurybayes.errors import (
     CapExceeded,
     CatalogMismatch,
@@ -266,6 +267,23 @@ def oracle_ratio_bounded_trail(
     )
 
 
+def oracle_min_convicting_steps(config: RateBoundConfig) -> int:
+    """The least m with (1/2)(1+gamma)^m >= theta, found by one exact
+    ``Fraction`` multiplication per step; CapExceeded past RATE_STEP_CAP."""
+    level = HALF
+    steps = 0
+    while level < config.theta:
+        if steps >= RATE_STEP_CAP:
+            raise CapExceeded(
+                f"more than {RATE_STEP_CAP} ratio-bounded steps needed to reach "
+                f"{format_rational(config.theta)} at gamma = "
+                f"{format_rational(config.gamma)}"
+            )
+        level *= 1 + config.gamma
+        steps += 1
+    return steps
+
+
 def oracle_brute_force_optimal(
     charge: Charge, pairs: Sequence[PropositionPair], weights: ScoreWeights
 ) -> tuple[DoxasticState, ...]:
@@ -303,6 +321,42 @@ def oracle_mass_check(masses) -> tuple[type, str] | None:
     if total != 1:
         return ValueError, f"atom masses must sum to 1, got {format_rational(total)}"
     return None
+
+
+def oracle_charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict:
+    """A charge document built key by key: ``format_rational`` once per
+    mass, an "atoms" list unless every atom is a single world."""
+    algebra = charge.algebra
+    atom_keys = [[oracle_world_key(catalog, w) for w in sorted(atom)] for atom in algebra.atoms]
+    doc: dict = {"catalog": list(catalog.labels)}
+    if any(len(atom) != 1 for atom in algebra.atoms):
+        doc["atoms"] = atom_keys
+    doc["masses"] = {
+        ";".join(keys): format_rational(m) for keys, m in zip(atom_keys, charge.masses)
+    }
+    return doc
+
+
+def oracle_certificate_to_jsonable(certificate: RationalizationCertificate) -> dict:
+    """A certificate document with one ``verdict()`` call and one
+    ``format_rational`` call per row."""
+    disposition = certificate.disposition
+    catalog = disposition.catalog
+    rows = [
+        {
+            "transcript": list(catalog.transcript_labels(t)),
+            "verdict": disposition.verdict(t).value,
+            "posterior": format_rational(certificate.posteriors[t]),
+        }
+        for t in catalog.all_transcripts()
+    ]
+    return {
+        "catalog": list(catalog.labels),
+        "theta": format_rational(certificate.theta),
+        "guilt_prior": format_rational(certificate.guilt_prior),
+        "posteriors": rows,
+        "prior": oracle_charge_to_jsonable(catalog, certificate.prior),
+    }
 
 
 def oracle_world_key(catalog: TestimonyCatalog, world: World) -> str:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jurybayes import analyses
 from jurybayes.analyses import (
     BLOOD_TYPES,
     HALF,
@@ -40,6 +41,7 @@ from jurybayes.worlds import (
 )
 
 from conftest import (
+    oracle_min_convicting_steps,
     oracle_ratio_bounded_prior,
     oracle_ratio_bounded_trail,
     random_charge,
@@ -324,6 +326,57 @@ class TestTestimonyCountBound:
                     min_convicting_testimony_count(RateBoundConfig(gamma, theta))
             # above the edge the test admits the input, and the loop decides it
             assert min_convicting_testimony_count(RateBoundConfig(edge * 2, theta)).steps
+
+    @staticmethod
+    def count_outcome(count, config):
+        try:
+            return count(config)
+        except CapExceeded as exc:
+            return CapExceeded, str(exc)
+
+    def test_matches_the_step_loop_oracle(self, rng):
+        configs = [
+            ("1/12288", "3/4"),  # the step loop runs the whole cap and refuses
+            ("1/2", "3/4"),  # rate_half_threequarters.json
+            ("1/10", "3/4"),  # rate_build_tenth.json
+            ("1/4096", "3/4"),
+            ("1/5000", "3/4"),
+            ("1/2", "99/100"),
+        ]
+        # thresholds hit exactly by (1/2)(1+gamma)^m, and just either side
+        for gamma, m in ((F(1, 2), 1), (F(1, 4), 2), (F(1, 10), 3), (F(1, 100), 50)):
+            level = HALF * (1 + gamma) ** m
+            for theta in (level, level - F(1, 10**60), level + F(1, 10**60)):
+                configs.append((gamma, theta))
+        # at the cap's edge: (1/2)(1+1/10000)^m is 0.753017 at m = 4095,
+        # 0.753092 at m = 4096 = RATE_STEP_CAP, and 0.753167 at m = 4097
+        configs += [("1/10000", "0.75305"), ("1/10000", "0.75313")]
+        for _ in range(200):
+            gamma = F(rng.randrange(1, 200), rng.randrange(1, 3000))
+            theta = F(rng.randrange(1, 1000), 1000)
+            configs.append((gamma, theta))
+        outcomes = set()
+        for gamma, theta in configs:
+            config = RateBoundConfig(gamma, theta)
+            got = self.count_outcome(lambda c: min_convicting_testimony_count(c).steps, config)
+            assert got == self.count_outcome(oracle_min_convicting_steps, config), (gamma, theta)
+            outcomes.add(got[0] if isinstance(got, tuple) else min(got, 2))
+        assert outcomes == {CapExceeded, 0, 1, 2}
+        at_cap = RateBoundConfig("1/10000", "0.75305")
+        assert min_convicting_testimony_count(at_cap).steps == RATE_STEP_CAP
+
+    @pytest.mark.parametrize("skew", [F(1, 2), F(9, 10), F(11, 10), F(3, 2)])
+    def test_the_estimate_only_sets_where_the_exact_search_starts(self, monkeypatch, skew):
+        exact_ln = analyses._ln
+        for gamma, theta in ((F(1, 100), F(3, 4)), (F(1, 10), F(9, 10)), (F(1, 2), F(3, 4))):
+            target = 2 * theta
+            monkeypatch.setattr(
+                analyses, "_ln", lambda q: exact_ln(q) * skew if q == target else exact_ln(q)
+            )
+            config = RateBoundConfig(gamma, theta)
+            assert min_convicting_testimony_count(config).steps == oracle_min_convicting_steps(
+                config
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

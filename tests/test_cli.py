@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -333,6 +334,7 @@ class TestExitCodes:
             ("1e400", "3/4", 0, None),  # float(1 + gamma) overflows
             ("1/2", "1e-400", 0, None),  # float(theta) is 0.0
             ("1e-40", "3/4", 10, "CapExceeded"),  # no count within the cap reaches theta
+            ("1/12288", "3/4", 10, "CapExceeded"),  # past the cap, though not refused at once
             ("1e-400", "3/4", 10, "CapExceeded"),
             ("1e-400", "1e-400", 10, "CapExceeded"),  # the log bound is below -1e400
         ],
@@ -348,6 +350,17 @@ class TestExitCodes:
             assert err == "" and json.loads(out)["steps"] <= 1
         else:
             assert out == "" and err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+
+
+    def test_long_gamma_just_above_the_refusal_edge_ends_quickly(self, capsys):
+        # about 4,055 steps: one Fraction multiplication each took over 10 s here
+        gamma = "0.0001" + "0" * 300 + "1"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "rate", "--gamma", gamma, "--theta", "3/4")
+        assert time.perf_counter() - start < 3
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["steps"] == math.ceil(report["log_bound_approx"]) == 4055
 
 
 class TestTableFormat:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jurybayes import dispositions
 from jurybayes.charges import Charge
 from jurybayes.dispositions import (
     Disposition,
@@ -375,6 +376,43 @@ def coarse_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
     return Charge(algebra, random_masses(rng, len(atoms)))
 
 
+def one_sided_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
+    """Canonical world masses where many transcripts have a zero on one
+    side (guilt settled there), on both sides, or on neither."""
+    weights = []
+    for _ in cat.all_transcripts():
+        guilty, innocent = rng.randrange(1, 5), rng.randrange(1, 5)
+        shape = rng.randrange(4)  # both positive, guilty zero, innocent zero, both zero
+        weights += [0 if shape in (1, 3) else guilty, 0 if shape in (2, 3) else innocent]
+    if not any(weights):
+        weights[rng.randrange(len(weights))] = 1
+    total = sum(weights)
+    return Charge(world_algebra(cat), tuple(F(w, total) for w in weights))
+
+
+def many_denominator_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
+    """Canonical world masses on many distinct denominators, so that few
+    (guilty, innocent) pairs repeat and every pair is decided afresh."""
+    raw = [F(rng.randrange(0, 60), rng.randrange(1, 400)) for _ in full_world_space(cat)]
+    if not any(raw):
+        raw[0] = F(1)
+    total = sum(raw)
+    return Charge(world_algebra(cat), tuple(m / total for m in raw))
+
+
+def tie_thetas(rng: random.Random, prior: Charge) -> list[F]:
+    """A random threshold, and posteriors of the prior itself: there the
+    integer test meets its edge, a posterior exactly equal to theta."""
+    posteriors = set()
+    try:
+        for _, mass, guilty in oracle_transcript_posteriors(prior):
+            if mass and 0 < guilty < mass:
+                posteriors.add(guilty / mass)
+    except (JuryBayesError, TypeError):
+        pass
+    return [F(rng.randrange(1, 20), 20)] + rng.sample(sorted(posteriors), min(2, len(posteriors)))
+
+
 def outcome(rows):
     """Rows produced before the first error, and that error's class."""
     seen = []
@@ -427,10 +465,21 @@ class TestTranscriptPosteriorsKernel:
     """The one-pass kernel against two ``measure`` calls per transcript."""
 
     @pytest.mark.parametrize(
-        "make", [rationalized_prior, point_prior_with_gaps, coarse_prior]
+        "make",
+        [
+            rationalized_prior,
+            point_prior_with_gaps,
+            coarse_prior,
+            one_sided_prior,
+            many_denominator_prior,
+        ],
     )
     def test_matches_measure_oracle(self, rng, make):
+        """Witness, posteriors and error class of verify, the open-door
+        answer and the kernel's rows, also at thresholds equal to a
+        posterior, where the integer test meets its edge."""
         errors = set()  # kernel and verify outcomes seen, to show coverage
+        seen = set()
         for n in range(1, 7):
             cat = catalog(n)
             for _ in range(12):
@@ -441,18 +490,26 @@ class TestTranscriptPosteriorsKernel:
                     oracle_transcript_posteriors(prior)
                 )
                 errors.add(expected[1])
-                disposition = Disposition(
-                    cat, (t for t in cat.all_transcripts() if rng.random() < 0.5)
-                )
-                theta = F(rng.randrange(1, 20), 20)
-                verified = verify_outcome(disposition, theta, prior)
-                assert verified == oracle_verify_outcome(disposition, theta, prior)
-                errors.add(verified if isinstance(verified, type) else None)
-                assert open_door_outcome(prior, is_open_door) == open_door_outcome(
-                    prior, oracle_open_door
-                )
-        if make is point_prior_with_gaps:
+                for theta in tie_thetas(rng, prior):
+                    disposition = Disposition(
+                        cat, (t for t in cat.all_transcripts() if rng.random() < 0.5)
+                    )
+                    verified = verify_outcome(disposition, theta, prior)
+                    assert verified == oracle_verify_outcome(disposition, theta, prior)
+                    if isinstance(verified, type):
+                        errors.add(verified)
+                        continue
+                    errors.add(None)
+                    seen.add(verified[0])
+                    seen.add("tie" if theta in verified[2].values() else "no tie")
+                door = open_door_outcome(prior, is_open_door)
+                assert door == open_door_outcome(prior, oracle_open_door)
+                seen.add(("open door", door))
+        if make is not coarse_prior:
+            assert {True, False, "tie"} <= seen
+        if make in (point_prior_with_gaps, one_sided_prior):
             assert ZeroTranscriptMass in errors and None in errors
+            assert ("open door", False) in seen
         if make is coarse_prior:
             assert {NotExpressible, ZeroTranscriptMass, None} <= errors
 
@@ -529,6 +586,37 @@ class TestTranscriptPosteriorsKernel:
         positive = Charge(algebra, (F(1, 3), F(1, 3), F(1, 3)))
         with pytest.raises(NotExpressible):
             list(transcript_posteriors(positive, cat))
+
+    def test_a_posterior_equal_to_theta_convicts(self):
+        cat = catalog(2)
+        disposition = Disposition(cat, [cat.transcript(["t0"]), cat.transcript(["t0", "t1"])])
+        theta = F(3, 4)
+        prior = rationalize(disposition, theta).prior
+        assert verify_rationalization(disposition, theta, prior).ok
+        # at theta' = 1 - theta the acquitting posteriors meet theta' exactly and convict
+        result = verify_rationalization(disposition, 1 - theta, prior)
+        assert not result.ok and result.witness == Transcript()
+        assert result.posteriors[Transcript()] == 1 - theta
+        # just above theta no posterior reaches it, so the first convicting transcript fails
+        above = verify_rationalization(disposition, theta + F(1, 10**30), prior)
+        assert above.witness == cat.transcript(["t0"])
+
+    def test_each_distinct_pair_is_decided_once(self, monkeypatch):
+        cat = catalog(6)
+        disposition = Disposition(cat, (t for t in cat.all_transcripts() if len(t) >= 2))
+        prior = rationalize(disposition, F(3, 4)).prior
+        built = []
+        real = dispositions.Fraction
+
+        class Counting(real):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return real(*args, **kwargs)
+
+        monkeypatch.setattr(dispositions, "Fraction", Counting)
+        result = verify_rationalization(disposition, F(3, 4), prior)
+        assert result.ok and len(result.posteriors) == 64
+        assert len(built) == 2  # one posterior per distinct (guilty, innocent) pair
 
 
 @settings(max_examples=60, deadline=None)

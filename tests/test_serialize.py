@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from jurybayes import serialize
 from jurybayes.charges import Charge
-from jurybayes.dispositions import Disposition, rationalize
+from jurybayes.dispositions import Disposition, RationalizationCertificate, rationalize
 from jurybayes.errors import CatalogMismatch, ForeignTestimony, JuryBayesError, ParseError
 from jurybayes.rationals import as_rational
 from jurybayes.serialize import (
@@ -30,6 +30,7 @@ from jurybayes.serialize import (
     world_key,
 )
 from jurybayes.worlds import (
+    BooleanSubalgebra,
     Guilt,
     TestimonyCatalog,
     Transcript,
@@ -41,7 +42,14 @@ from jurybayes.worlds import (
     world_algebra,
 )
 
-from conftest import oracle_parse_world_key, oracle_world_key, random_masses
+from conftest import (
+    oracle_certificate_to_jsonable,
+    oracle_charge_to_jsonable,
+    oracle_parse_world_key,
+    oracle_world_key,
+    random_masses,
+    random_partition,
+)
 
 
 @pytest.fixture
@@ -322,6 +330,65 @@ class TestChargeFormat:
         once = json.dumps(certificate_to_jsonable(certificate))
         again = json.dumps(certificate_to_jsonable(rationalize(disposition, F(3, 4))))
         assert once == again
+
+
+class TestRenderingMatchesNaiveRenderer:
+    """Memoized rendering gives the bytes of one ``format_rational`` call
+    per value and one ``verdict()`` call per row."""
+
+    @staticmethod
+    def random_disposition(rng, n: int) -> Disposition:
+        cat = TestimonyCatalog(tuple(f"w{i}" for i in range(n)))
+        nonempty = [t for t in cat.all_transcripts() if len(t) > 0]
+        return Disposition(cat, rng.sample(nonempty, rng.randrange(1, len(nonempty) + 1)))
+
+    def test_certificates(self, rng):
+        for n in range(1, 7):
+            for _ in range(6):
+                disposition = self.random_disposition(rng, n)
+                theta = F(rng.randrange(2**20 + 1, 2**21), 2**21 - rng.randrange(0, 3))
+                certificate = rationalize(disposition, theta)
+                assert json.dumps(certificate_to_jsonable(certificate), indent=2) == json.dumps(
+                    oracle_certificate_to_jsonable(certificate), indent=2
+                )
+
+    def test_certificates_with_many_distinct_values(self, rng):
+        """A posterior table and a prior on many values, some integral."""
+        for n in range(1, 7):
+            disposition = self.random_disposition(rng, n)
+            cat = disposition.catalog
+            posteriors = {
+                t: F(rng.randrange(0, 9), rng.choice((1, 2, 3, 7, 10, 12)))
+                for t in cat.all_transcripts()
+            }
+            prior = Charge(world_algebra(cat), random_masses(rng, 2 << n))
+            certificate = RationalizationCertificate(
+                disposition, F(rng.randrange(1, 9), 9), prior, F(1, 2), posteriors
+            )
+            assert json.dumps(certificate_to_jsonable(certificate), indent=2) == json.dumps(
+                oracle_certificate_to_jsonable(certificate), indent=2
+            )
+
+    def test_charges(self, rng):
+        for n in range(0, 7):
+            cat = TestimonyCatalog(tuple(f"w{i}" for i in range(n)))
+            worlds = full_world_space(cat)
+            shuffled = list(worlds)
+            rng.shuffle(shuffled)
+            algebras = [
+                world_algebra(cat),
+                powerset_algebra(shuffled),
+                BooleanSubalgebra(worlds, random_partition(rng, worlds)),
+                atoms_of_generated_algebra(worlds, [guilt_event(cat)]),
+            ]
+            for algebra in algebras:
+                raw = [F(rng.randrange(0, 30), rng.randrange(1, 50)) for _ in algebra.atoms]
+                raw[0] += 1
+                total = sum(raw)
+                charge = Charge(algebra, tuple(m / total for m in raw))
+                assert json.dumps(charge_to_jsonable(cat, charge), indent=2) == json.dumps(
+                    oracle_charge_to_jsonable(cat, charge), indent=2
+                )
 
 
 class TestEventSpecs:
