@@ -401,14 +401,7 @@ def build_ratio_bounded_convicting_prior(
     prescription and every preserved earlier value is exact.
     """
     from .charges import Charge
-    from .worlds import (
-        BooleanSubalgebra,
-        Transcript,
-        full_world_space,
-        guilt_event,
-        heard_event,
-        world_set,
-    )
+    from .worlds import BooleanSubalgebra, full_world_space, heard_prefix_chain
 
     count = min_convicting_testimony_count(config)
     if len(catalog) < count.steps:
@@ -430,7 +423,8 @@ def build_ratio_bounded_convicting_prior(
     # greedy_split then fills the cut tails with theta_k * s and
     # (1 - theta_k) * s, each at most half the tail, and layer H_{k-1} - H_k
     # keeps the rest.  The atoms in canonical order are the layers in
-    # turn, guilty part first, then the tails of H_m; the posterior trail
+    # turn, guilty part first, then the tails of H_m (``heard_prefix_chain``
+    # reads each as a stride slice of the world space); the posterior trail
     # is read back from these masses by suffix sums, not measured.
     growth = 1 + config.gamma
     masses: list[Fraction] = []
@@ -443,13 +437,7 @@ def build_ratio_bounded_convicting_prior(
         tail_g, tail_i = inside_g, inside_i
     masses += (tail_g, tail_i)
 
-    guilt = guilt_event(catalog)
-    chain = tuple(
-        heard_event(catalog, Transcript(range(k))) for k in range(1, count.steps + 1)
-    )
-    nested = (world_set(catalog), *chain)  # H_0, H_1, ..., H_m
-    layers = [outer - inner for outer, inner in zip(nested, chain)] + [nested[-1]]
-    atoms = tuple(part for layer in layers for part in (layer & guilt, layer - guilt))
+    chain, atoms = heard_prefix_chain(catalog, count.steps)
     algebra = BooleanSubalgebra(full_world_space(catalog), atoms)
     charge = Charge(algebra, tuple(masses))
 

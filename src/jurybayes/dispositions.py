@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import Iterable, Iterator
 
 from .charges import ZERO, Charge
@@ -306,8 +306,12 @@ def is_open_door(prior: Charge) -> bool:
     """True iff no positive-mass transcript pins guilt to 0 or 1.
 
     Guilt is pinned exactly when one of the transcript's guilty and
-    innocent masses is zero and the other is not.
+    innocent masses is zero and the other is not.  A prior on a world
+    space's powerset in canonical order is read pairwise from its masses.
     """
+    if prior.algebra.is_world_powerset:
+        masses = prior.masses
+        return all(map(eq, map(bool, masses[0::2]), map(bool, masses[1::2])))
     for _, guilty, innocent in _transcript_parts(prior):
         if bool(guilty) != bool(innocent):
             return False

@@ -48,7 +48,10 @@ class Guilt(enum.Enum):
 # with g = 0 when guilty and 1 when innocent.  Both are int subclasses
 # without Python-level __hash__/__eq__, so world-space sets hash in C and
 # canonical order (transcripts in binary counting order, guilty before
-# innocent) is integer order.  No other module reads the bit layout.
+# innocent) is integer order.  A set of worlds fixed by the low bits of
+# the code is then a stride slice of the world tuple, which is how
+# heard_prefix_chain reads the heard-events of a testimony prefix and
+# their layers.  No other module reads the bit layout.
 
 
 class Transcript(int):
@@ -256,6 +259,38 @@ def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[
             bit = 2 << i
             codes += [c | bit for c in codes]
     return frozenset(map(full_world_space(catalog).__getitem__, codes))
+
+
+def heard_prefix_chain(
+    catalog: TestimonyCatalog, steps: int
+) -> tuple[tuple[frozenset[World], ...], tuple[frozenset[World], ...]]:
+    """The heard-events of the first testimonies and the atoms they cut out.
+
+    Returns the chain (H_1, ..., H_m) for m = ``steps``, where H_k is
+    ``heard_event(catalog, Transcript(range(k)))``, and the 2m + 2 atoms
+    of the algebra it generates together with the guilt event: each layer
+    H_(j-1) - H_j (H_0 is the world space) split into its guilty and
+    innocent part, j = 1..m, then the tail H_m split likewise.  The atoms
+    come in canonical order.
+    """
+    catalog._check_transcript(Transcript(range(steps)))
+    ws = full_world_space(catalog)
+    # A world's code is 2*mask + g.  H_k holds the masks whose low k bits
+    # are all set, i.e. the codes 2^(k+1) - 2 + g modulo 2^(k+1); layer
+    # H_(j-1) - H_j also has bit j-1 of the mask clear, i.e. the codes
+    # 2^j - 2 + g modulo 2^(j+1).  Each set is a stride slice per guilt
+    # value, and the slices' first codes increase along the atoms.
+    chain = tuple(
+        frozenset(ws[stride - 2 :: stride] + ws[stride - 1 :: stride])
+        for stride in (2 << k for k in range(1, steps + 1))
+    )
+    # (first code, stride) of each layer's guilty part, then of the tail's
+    parts = [((1 << j) - 2, 2 << j) for j in range(1, steps + 1)]
+    parts.append(((2 << steps) - 2, 2 << steps))
+    atoms = tuple(
+        frozenset(ws[first + g :: stride]) for first, stride in parts for g in (0, 1)
+    )
+    return chain, atoms
 
 
 # ---------------------------------------------------------------------------

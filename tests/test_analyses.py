@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from jurybayes import analyses
+import conftest
+from jurybayes import analyses, worlds
 from jurybayes.analyses import (
     BLOOD_TYPES,
     HALF,
@@ -385,6 +386,21 @@ class TestTestimonyCountBound:
             RateBoundConfig(F(1, 2), F(1))
 
 
+def count_heard_events(patch: pytest.MonkeyPatch) -> list:
+    """Record every ``heard_event`` call made through the worlds module or
+    the test oracles."""
+    calls: list = []
+    heard_event = worlds.heard_event
+
+    def counting(*args):
+        calls.append(args)
+        return heard_event(*args)
+
+    patch.setattr(worlds, "heard_event", counting)
+    patch.setattr(conftest, "heard_event", counting)
+    return calls
+
+
 class TestRatioBoundedPrior:
     def catalog(self, n: int) -> TestimonyCatalog:
         return TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
@@ -420,7 +436,10 @@ class TestRatioBoundedPrior:
             )
 
     def assert_matches_oracle(self, catalog: TestimonyCatalog, config: RateBoundConfig):
-        built = build_ratio_bounded_convicting_prior(catalog, config)
+        with pytest.MonkeyPatch.context() as patch:
+            heard = count_heard_events(patch)
+            built = build_ratio_bounded_convicting_prior(catalog, config)
+        assert heard == []  # the chain and atoms are sliced from the world space
         oracle = oracle_ratio_bounded_prior(catalog, config)
         assert built.charge.algebra.ground == oracle.charge.algebra.ground
         assert built.charge.algebra.atoms == oracle.charge.algebra.atoms
@@ -512,6 +531,17 @@ class TestRatioBoundedPrior:
         oracle_ratio_bounded_trail(built.charge, built.chain, guilt_event(catalog))
         assert calls.count("conditional") == 11
         assert calls.count("measure") == 1 + 2 * 11
+
+    def test_chain_is_built_without_heard_events(self, monkeypatch):
+        heard = count_heard_events(monkeypatch)
+        config = RateBoundConfig(F(1, 25), F(3, 4))
+        built = build_ratio_bounded_convicting_prior(self.catalog(11), config)
+        assert heard == []
+        # the counter does see the step-by-step oracle: one heard-event per step
+        oracle = oracle_ratio_bounded_prior(self.catalog(11), config)
+        assert len(heard) == 11
+        assert built.chain == oracle.chain
+        assert built.charge.algebra.atoms == oracle.charge.algebra.atoms
 
     def test_closed_form_fails_like_the_extension_chain(self):
         for n, config in (

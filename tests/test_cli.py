@@ -362,6 +362,43 @@ class TestExitCodes:
         report = json.loads(out)
         assert report["steps"] == math.ceil(report["log_bound_approx"]) == 4055
 
+    # pairwise coprime 1,500-digit denominators: sums and products of the
+    # values grow to several thousand digits
+    LONG_NUM = [str(7 * 10**1498 + k) for k in (1, 3, 5, 7)]
+    LONG_DEN = [str(10**1499 + k) for k in (3, 7, 9, 11)]
+    LONG = [f"{n}/{d}" for n, d in zip(LONG_NUM, LONG_DEN)]
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["odds", "--prior", "1:2", "--lr", LONG_DEN[0] + LONG_DEN[1]], None),
+            (["odds", "--prior", f"{LONG[0]}:{LONG[1]}", "--lr", LONG[2]], "CapExceeded"),
+            (
+                ["threshold", "--quadruple", LONG[0], f"-{LONG[1]}", f"-{LONG[2]}", LONG[3]],
+                "CapExceeded",
+            ),
+            (["threshold", "--weights", LONG[0], LONG[1]], None),
+            (
+                [
+                    "extend", str(DATA / "guilt_coarse_n1.json"),
+                    "--event", "guilt", "--given", "heard:t1", "--target", LONG[0],
+                ],
+                None,
+            ),
+        ],
+        ids=["odds-integers", "odds", "threshold-quadruple", "threshold-weights", "extend-target"],
+    )
+    def test_long_literals_end_quickly_without_a_traceback(self, capsys, argv, error):
+        assert max(map(len, argv)) >= 3000
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 3
+        if error is None:
+            assert code == 0 and err == "" and json.loads(out)
+        else:
+            assert code == getattr(errors, error).exit_code
+            assert out == "" and err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+
 
 class TestTableFormat:
     def test_table_marks_decimals_as_approximate(self, capsys):

@@ -286,6 +286,22 @@ class TestOpenDoor:
         cat = catalog(2)
         assert is_open_door(Charge.uniform_on_atoms(powerset_algebra(full_world_space(cat))))
 
+    def test_powerset_prior_is_read_without_transcripts(self, monkeypatch, rng):
+        cat = catalog(5)
+        priors = [one_sided_prior(rng, cat) for _ in range(20)] + [rationalized_prior(rng, cat)]
+        expected = [oracle_open_door(prior) for prior in priors]
+        assert set(expected) == {True, False}
+        calls = []
+        transcript = World.transcript
+        monkeypatch.setattr(
+            World, "transcript", property(lambda w: calls.append(w) or transcript.fget(w))
+        )
+        assert [is_open_door(prior) for prior in priors] == expected
+        assert calls == []
+        # the coarse path still reads each world's transcript
+        open_door_outcome(coarse_prior(rng, cat), is_open_door)
+        assert calls
+
 
 class TestPosnerPrior:
     def test_all_nonempty_transcripts_hit_three_quarters(self):

@@ -21,6 +21,7 @@ from jurybayes.worlds import (
     full_world_space,
     guilt_event,
     heard_event,
+    heard_prefix_chain,
     is_expressible,
     is_logically_independent,
     powerset_algebra,
@@ -171,6 +172,30 @@ class TestEvents:
         guilty = guilt_event(cat)
         assert guilty | (space - guilty) == space
         assert len(guilty) == len(space - guilty)
+
+    @pytest.mark.parametrize(
+        "n, steps", [(n, range(n + 1)) for n in range(11)] + [(11, [11])]
+    )
+    def test_heard_prefix_chain_matches_heard_events_and_layers(self, n, steps):
+        cat = catalog(n)
+        guilt = guilt_event(cat)
+        for m in steps:
+            chain, atoms = heard_prefix_chain(cat, m)
+            heard = tuple(heard_event(cat, Transcript(range(k))) for k in range(1, m + 1))
+            assert chain == heard
+            nested = (world_set(cat), *heard)  # H_0, H_1, ..., H_m
+            layers = [outer - inner for outer, inner in zip(nested, heard)] + [nested[-1]]
+            assert atoms == tuple(
+                part for layer in layers for part in (layer & guilt, layer - guilt)
+            )
+            assert [min(atom) for atom in atoms] == sorted(min(atom) for atom in atoms)
+            assert BooleanSubalgebra(full_world_space(cat), atoms).atoms == atoms
+
+    def test_heard_prefix_chain_refuses_steps_outside_the_catalog(self):
+        with pytest.raises(ForeignTestimony):
+            heard_prefix_chain(catalog(3), 4)
+        with pytest.raises(ForeignTestimony):
+            heard_prefix_chain(catalog(3), WORLD_CAP_CEILING + 1)
 
     def test_heard_event_is_upward_closure(self):
         cat = catalog(2)
