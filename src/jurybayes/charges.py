@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import AbstractSet, Iterable, Mapping
 
 from .errors import (
@@ -100,22 +101,23 @@ class Charge:
     # -- measurement ---------------------------------------------------
 
     def measure(self, event: AbstractSet) -> Fraction:
-        """Probability of an event expressible in the algebra."""
+        """Probability of an event expressible in the algebra.
+
+        One pass over the atoms collects the masses of those inside the
+        event.  The atoms partition the ground, so they cover the event
+        unless it cuts an atom, which raises NotExpressible.
+        """
         event = frozenset(event)
         if not event <= self.algebra.ground_set:
             raise NotExpressible("event contains elements outside the ground set")
-        if self.algebra.is_world_powerset:
-            # atom i is the world with code i
-            return fraction_sum(map(self.masses.__getitem__, event))
-        total = ZERO
+        inside, covered = [], 0
         for atom, m in zip(self.algebra.atoms, self.masses):
             if atom <= event:
-                total += m
-            elif not atom.isdisjoint(event):
-                raise NotExpressible(
-                    "event is not a union of atoms (it cuts through an atom)"
-                )
-        return total
+                inside.append(m)
+                covered += len(atom)
+        if covered != len(event):
+            raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
+        return fraction_sum(inside)
 
     def conditional(self, target: AbstractSet, given: AbstractSet) -> ConditionalResult:
         """P(target | given) with the conditioning mass attached."""
@@ -151,15 +153,14 @@ class Charge:
         subset = frozenset(subset)
         if not subset <= self.algebra.ground_set:
             raise ValueError("subset contains elements outside the ground set")
-        inner = ZERO
-        outer = ZERO
+        inner, outer = [], []
         for atom, m in zip(self.algebra.atoms, self.masses):
             if atom <= subset:
-                inner += m
-                outer += m
+                inner.append(m)
+                outer.append(m)
             elif not atom.isdisjoint(subset):
-                outer += m
-        return inner, outer
+                outer.append(m)
+        return fraction_sum(inner), fraction_sum(outer)
 
     def extend(self, subset: AbstractSet, value: RationalLike) -> "Charge":
         """Extend to the algebra adjoining ``subset`` with the given value.
@@ -198,8 +199,10 @@ class Charge:
         chains) and raises OutOfRange when theta falls outside the
         exactly-computed feasible interval.
 
-        The extension preserves the original charge on every old member
-        and achieves the conditional value exactly.
+        A conditional extension is one plain extension on each side of
+        the target event: ``given ∩ event`` gets exactly theta*s and
+        ``given − event`` (1−theta)*s, where s is the mass ``given``
+        receives; the original charge is kept on every old member.
         """
         event = frozenset(event)
         given = frozenset(given)
@@ -218,25 +221,14 @@ class Charge:
                 )
             self._check_strictly_independent(given)
 
-        # One pass sorts the atoms to the complement side (0) and the event
-        # side (1) of the target event, and tallies per side the mass forced
-        # into the adjoined event (atoms inside it) and the mass it can
-        # reach (atoms meeting it).
-        sides: tuple[list, list] = ([], [])
-        forced = [ZERO, ZERO]
-        reachable = [ZERO, ZERO]
-        for atom, m in zip(self.algebra.atoms, self.masses):
-            on_event = atom <= event
-            sides[on_event].append((atom, m))
-            if atom <= given:
-                forced[on_event] += m
-            if not atom.isdisjoint(given):
-                reachable[on_event] += m
-
-        scale = self._conditional_scale(theta, forced[1], reachable[1], forced[0], reachable[0])
+        inside, outside = given & event, given - event
+        in_e, out_e = self.inner_outer(inside)
+        in_c, out_c = self.inner_outer(outside)
+        scale = self._conditional_scale(theta, in_e, out_e, in_c, out_c)
+        atom_masses = tuple(zip(self.algebra.atoms, self.masses))
         part_mass = {
-            **greedy_split(sides[1], given, theta * scale - forced[1]),
-            **greedy_split(sides[0], given, (1 - theta) * scale - forced[0]),
+            **greedy_split(atom_masses, inside, theta * scale - in_e),
+            **greedy_split(atom_masses, outside, (1 - theta) * scale - in_c),
         }
         new_algebra = self.algebra.adjoin(given)
         return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
@@ -305,15 +297,19 @@ class Charge:
 
 
 def fraction_sum(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum of Fractions.
+    """Exact sum of Fractions, building one Fraction at the end.
 
-    Numerators are added per denominator as ints, so Fraction arithmetic
-    (a gcd per operation) only meets the distinct denominators.
+    Numerators are added per denominator as ints, and the distinct
+    denominators are merged on ints over their running lcm.
     """
     numerators: dict[int, int] = {}
-    for v in values:
-        numerators[v.denominator] = numerators.get(v.denominator, 0) + v.numerator
-    return sum((Fraction(n, d) for d, n in numerators.items()), start=ZERO)
+    for n, d in map(Fraction.as_integer_ratio, values):
+        numerators[d] = numerators.get(d, 0) + n
+    num, den = 0, 1
+    for d, n in numerators.items():
+        g = gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den // g * d
+    return Fraction(num, den)
 
 
 def greedy_split(

@@ -34,9 +34,10 @@ _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def world_key(catalog: TestimonyCatalog, world: World) -> str:
+    if not isinstance(world, World):
+        raise TypeError(f"world keys name trial worlds, got {world!r}")
     keys = _key_table(catalog).keys
-    # a world's code is its position in the canonical world order
-    if not (isinstance(world, World) and world < len(keys)):
+    if world >= len(keys):  # a world's code is its position in the canonical order
         catalog.transcript_labels(world.transcript)  # raises ForeignTestimony
     return keys[world]
 

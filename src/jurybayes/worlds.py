@@ -51,7 +51,8 @@ class Guilt(enum.Enum):
 # innocent) is integer order.  A set of worlds fixed by the low bits of
 # the code is then a stride slice of the world tuple, which is how
 # heard_prefix_chain reads the heard-events of a testimony prefix and
-# their layers.  No other module reads the bit layout.
+# their layers.  Outside this module only dispositions and serialize rely
+# on the layout, and only as BooleanSubalgebra.is_world_powerset states it.
 
 
 class Transcript(int):

@@ -83,6 +83,15 @@ class TestWorldKeys:
         with pytest.raises(ForeignTestimony):
             world_key(TestimonyCatalog(("a",)), World(Transcript({3}), Guilt.GUILTY))
 
+    def test_non_world_elements_raise_a_type_error_naming_them(self):
+        cat = TestimonyCatalog(("a",))
+        with pytest.raises(TypeError, match="got 3$"):
+            world_key(cat, 3)
+        # four int elements, as many as the catalog's worlds
+        charge = Charge.uniform_on_atoms(powerset_algebra(range(4)))
+        with pytest.raises(TypeError, match="trial worlds, got 0$"):
+            charge_to_jsonable(cat, charge)
+
     def test_keys_outside_canonical_form_parse_as_before(self):
         cat = TestimonyCatalog(("a", "b", "c"))
         keys = [
