@@ -401,7 +401,7 @@ def build_ratio_bounded_convicting_prior(
     prescription and every preserved earlier value is exact.
     """
     from .charges import Charge
-    from .worlds import BooleanSubalgebra, full_world_space, heard_prefix_chain
+    from .worlds import heard_prefix_chain
 
     count = min_convicting_testimony_count(config)
     if len(catalog) < count.steps:
@@ -420,7 +420,7 @@ def build_ratio_bounded_convicting_prior(
     # masses t_G and t_I, which H_k cuts.  No atom lies inside H_k, so the
     # forced masses in_e and in_c are 0 and _conditional_scale gives
     #     s = min(t_G / theta_k, t_I / (1 - theta_k)) / 2.
-    # greedy_split then fills the cut tails with theta_k * s and
+    # greedy_fill then fills the cut tails with theta_k * s and
     # (1 - theta_k) * s, each at most half the tail, and layer H_{k-1} - H_k
     # keeps the rest.  The atoms in canonical order are the layers in
     # turn, guilty part first, then the tails of H_m (``heard_prefix_chain``
@@ -437,8 +437,7 @@ def build_ratio_bounded_convicting_prior(
         tail_g, tail_i = inside_g, inside_i
     masses += (tail_g, tail_i)
 
-    chain, atoms = heard_prefix_chain(catalog, count.steps)
-    algebra = BooleanSubalgebra(full_world_space(catalog), atoms)
+    chain, algebra = heard_prefix_chain(catalog, count.steps)
     charge = Charge(algebra, tuple(masses))
 
     # H_k is the union of atoms 2k onward, so P(G & H_k) and P(H_k) are

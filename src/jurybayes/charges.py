@@ -171,15 +171,18 @@ class Charge:
         """
         subset = frozenset(subset)
         value = as_rational(value, name="target value")
-        inner, outer = self.inner_outer(subset)
-        if not inner <= value <= outer:
-            raise OutOfRange(
-                f"target {format_rational(value)} outside the admissible interval "
-                f"[{format_rational(inner)}, {format_rational(outer)}]"
-            )
-        part_mass = greedy_split(zip(self.algebra.atoms, self.masses), subset, value - inner)
-        new_algebra = self.algebra.adjoin(subset)
-        return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
+        if not subset <= self.algebra.ground_set:
+            raise ValueError("subset contains elements outside the ground set")
+
+        def targets(inner: Fraction, _in_e: Fraction, outer: Fraction, _out_e: Fraction):
+            if not inner <= value <= outer:
+                raise OutOfRange(
+                    f"target {format_rational(value)} outside the admissible interval "
+                    f"[{format_rational(inner)}, {format_rational(outer)}]"
+                )
+            return value - inner, ZERO
+
+        return self._split_extend(*self.algebra.split(subset), frozenset(), targets)
 
     def extend_conditional(
         self,
@@ -202,7 +205,8 @@ class Charge:
         A conditional extension is one plain extension on each side of
         the target event: ``given ∩ event`` gets exactly theta*s and
         ``given − event`` (1−theta)*s, where s is the mass ``given``
-        receives; the original charge is kept on every old member.
+        receives; the original charge is kept on every old member.  One
+        split of the atoms by ``given`` serves both sides.
         """
         event = frozenset(event)
         given = frozenset(given)
@@ -212,6 +216,7 @@ class Charge:
         if not given <= self.algebra.ground_set:
             raise ValueError("adjoined event contains elements outside the ground set")
         p_event = self.measure(event)  # raises NotExpressible if event is foreign
+        algebra, parts = self.algebra.split(given)
 
         if strict:
             if p_event in (ZERO, ONE):
@@ -219,25 +224,8 @@ class Charge:
                     f"prior value of the event is {format_rational(p_event)}; "
                     "a conditional target needs it strictly between 0 and 1"
                 )
-            self._check_strictly_independent(given)
-
-        inside, outside = given & event, given - event
-        in_e, out_e = self.inner_outer(inside)
-        in_c, out_c = self.inner_outer(outside)
-        scale = self._conditional_scale(theta, in_e, out_e, in_c, out_c)
-        atom_masses = tuple(zip(self.algebra.atoms, self.masses))
-        part_mass = {
-            **greedy_split(atom_masses, inside, theta * scale - in_e),
-            **greedy_split(atom_masses, outside, (1 - theta) * scale - in_c),
-        }
-        new_algebra = self.algebra.adjoin(given)
-        return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
-
-    def _check_strictly_independent(self, given: frozenset) -> None:
-        for atom, m in zip(self.algebra.atoms, self.masses):
-            if m == 0:
-                continue
-            if atom.isdisjoint(given) or atom <= given:
+            # ``given`` must cut every positive-mass atom
+            if not all(i and o for (i, o), m in zip(parts, self.masses) if m):
                 detail = ""
                 if not given:
                     detail = " (the adjoined event is empty)"
@@ -247,6 +235,37 @@ class Charge:
                     "adjoined event must split every positive-mass atom"
                     f"{detail}; use strict=False for refinement-only extensions"
                 )
+
+        def targets(in_c: Fraction, in_e: Fraction, out_c: Fraction, out_e: Fraction):
+            scale = self._conditional_scale(theta, in_e, out_e, in_c, out_c)
+            return (1 - theta) * scale - in_c, theta * scale - in_e
+
+        return self._split_extend(algebra, parts, event, targets)
+
+    def _split_extend(self, algebra, parts, event: frozenset, targets) -> "Charge":
+        """The extension onto ``algebra``, split from this one as ``parts`` say.
+
+        ``targets`` maps the adjoined set's inner masses outside and inside
+        ``event``, then its outer ones, to what the cut atoms on each side give.
+        """
+        # 0 outside the event, 1 inside; one element tells, as it is a union of atoms
+        sides = [next(iter(inside or outside)) in event for inside, outside in parts]
+        forced, reachable, cut = ([], []), ([], []), ([], [])
+        for (inside, outside), m, side in zip(parts, self.masses, sides):
+            if inside:
+                reachable[side].append(m)
+                (cut if outside else forced)[side].append(m)
+        target_c, target_e = targets(*map(fraction_sum, (*forced, *reachable)))
+        event_fill = iter(greedy_fill(cut[1], target_e))  # the event side fills first
+        fills = iter(greedy_fill(cut[0], target_c)), event_fill
+        # The child's atoms are the very part objects, so masses go by identity.
+        mass: dict[int, Fraction] = {}
+        for (inside, outside), m, side in zip(parts, self.masses, sides):
+            if inside and outside:
+                mass[id(inside)], mass[id(outside)] = next(fills[side])
+            else:
+                mass[id(inside or outside)] = m
+        return Charge(algebra, tuple(mass[id(atom)] for atom in algebra.atoms))
 
     @staticmethod
     def _conditional_scale(
@@ -312,36 +331,23 @@ def fraction_sum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
-def greedy_split(
-    atom_masses: Iterable[tuple[frozenset, Fraction]],
-    subset: frozenset,
-    target: Fraction,
-) -> dict[frozenset, Fraction]:
-    """Split every atom that ``subset`` cuts so its inside parts total ``target``.
+def greedy_fill(masses: Iterable[Fraction], target: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Split masses in order, each inside part taking what it can of the rest of ``target``.
 
-    Atoms that ``subset`` does not cut keep their mass.  Cut atoms are
-    filled in the given order: each inside part takes as much of its
-    atom's mass as the remaining target allows, and the outside part
-    keeps the rest.  Returns the mass of every resulting part; raises
-    InvariantViolation when the cut atoms cannot absorb the target
-    exactly, which the callers' interval checks rule out.
+    Returns the (inside, outside) pairs.  InvariantViolation if part of the
+    target is left over, which the callers' interval checks rule out.
     """
-    residual = target
-    part_mass: dict[frozenset, Fraction] = {}
-    for atom, m in atom_masses:
-        inside = atom & subset
-        if not inside or inside == atom:
-            part_mass[atom] = m
-            continue
-        take = min(residual, m)
-        residual -= take
-        part_mass[inside] = take
-        part_mass[atom - subset] = m - take
+    residual, split = target, []
+    for m in masses:
+        take = min(residual, m) if residual else ZERO
+        if take:  # no arithmetic once the target is met
+            residual -= take
+        split.append((take, m - take if take else m))
     if residual != 0:
         raise InvariantViolation(
             f"greedy split left {format_rational(residual)} of its target unplaced"
         )
-    return part_mass
+    return split
 
 
 def mix(alpha: RationalLike, first: Charge, second: Charge) -> Charge:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, ForeignTestimony
@@ -53,6 +53,13 @@ class Guilt(enum.Enum):
 # heard_prefix_chain reads the heard-events of a testimony prefix and
 # their layers.  Outside this module only dispositions and serialize rely
 # on the layout, and only as BooleanSubalgebra.is_world_powerset states it.
+#
+# Two paths build an algebra without re-checking its partition, both
+# through the one unchecked constructor BooleanSubalgebra._unchecked:
+# heard_prefix_chain, whose layers and tail hold every world exactly once
+# (by the lowest clear bit of its mask), and BooleanSubalgebra.split, the
+# one pass that adjoins a set, since splitting every block of a partition
+# by one set leaves a partition.  The public constructor always checks.
 
 
 class Transcript(int):
@@ -264,15 +271,15 @@ def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[
 
 def heard_prefix_chain(
     catalog: TestimonyCatalog, steps: int
-) -> tuple[tuple[frozenset[World], ...], tuple[frozenset[World], ...]]:
-    """The heard-events of the first testimonies and the atoms they cut out.
+) -> tuple[tuple[frozenset[World], ...], "BooleanSubalgebra"]:
+    """The heard-events of the first testimonies and the algebra they generate.
 
     Returns the chain (H_1, ..., H_m) for m = ``steps``, where H_k is
-    ``heard_event(catalog, Transcript(range(k)))``, and the 2m + 2 atoms
-    of the algebra it generates together with the guilt event: each layer
-    H_(j-1) - H_j (H_0 is the world space) split into its guilty and
-    innocent part, j = 1..m, then the tail H_m split likewise.  The atoms
-    come in canonical order.
+    ``heard_event(catalog, Transcript(range(k)))``, and the algebra this
+    chain generates together with the guilt event, on the world space.
+    Its 2m + 2 atoms are each layer H_(j-1) - H_j (H_0 is the world
+    space) split into its guilty and innocent part, j = 1..m, then the
+    tail H_m split likewise, in canonical order.
     """
     catalog._check_transcript(Transcript(range(steps)))
     ws = full_world_space(catalog)
@@ -285,13 +292,16 @@ def heard_prefix_chain(
         frozenset(ws[stride - 2 :: stride] + ws[stride - 1 :: stride])
         for stride in (2 << k for k in range(1, steps + 1))
     )
-    # (first code, stride) of each layer's guilty part, then of the tail's
+    # (first code, stride) of each layer's guilty part, then of the tail's.
+    # A mask whose lowest clear bit is j - 1 < m lies in layer j alone, and
+    # a mask with its m low bits set in the tail, so the atoms partition
+    # the world space (none is empty, as m <= n) and need no check.
     parts = [((1 << j) - 2, 2 << j) for j in range(1, steps + 1)]
     parts.append(((2 << steps) - 2, 2 << steps))
     atoms = tuple(
         frozenset(ws[first + g :: stride]) for first, stride in parts for g in (0, 1)
     )
-    return chain, atoms
+    return chain, BooleanSubalgebra._unchecked(ws, world_set(catalog), atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +361,15 @@ class BooleanSubalgebra:
         """Each ground element's index, built on first use."""
         return {e: i for i, e in enumerate(self.ground)}
 
+    @classmethod
+    def _unchecked(cls, ground, ground_set, atoms, **cached) -> "BooleanSubalgebra":
+        """An algebra whose atoms partition ``ground_set`` by construction: no check runs."""
+        algebra = cls.__new__(cls)
+        vars(algebra).update(ground=ground, atoms=atoms, _ground_set=ground_set, **cached)
+        return algebra
+
     def atom_sort_key(self, atom: frozenset) -> int:
-        pos = self._position
-        return min(pos[e] for e in atom)
+        return min(map(self._position.__getitem__, atom))
 
     def members(self) -> Iterator[frozenset]:
         """All 2^k members.  Exponential; intended for small algebras."""
@@ -361,26 +377,31 @@ class BooleanSubalgebra:
             for combo in itertools.combinations(self.atoms, r):
                 yield frozenset().union(*combo) if combo else frozenset()
 
-    def adjoin(self, new_event: AbstractSet) -> "BooleanSubalgebra":
-        """The algebra generated by this one plus one more set."""
-        new_atoms: list[frozenset] = []
+    def split(self, event: AbstractSet) -> tuple["BooleanSubalgebra", list[tuple]]:
+        """The algebra generated by this one and ``event``, and each atom's parts.
+
+        Returns the child and every atom's (inside, outside) parts, an atom
+        the event does not cut reused beside an empty part.  Splitting each
+        block of a partition by one set leaves a partition, so the child is
+        built unchecked.  ValueError if the event leaves the ground set.
+        """
+        event = frozenset(event)
+        parts: list[tuple[frozenset, frozenset]] = []
         for atom in self.atoms:
-            inside = atom & new_event
-            outside = atom - new_event
-            if inside:
-                new_atoms.append(frozenset(inside))
-            if outside:
-                new_atoms.append(frozenset(outside))
-        new_atoms.sort(key=self.atom_sort_key)
-        # The ground is unchanged, so the child shares this algebra's
-        # ground set and position index; its atoms are still checked.
-        child = object.__new__(BooleanSubalgebra)
-        object.__setattr__(child, "ground", self.ground)
-        object.__setattr__(child, "atoms", tuple(new_atoms))
-        _check_partition(child.atoms, self._ground_set)  # type: ignore[attr-defined]
-        object.__setattr__(child, "_ground_set", self._ground_set)  # type: ignore[attr-defined]
-        object.__setattr__(child, "_position", self._position)
-        return child
+            inside = atom & event
+            if len(inside) == len(atom):
+                parts.append((atom, frozenset()))
+            else:
+                parts.append((inside, atom - inside if inside else atom))
+        if sum(len(inside) for inside, _ in parts) != len(event):
+            raise ValueError("adjoined set contains elements outside the ground set")
+        atoms = tuple(sorted((p for pair in parts for p in pair if p), key=self.atom_sort_key))
+        child = self._unchecked(self.ground, self._ground_set, atoms, _position=self._position)
+        return child, parts
+
+    def adjoin(self, new_event: AbstractSet) -> "BooleanSubalgebra":
+        """The algebra generated by this one plus one more set (see ``split``)."""
+        return self.split(new_event)[0]
 
 
 def _check_partition(atoms: tuple[frozenset, ...], ground_set: frozenset) -> None:
@@ -422,24 +443,14 @@ def _world_algebra(n: int) -> BooleanSubalgebra:
 def atoms_of_generated_algebra(
     ground: Sequence[Hashable], generators: Iterable[AbstractSet]
 ) -> BooleanSubalgebra:
-    """The subalgebra generated by the given sets.
+    """The subalgebra generated by the given sets, adjoined one at a time.
 
     Atoms are the nonempty cells of the sign-pattern partition: two
     elements share an atom iff every generator contains both or neither.
     """
     ground = tuple(ground)
-    generators = [frozenset(g) for g in generators]
-    ground_set = frozenset(ground)
-    for g in generators:
-        if not g <= ground_set:
-            raise ValueError("generator contains elements outside the ground set")
-    cells: dict[tuple[bool, ...], set] = {}
-    for element in ground:
-        signature = tuple(element in g for g in generators)
-        cells.setdefault(signature, set()).add(element)
-    # each cell was inserted at its first ground element, so the cells
-    # already come in atom order
-    return BooleanSubalgebra(ground, tuple(map(frozenset, cells.values())))
+    whole = BooleanSubalgebra(ground, (frozenset(ground),) if ground else ())
+    return reduce(BooleanSubalgebra.adjoin, generators, whole)
 
 
 def is_expressible(event: AbstractSet, algebra: BooleanSubalgebra) -> bool:

@@ -22,13 +22,15 @@ from jurybayes.analyses import (
     RatioBoundedPrior,
     min_convicting_testimony_count,
 )
-from jurybayes.charges import ZERO, Charge, greedy_split, mix
+from jurybayes.charges import ZERO, Charge, mix
 from jurybayes.dispositions import Disposition, RationalizationCertificate
 from jurybayes.errors import (
     CapExceeded,
     CatalogMismatch,
     CatalogTooSmall,
     DegeneratePrior,
+    InvariantViolation,
+    NotIndependent,
     OutOfRange,
     ParseError,
 )
@@ -136,6 +138,120 @@ def oracle_transcript_posteriors(
         yield transcript, mass, guilty
 
 
+def oracle_adjoin(algebra: BooleanSubalgebra, new_event: frozenset) -> BooleanSubalgebra:
+    """The algebra adjoining a set within the ground: every atom split by
+    it, the parts sorted by their first ground position, and the partition
+    checked by the public constructor."""
+    position = {e: i for i, e in enumerate(algebra.ground)}
+    new_atoms = [
+        part
+        for atom in algebra.atoms
+        for part in (atom & new_event, atom - new_event)
+        if part
+    ]
+    new_atoms.sort(key=lambda atom: min(position[e] for e in atom))
+    return BooleanSubalgebra(algebra.ground, tuple(new_atoms))
+
+
+def oracle_greedy_split(
+    atom_masses, subset: frozenset, target: Fraction
+) -> dict[frozenset, Fraction]:
+    """Split every atom that ``subset`` cuts so its inside parts total
+    ``target``, filling the cut atoms in the given order; atoms it does not
+    cut keep their mass.  Returns the mass of every resulting part."""
+    residual = target
+    part_mass: dict[frozenset, Fraction] = {}
+    for atom, m in atom_masses:
+        inside = atom & subset
+        if not inside or inside == atom:
+            part_mass[atom] = m
+            continue
+        take = min(residual, m)
+        residual -= take
+        part_mass[inside] = take
+        part_mass[atom - subset] = m - take
+    if residual != 0:
+        raise InvariantViolation(
+            f"greedy split left {format_rational(residual)} of its target unplaced"
+        )
+    return part_mass
+
+
+def oracle_check_strictly_independent(charge: Charge, given: frozenset) -> None:
+    """NotIndependent unless ``given`` cuts every positive-mass atom."""
+    for atom, m in zip(charge.algebra.atoms, charge.masses):
+        if m == 0:
+            continue
+        if atom.isdisjoint(given) or atom <= given:
+            detail = ""
+            if not given:
+                detail = " (the adjoined event is empty)"
+            elif given == charge.algebra.ground_set:
+                detail = " (the adjoined event is the whole ground set)"
+            raise NotIndependent(
+                "adjoined event must split every positive-mass atom"
+                f"{detail}; use strict=False for refinement-only extensions"
+            )
+
+
+def oracle_extend(charge: Charge, subset: frozenset, value: RationalLike) -> Charge:
+    """``Charge.extend`` from the inner and outer measure, one greedy split
+    over all atoms and one adjoin."""
+    subset = frozenset(subset)
+    value = as_rational(value, name="target value")
+    inner, outer = charge.inner_outer(subset)
+    if not inner <= value <= outer:
+        raise OutOfRange(
+            f"target {format_rational(value)} outside the admissible interval "
+            f"[{format_rational(inner)}, {format_rational(outer)}]"
+        )
+    part_mass = oracle_greedy_split(
+        zip(charge.algebra.atoms, charge.masses), subset, value - inner
+    )
+    new_algebra = oracle_adjoin(charge.algebra, subset)
+    return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
+
+
+def oracle_extend_conditional_by_sides(
+    charge: Charge,
+    event: frozenset,
+    given: frozenset,
+    theta: RationalLike,
+    *,
+    strict: bool = True,
+) -> Charge:
+    """``Charge.extend_conditional`` as one plain extension on each side of
+    the target event: inner and outer measure of ``given & event`` and of
+    ``given - event``, one greedy split of each, then one adjoin."""
+    event = frozenset(event)
+    given = frozenset(given)
+    theta = as_rational(theta, name="theta")
+    if not 0 <= theta <= 1:
+        raise OutOfRange(f"conditional target {format_rational(theta)} not in [0, 1]")
+    if not given <= charge.algebra.ground_set:
+        raise ValueError("adjoined event contains elements outside the ground set")
+    p_event = charge.measure(event)
+    if strict:
+        if p_event in (0, 1):
+            raise DegeneratePrior(
+                f"prior value of the event is {format_rational(p_event)}; "
+                "a conditional target needs it strictly between 0 and 1"
+            )
+        oracle_check_strictly_independent(charge, given)
+
+    inside, outside = given & event, given - event
+    in_e, out_e = charge.inner_outer(inside)
+    in_c, out_c = charge.inner_outer(outside)
+    scale = Charge._conditional_scale(theta, in_e, out_e, in_c, out_c)
+    atom_masses = tuple(zip(charge.algebra.atoms, charge.masses))
+    part_mass = {
+        **oracle_greedy_split(atom_masses, inside, theta * scale - in_e),
+        **oracle_greedy_split(atom_masses, outside, (1 - theta) * scale - in_c),
+    }
+    new_algebra = oracle_adjoin(charge.algebra, given)
+    return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
+
+
 def oracle_extend_conditional(
     charge: Charge,
     event: frozenset,
@@ -161,7 +277,7 @@ def oracle_extend_conditional(
                 f"prior value of the event is {format_rational(p_event)}; "
                 "a conditional target needs it strictly between 0 and 1"
             )
-        charge._check_strictly_independent(given)
+        oracle_check_strictly_independent(charge, given)
 
     in_e = out_e = in_c = out_c = ZERO
     for atom, m in zip(charge.algebra.atoms, charge.masses):
@@ -185,13 +301,13 @@ def oracle_extend_conditional(
             if (atom <= event) == event_side
         ]
         forced = sum((m for atom, m in side if atom <= given), start=ZERO)
-        return greedy_split(side, given, budget - forced)
+        return oracle_greedy_split(side, given, budget - forced)
 
     part_mass = {
         **allocate_side(theta * scale, True),
         **allocate_side((1 - theta) * scale, False),
     }
-    new_algebra = charge.algebra.adjoin(given)
+    new_algebra = oracle_adjoin(charge.algebra, given)
     return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
 
 

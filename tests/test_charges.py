@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jurybayes.charges import Charge, ConditionalResult, fraction_sum, greedy_split, mix
+from jurybayes.charges import Charge, ConditionalResult, fraction_sum, greedy_fill, mix
 from jurybayes.errors import (
     AlgebraMismatch,
     DegeneratePrior,
@@ -22,6 +22,7 @@ from jurybayes.errors import (
     OutOfRange,
     ZeroConditioningEvent,
 )
+from jurybayes.analyses import build_spann_space
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -30,12 +31,16 @@ from jurybayes.worlds import (
     World,
     atoms_of_generated_algebra,
     full_world_space,
+    guilt_event,
+    heard_event,
     powerset_algebra,
     world_algebra,
 )
 
 from conftest import (
+    oracle_extend,
     oracle_extend_conditional,
+    oracle_extend_conditional_by_sides,
     oracle_inner_outer,
     oracle_mass_check,
     random_charge,
@@ -425,17 +430,16 @@ class TestExtend:
 class TestGreedySplit:
     def test_unplaceable_target_raises(self):
         # only the cut atom {1,2} can absorb mass, and it holds 1/2 < 3/4
-        atom_masses = [(frozenset({1, 2}), F(1, 2)), (frozenset({3}), F(1, 2))]
         with pytest.raises(InvariantViolation):
-            greedy_split(atom_masses, frozenset({1}), F(3, 4))
+            greedy_fill([F(1, 2)], F(3, 4))
 
     def test_check_survives_optimized_mode(self):
         code = (
             "from fractions import Fraction as F\n"
-            "from jurybayes.charges import greedy_split\n"
+            "from jurybayes.charges import greedy_fill\n"
             "from jurybayes.errors import InvariantViolation\n"
             "try:\n"
-            "    greedy_split([(frozenset({1, 2}), F(1))], frozenset({1}), F(2))\n"
+            "    greedy_fill([F(1)], F(2))\n"
             "except InvariantViolation:\n"
             "    print('raised')\n"
         )
@@ -581,6 +585,145 @@ class TestExtendConditional:
                 (True, DegeneratePrior), (False, OutOfRange), (True, OutOfRange),
                 (False, NotExpressible), "relaxed, given & event empty",
                 "relaxed, given - event empty"} <= seen
+
+
+def random_ground_charge(rng, kind):
+    """A random charge on a coarse algebra, with one element foreign to its
+    ground: small integers, the Spann space's tuples, or a world space
+    coarsened by guilt and heard-events."""
+    if kind == "worlds":
+        catalog = TestimonyCatalog(tuple(f"t{i}" for i in range(rng.randrange(0, 4))))
+        generators = [guilt_event(catalog)] + [
+            heard_event(catalog, Transcript({rng.randrange(len(catalog))}))
+            for _ in range(rng.randrange(0, 3) if len(catalog) else 0)
+        ]
+        algebra = atoms_of_generated_algebra(full_world_space(catalog), generators)
+        foreign = World(Transcript({len(catalog)}), Guilt.GUILTY)
+    else:
+        if kind == "ints":
+            ground, foreign = tuple(range(rng.randrange(1, 8))), 99
+        else:
+            ground, foreign = build_spann_space().ground, ("O", "O", None)
+        partition = random_partition(rng, ground, min_block=rng.choice((1, 2)))
+        algebra = atoms_of_generated_algebra(ground, partition)
+    return random_charge(rng, algebra), foreign
+
+
+class TestSplitExtensionsMatchTheParentOracles:
+    """``extend`` and ``extend_conditional`` on one split pass against the
+    constructions they replaced: inner and outer measures, ``greedy_split``
+    by subset over all atoms, and a checked ``adjoin``."""
+
+    KINDS = ("ints", "spann", "worlds")
+
+    def test_extend(self, rng):
+        seen = set()
+        for _ in range(300):
+            kind = rng.choice(self.KINDS)
+            charge, foreign = random_ground_charge(rng, kind)
+            ground = charge.algebra.ground
+            subset = frozenset(x for x in ground if rng.random() < rng.random())
+            if rng.random() < 0.1:
+                subset |= {foreign}
+            inner, outer = charge.inner_outer(subset & charge.algebra.ground_set)
+            value = rng.choice((inner, outer, inner + (outer - inner) * random_rational(rng),
+                                outer + F(1, 7), inner - F(1, 7), "x"))
+            got, expected = (
+                outcome(extend, charge, subset, value)
+                for extend in (Charge.extend, oracle_extend)
+            )
+            if isinstance(expected, Charge):
+                assert got.algebra == expected.algebra
+                assert got.masses == expected.masses
+                seen.add((kind, Charge))
+                cut_zero = any(
+                    m == 0 and atom & subset and atom - subset
+                    for atom, m in zip(charge.algebra.atoms, charge.masses)
+                )
+                if cut_zero:
+                    seen.add("zero-mass atom cut")
+            else:
+                assert got == expected
+                seen.add(expected[0])
+        assert {*((kind, Charge) for kind in self.KINDS), OutOfRange, ValueError,
+                "zero-mass atom cut"} <= seen
+
+    def test_extend_conditional(self, rng):
+        seen = set()
+        for _ in range(600):
+            kind = rng.choice(self.KINDS)
+            charge, foreign = random_ground_charge(rng, kind)
+            ground = charge.algebra.ground
+            if rng.random() < 0.9:
+                picks = [a for a in charge.algebra.atoms if rng.random() < 0.5]
+                event = frozenset().union(*picks)
+            else:  # usually cuts through an atom
+                event = frozenset(x for x in ground if rng.random() < 0.5)
+            pick = rng.random()
+            if pick < 0.1:
+                given = frozenset()
+            elif pick < 0.2:
+                given = frozenset(ground)
+            elif pick < 0.5 and all(
+                len(a) > 1 for a, m in zip(charge.algebra.atoms, charge.masses) if m
+            ):
+                given = splitting_event(rng, charge)  # strictly independent
+            else:
+                given = frozenset(x for x in ground if rng.random() < rng.random())
+            if rng.random() < 0.05:
+                given |= {foreign}
+            theta = rng.choice(
+                (F(0), F(1), F(-1, 3), F(4, 3), random_rational(rng), random_rational(rng))
+            )
+            strict = rng.random() < 0.5
+            got, expected = (
+                outcome(extend, charge, event, given, theta, strict=strict)
+                for extend in (Charge.extend_conditional, oracle_extend_conditional_by_sides)
+            )
+            if isinstance(expected, Charge):
+                assert got.algebra == expected.algebra
+                assert got.masses == expected.masses
+                seen.add((kind, strict, Charge))
+                if theta in (0, 1):
+                    seen.add(("theta", theta))
+                if not strict and not given & event:
+                    seen.add("relaxed, given & event empty")
+                if not strict and not given - event:
+                    seen.add("relaxed, given - event empty")
+                if any(m == 0 and atom & given and atom - given
+                       for atom, m in zip(charge.algebra.atoms, charge.masses)):
+                    seen.add("zero-mass atom cut")
+            else:
+                assert got == expected
+                seen.add((strict, expected[0]))
+        assert {*((kind, strict, Charge) for kind in self.KINDS for strict in (True, False)),
+                ("theta", 0), ("theta", 1), "relaxed, given & event empty",
+                "relaxed, given - event empty", "zero-mass atom cut",
+                (True, NotIndependent), (True, DegeneratePrior), (True, OutOfRange),
+                (False, OutOfRange), (False, NotExpressible), (True, ValueError),
+                (False, ValueError)} <= seen
+
+    def test_checks_run_in_the_parents_order(self):
+        charge = Charge.uniform_on_atoms(atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}]))
+        calls = [  # each input also breaks every later check
+            ({1}, {1, 99}, F(3, 2), True),  # theta, given, event, strictness
+            ({1}, {1, 99}, F(1, 2), True),  # given, event, strictness
+            ({1}, {1, 2}, F(1, 2), True),  # event, strictness
+            (set(), {1, 2}, F(1, 2), True),  # degenerate prior, strictness
+            ({1, 2}, {1, 2}, F(1, 3), True),  # strictness
+            ({1, 2}, {1, 2}, F(1, 3), False),  # only the member's value is feasible
+        ]
+        for event, given, theta, strict in calls:
+            got, expected = (
+                outcome(extend, charge, event, given, theta, strict=strict)
+                for extend in (Charge.extend_conditional, oracle_extend_conditional_by_sides)
+            )
+            assert got == expected and isinstance(got, tuple)
+        for subset, value in (({1, 99}, "x"), ({1, 99}, F(2)), ({1}, F(2))):
+            got, expected = (
+                outcome(extend, charge, subset, value) for extend in (Charge.extend, oracle_extend)
+            )
+            assert got == expected and isinstance(got, tuple)
 
 
 @settings(max_examples=40, deadline=None)

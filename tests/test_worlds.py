@@ -27,6 +27,7 @@ from jurybayes.worlds import (
     powerset_algebra,
     world_algebra,
     world_set,
+    _check_partition,
 )
 
 from conftest import (
@@ -35,6 +36,7 @@ from conftest import (
     literal_logical_independence,
     naive_transcripts,
     naive_world_space,
+    oracle_adjoin,
 )
 
 
@@ -180,7 +182,8 @@ class TestEvents:
         cat = catalog(n)
         guilt = guilt_event(cat)
         for m in steps:
-            chain, atoms = heard_prefix_chain(cat, m)
+            chain, algebra = heard_prefix_chain(cat, m)
+            atoms = algebra.atoms
             heard = tuple(heard_event(cat, Transcript(range(k))) for k in range(1, m + 1))
             assert chain == heard
             nested = (world_set(cat), *heard)  # H_0, H_1, ..., H_m
@@ -189,7 +192,17 @@ class TestEvents:
                 part for layer in layers for part in (layer & guilt, layer - guilt)
             )
             assert [min(atom) for atom in atoms] == sorted(min(atom) for atom in atoms)
-            assert BooleanSubalgebra(full_world_space(cat), atoms).atoms == atoms
+            assert algebra == BooleanSubalgebra(full_world_space(cat), atoms)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_heard_prefix_chain_algebra_is_a_partition_of_the_world_space(self, n):
+        cat = catalog(n)
+        for m in range(n + 1):
+            _, algebra = heard_prefix_chain(cat, m)
+            assert algebra.ground is full_world_space(cat)
+            assert algebra.ground_set is world_set(cat)
+            assert len(algebra.atoms) == 2 * m + 2
+            _check_partition(algebra.atoms, world_set(cat))
 
     def test_heard_prefix_chain_refuses_steps_outside_the_catalog(self):
         with pytest.raises(ForeignTestimony):
@@ -364,11 +377,56 @@ class TestAdjoin:
         ground = tuple(range(12))
         algebra = atoms_of_generated_algebra(ground, [set(range(6))])
         for _ in range(5):
-            child = algebra.adjoin(frozenset(rng.sample(ground, 5)))
+            event = frozenset(rng.sample(ground, 5))
+            child, _ = algebra.split(event)
+            assert child == algebra.adjoin(event)
+            assert child.ground is algebra.ground
             assert child.ground_set is algebra.ground_set
+            assert child._position is algebra._position
             assert child == BooleanSubalgebra(ground, child.atoms)  # a valid partition
             keys = [child.atom_sort_key(atom) for atom in child.atoms]
             assert keys == sorted(keys)
+            algebra = child
+        cat = catalog(4)
+        _, built = heard_prefix_chain(cat, 3)
+        assert built.ground is full_world_space(cat)
+        assert built.ground_set is world_set(cat)
+
+    def test_adjoin_refuses_elements_outside_the_ground(self):
+        algebra = atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}])
+        with pytest.raises(ValueError, match="outside the ground set"):
+            algebra.adjoin({2, 99})
+        with pytest.raises(ValueError, match="outside the ground set"):
+            algebra.split({99})
+        with pytest.raises(ValueError, match="outside the ground set"):
+            BooleanSubalgebra((), ()).adjoin({1})
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_split_children_are_partitions_along_random_chains(self, n, rng):
+        cat = catalog(n)
+        space = full_world_space(cat)
+        algebra = atoms_of_generated_algebra(space, [guilt_event(cat)])
+        for _ in range(5):
+            pick = rng.random()
+            if pick < 0.3:
+                event = heard_event(
+                    cat, Transcript(i for i in range(n) if rng.random() < 0.3)
+                )
+            elif pick < 0.8:
+                share = rng.random()
+                event = frozenset(w for w in space if rng.random() < share)
+            else:  # a member of the algebra: nothing is cut
+                event = frozenset().union(
+                    *(atom for atom in algebra.atoms if rng.random() < 0.5)
+                )
+            child, parts = algebra.split(event)
+            _check_partition(child.atoms, world_set(cat))
+            assert child == oracle_adjoin(algebra, event)
+            assert len(parts) == len(algebra.atoms)
+            for atom, (inside, outside) in zip(algebra.atoms, parts):
+                assert (inside, outside) == (atom & event, atom - event)
+                if not (inside and outside):
+                    assert (inside or outside) is atom  # an uncut atom is reused
             algebra = child
 
     def test_powerset_algebra_atomizes_by_points(self):
