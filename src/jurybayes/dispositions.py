@@ -18,7 +18,6 @@ from typing import Iterable, Iterator
 from .charges import ZERO, Charge
 from .errors import (
     AxiomViolation,
-    CatalogMismatch,
     NotExpressible,
     ThetaOutOfRange,
     ZeroTranscriptMass,
@@ -31,8 +30,8 @@ from .worlds import (
     Transcript,
     World,
     guilt_event,
+    require_world_ground,
     world_algebra,
-    world_set,
 )
 
 HALF = Fraction(1, 2)
@@ -186,7 +185,7 @@ def _transcript_parts(
     """
     algebra = prior.algebra
     if catalog is not None:
-        _require_world_ground(prior, catalog)
+        require_world_ground(algebra, catalog)
         order: Iterable[Transcript] = catalog.all_transcripts()
     if algebra.is_world_powerset:
         # one atom per world, canonical order: guilty then innocent per transcript
@@ -235,10 +234,11 @@ def transcript_posteriors(
     ground order.  NotExpressible is raised on reaching a transcript
     whose event cuts through an atom, or, when that event has positive
     mass, whose guilty and innocent worlds share an atom.  A zero-mass
-    transcript yields (T, 0, 0).  A prior on a world space's powerset in
-    canonical order (``BooleanSubalgebra.is_world_powerset``; every
-    ``rationalize`` prior) is read pairwise from its masses.  Each
-    distinct pair of guilty and innocent masses is added once.
+    transcript yields (T, 0, 0).  A prior on ``world_algebra`` (every
+    ``rationalize`` prior, and every charge parsed without atoms) is read
+    pairwise from its masses; any other prior, whatever its shape, takes
+    the pass over its atoms.  Each distinct pair of guilty and innocent
+    masses is added once.
     """
     totals: dict[tuple[int, int, int, int], Fraction] = {}
     for transcript, guilty, innocent in _transcript_parts(prior, catalog):
@@ -306,8 +306,8 @@ def is_open_door(prior: Charge) -> bool:
     """True iff no positive-mass transcript pins guilt to 0 or 1.
 
     Guilt is pinned exactly when one of the transcript's guilty and
-    innocent masses is zero and the other is not.  A prior on a world
-    space's powerset in canonical order is read pairwise from its masses.
+    innocent masses is zero and the other is not.  A prior on
+    ``world_algebra`` is read pairwise from its masses.
     """
     if prior.algebra.is_world_powerset:
         masses = prior.masses
@@ -336,17 +336,7 @@ def posner_even_odds_prior(catalog: TestimonyCatalog, theta: RationalLike) -> Ch
     return certificate.prior
 
 
-def _require_world_ground(prior: Charge, catalog: TestimonyCatalog) -> None:
-    # plain ints equal to the world codes compare equal to the worlds
-    if prior.algebra.ground_set != world_set(catalog) or set(
-        map(type, prior.algebra.ground)
-    ) != {World}:
-        raise CatalogMismatch(
-            "the charge is not defined on the world space of this catalog"
-        )
-
-
 def guilt_prior(prior: Charge, catalog: TestimonyCatalog) -> Fraction:
     """P(guilt) under a charge on the catalog's world space."""
-    _require_world_ground(prior, catalog)
+    require_world_ground(prior.algebra, catalog)
     return prior.measure(guilt_event(catalog))

@@ -26,6 +26,7 @@ from .worlds import (
     full_world_space,
     guilt_event,
     heard_event,
+    require_world_ground,
     world_algebra,
 )
 
@@ -156,11 +157,12 @@ def disposition_from_jsonable(
 
 def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, Any]:
     algebra = charge.algebra
+    require_world_ground(algebra, catalog)
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
-    if algebra.is_world_powerset and len(algebra.ground) == 2 << len(catalog):
-        keys: Iterable[str] = _key_table(catalog).keys
-    else:
-        atom_keys = [[world_key(catalog, w) for w in sorted(atom)] for atom in algebra.atoms]
+    world_keys = _key_table(catalog).keys  # a world's code is its position here
+    keys: Iterable[str] = world_keys
+    if not algebra.is_world_powerset:
+        atom_keys = [[world_keys[w] for w in sorted(atom)] for atom in algebra.atoms]
         # the atoms partition the ground, so equal counts mean all singletons
         if len(algebra.atoms) != len(algebra.ground):
             doc["atoms"] = atom_keys

@@ -14,9 +14,9 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
-from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
+from typing import AbstractSet, ClassVar, Hashable, Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, ForeignTestimony
+from .errors import CapExceeded, CatalogMismatch, ForeignTestimony
 
 #: Default ceiling on catalog size.  The world space has 2^(n+1) elements
 #: and every construction in this package is exponential in n.
@@ -51,15 +51,16 @@ class Guilt(enum.Enum):
 # innocent) is integer order.  A set of worlds fixed by the low bits of
 # the code is then a stride slice of the world tuple, which is how
 # heard_prefix_chain reads the heard-events of a testimony prefix and
-# their layers.  Outside this module only dispositions and serialize rely
-# on the layout, and only as BooleanSubalgebra.is_world_powerset states it.
+# their layers.  Outside this module the layout is relied on only through
+# world_algebra's is_world_powerset flag and require_world_ground.
 #
-# Two paths build an algebra without re-checking its partition, both
-# through the one unchecked constructor BooleanSubalgebra._unchecked:
-# heard_prefix_chain, whose layers and tail hold every world exactly once
-# (by the lowest clear bit of its mask), and BooleanSubalgebra.split, the
-# one pass that adjoins a set, since splitting every block of a partition
-# by one set leaves a partition.  The public constructor always checks.
+# Three builders skip the partition check, all through the one unchecked
+# constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
+# atoms are the cached world tuple's worlds one by one; heard_prefix_chain,
+# whose layers and tail hold every world exactly once (by the lowest clear
+# bit of its mask); and BooleanSubalgebra.split, the one pass that adjoins
+# a set, since splitting every block of a partition by one set leaves a
+# partition.  The public constructor always checks.
 
 
 class Transcript(int):
@@ -335,26 +336,12 @@ class BooleanSubalgebra:
         """The ground as a set, built once at construction."""
         return self._ground_set  # type: ignore[attr-defined]
 
-    @cached_property
-    def is_world_powerset(self) -> bool:
-        """True iff this is the powerset of a world space in canonical order.
-
-        Its ground and its singleton atoms then both list the worlds of
-        some catalog in canonical order, as ``world_algebra``'s do, so
-        atom i is the world with code i, and atoms 2k and 2k+1 are the
-        guilty and innocent worlds of the k-th transcript.
-        """
-        ground = self.ground
-        size = len(ground)
-        # the atoms partition the ground, so size-many of them are singletons
-        return (
-            size >= 2
-            and size & (size - 1) == 0
-            and len(self.atoms) == size
-            and set(map(type, ground)) == {World}
-            and ground == tuple(range(size))  # world codes are canonical positions
-            and all(map(frozenset.__contains__, self.atoms, ground))
-        )
+    #: True only on ``world_algebra``'s algebras, which set it when built:
+    #: their ground and singleton atoms list a world space in canonical
+    #: order, so atom i is the world with code i, and atoms 2k and 2k+1 are
+    #: the guilty and innocent worlds of the k-th transcript.  Any other
+    #: algebra reads False, whatever its shape, and takes the atom paths.
+    is_world_powerset: ClassVar[bool] = False
 
     @cached_property
     def _position(self) -> dict[Hashable, int]:
@@ -437,7 +424,23 @@ def world_algebra(catalog: TestimonyCatalog) -> BooleanSubalgebra:
 
 @lru_cache(maxsize=16)
 def _world_algebra(n: int) -> BooleanSubalgebra:
-    return powerset_algebra(_world_space(n))
+    worlds = _world_space(n)
+    atoms = tuple(map(frozenset, zip(worlds)))  # one singleton per world, in order
+    return BooleanSubalgebra._unchecked(worlds, _world_set(n), atoms, is_world_powerset=True)
+
+
+def require_world_ground(algebra: BooleanSubalgebra, catalog: TestimonyCatalog) -> None:
+    """CatalogMismatch unless the algebra's ground is the catalog's world space.
+
+    ``world_algebra`` and ``heard_prefix_chain`` build on the cached world
+    set and ``split`` children share their parent's, so identity settles most.
+    """
+    ground_set = algebra.ground_set
+    if ground_set is world_set(catalog):
+        return
+    # plain ints equal to the world codes compare equal to the worlds
+    if ground_set != world_set(catalog) or set(map(type, algebra.ground)) != {World}:
+        raise CatalogMismatch("the charge is not defined on the world space of this catalog")
 
 
 def atoms_of_generated_algebra(

@@ -1,6 +1,7 @@
 """Dispositions, axioms, and the rationalization round trip."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -31,6 +32,7 @@ from jurybayes.errors import (
     ThetaOutOfRange,
     ZeroTranscriptMass,
 )
+from jurybayes.serialize import charge_to_jsonable
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -530,8 +532,8 @@ class TestTranscriptPosteriorsKernel:
             assert {NotExpressible, ZeroTranscriptMass, None} <= errors
 
     def test_point_path_matches_measure_oracle(self, rng):
-        """Canonical point priors take the pairwise path; reorderings do not."""
-        seen = set()
+        """Only world_algebra takes the pairwise path; point priors of the same
+        shape built any other way take the atom path and give the same outputs."""
         for n in range(0, 6):
             cat = catalog(n)
             worlds = full_world_space(cat)
@@ -541,15 +543,14 @@ class TestTranscriptPosteriorsKernel:
             algebras = {
                 "cached": world_algebra(cat),
                 "rebuilt": powerset_algebra(worlds),
+                "split child": world_algebra(cat).split(guilt_event(cat))[0],
                 "shuffled ground": powerset_algebra(shuffled),
                 "shuffled atoms": BooleanSubalgebra(
                     worlds, tuple(rng.sample(singletons, len(singletons)))
                 ),
             }
             for name, algebra in algebras.items():
-                canonical = algebra.ground == worlds and algebra.atoms == tuple(singletons)
-                assert algebra.is_world_powerset == canonical, name
-                seen.add(canonical)
+                assert algebra.is_world_powerset == (name == "cached"), name
                 for _ in range(6):
                     weights = [rng.choice((0, 0, 1, 2, 5)) for _ in worlds]
                     weights[rng.randrange(len(weights))] += 1
@@ -560,7 +561,13 @@ class TestTranscriptPosteriorsKernel:
                     assert list(transcript_posteriors(prior)) == list(
                         oracle_transcript_posteriors(prior)
                     ), name
-        assert seen == {True, False}
+                    if algebra.atoms == tuple(singletons):
+                        # the same prior on world_algebra reads alike on every path
+                        cached = Charge(world_algebra(cat), prior.masses)
+                        assert is_open_door(prior) == is_open_door(cached), name
+                        assert json.dumps(charge_to_jsonable(cat, prior)) == json.dumps(
+                            charge_to_jsonable(cat, cached)
+                        ), name
 
     def test_world_powerset_needs_world_elements(self):
         cat = catalog(1)

@@ -87,10 +87,25 @@ class TestWorldKeys:
         cat = TestimonyCatalog(("a",))
         with pytest.raises(TypeError, match="got 3$"):
             world_key(cat, 3)
-        # four int elements, as many as the catalog's worlds
+        # four int elements equal to the catalog's world codes are not its worlds
         charge = Charge.uniform_on_atoms(powerset_algebra(range(4)))
-        with pytest.raises(TypeError, match="trial worlds, got 0$"):
+        with pytest.raises(CatalogMismatch, match="not defined on the world space"):
             charge_to_jsonable(cat, charge)
+
+    def test_a_charge_from_another_catalog_is_refused(self):
+        small = TestimonyCatalog(("a",))
+        large = TestimonyCatalog(("a", "b"))
+        point = Charge.uniform_on_atoms(world_algebra(small))
+        coarse = Charge.uniform_on_atoms(
+            atoms_of_generated_algebra(full_world_space(small), [guilt_event(small)])
+        )
+        for charge in (point, coarse):
+            for cat in (large, TestimonyCatalog(())):
+                with pytest.raises(CatalogMismatch, match="not defined on the world space"):
+                    charge_to_jsonable(cat, charge)
+            # a same-size catalog shares the world space
+            doc = charge_to_jsonable(TestimonyCatalog(("z",)), charge)
+            assert charge_from_jsonable(doc)[1] == charge
 
     def test_keys_outside_canonical_form_parse_as_before(self):
         cat = TestimonyCatalog(("a", "b", "c"))

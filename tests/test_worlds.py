@@ -68,11 +68,16 @@ class TestWorldSpace:
         assert [w.guilt for w in worlds[:2]] == [Guilt.GUILTY, Guilt.INNOCENT]
 
     def test_world_algebra_is_built_once_in_canonical_order(self):
-        for n in range(4):
-            algebra = world_algebra(catalog(n))
+        # built unchecked, so the partition and the shared world caches are checked here
+        for n in range(11):
+            cat = catalog(n)
+            algebra = world_algebra(cat)
             assert algebra is world_algebra(catalog(n))
-            assert algebra == powerset_algebra(full_world_space(catalog(n)))
+            assert algebra == powerset_algebra(full_world_space(cat))
             assert algebra.is_world_powerset
+            _check_partition(algebra.atoms, world_set(cat))
+            assert algebra.ground is full_world_space(cat)
+            assert algebra.ground_set is world_set(cat)
 
     def test_world_sets_are_built_once(self):
         cat = catalog(3)
@@ -434,10 +439,15 @@ class TestAdjoin:
         worlds = full_world_space(cat)
         algebra = powerset_algebra(worlds)
         assert algebra.atoms == tuple(frozenset({w}) for w in worlds)
-        assert algebra.is_world_powerset
-        # generators that separate every world give the same atoms, in order
+        # generators that separate every world give the same atoms, in order,
+        # and so does splitting world_algebra; only world_algebra is flagged
         separating = [guilt_event(cat)] + [heard_event(cat, Transcript({i})) for i in range(2)]
-        assert atoms_of_generated_algebra(worlds, separating).is_world_powerset
+        generated = atoms_of_generated_algebra(worlds, separating)
+        child, _ = world_algebra(cat).split(guilt_event(cat))
+        assert world_algebra(cat).is_world_powerset
+        for same in (algebra, generated, child):
+            assert (same.ground, same.atoms) == (worlds, world_algebra(cat).atoms)
+            assert not same.is_world_powerset
         assert not atoms_of_generated_algebra(worlds, []).is_world_powerset
         assert not powerset_algebra((1, 2, 3)).is_world_powerset
 
