@@ -49,13 +49,6 @@ class Odds:
         if self.in_favor <= 0 or self.against <= 0:
             raise ValueError("odds components must be strictly positive")
 
-    @classmethod
-    def parse(cls, text: str) -> "Odds":
-        left, sep, right = text.partition(":")
-        if not sep:
-            raise ValueError(f"odds literal must look like 'a:b', got {text!r}")
-        return cls(as_rational(left, name="odds"), as_rational(right, name="odds"))
-
     @property
     def probability(self) -> Fraction:
         return self.in_favor / (self.in_favor + self.against)

@@ -32,12 +32,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         doc = args.handler(args)
-        print(render(doc, args.format))
+        text = render(doc, args.format)
+        print(text)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         if getattr(args, "out", None):
+            saved = doc.get("charge", doc)
+            if saved is not doc or args.format != "json":
+                text = render(saved, "json")
             try:
                 with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(render(doc.get("charge", doc), "json") + "\n")
+                    handle.write(text + "\n")
             except OSError as exc:
                 raise ParseError(f"cannot write {args.out}: {exc}") from exc
     except JuryBayesError as exc:

@@ -237,16 +237,10 @@ def transcript_posteriors(
     transcript yields (T, 0, 0).  A prior on ``world_algebra`` (every
     ``rationalize`` prior, and every charge parsed without atoms) is read
     pairwise from its masses; any other prior, whatever its shape, takes
-    the pass over its atoms.  Each distinct pair of guilty and innocent
-    masses is added once.
+    the pass over its atoms.
     """
-    totals: dict[tuple[int, int, int, int], Fraction] = {}
     for transcript, guilty, innocent in _transcript_parts(prior, catalog):
-        key = (guilty.numerator, guilty.denominator, innocent.numerator, innocent.denominator)
-        total = totals.get(key)
-        if total is None:
-            total = totals[key] = guilty + innocent
-        yield transcript, total, guilty
+        yield transcript, guilty + innocent, guilty
 
 
 def verification_theta(theta: RationalLike) -> Fraction:

@@ -34,6 +34,15 @@ from .worlds import (
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
+def _check_labels(labels: Iterable[str]) -> None:
+    """ParseError for a label that world keys could not name unambiguously."""
+    for label in labels:
+        if not _LABEL_RE.fullmatch(label):
+            raise ParseError(
+                f"label {label!r} is not serializable; use letters, digits, '_', '.', '-'"
+            )
+
+
 def world_key(catalog: TestimonyCatalog, world: World) -> str:
     if not isinstance(world, World):
         raise TypeError(f"world keys name trial worlds, got {world!r}")
@@ -76,6 +85,7 @@ _key_tables: dict[int, _KeyTable] = {}
 def _key_table(catalog: TestimonyCatalog) -> _KeyTable:
     table = _key_tables.get(len(catalog))
     if table is None or table.labels != catalog.labels:
+        _check_labels(catalog.labels)
         rows: list[tuple[str, ...]] = [()]
         for label in catalog.labels:  # appended to every row so far, in canonical order
             rows += [row + (label,) for row in rows]
@@ -85,8 +95,10 @@ def _key_table(catalog: TestimonyCatalog) -> _KeyTable:
     return table
 
 
-def atom_key(catalog: TestimonyCatalog, atom: frozenset) -> str:
-    return ";".join(world_key(catalog, w) for w in sorted(atom))
+def _atom_world_keys(catalog: TestimonyCatalog, algebra: BooleanSubalgebra) -> list[list[str]]:
+    """Each atom's world keys, in world order, so atom keys are byte-stable."""
+    world_keys = _key_table(catalog).keys  # a world's code is its position here
+    return [[world_keys[w] for w in sorted(atom)] for atom in algebra.atoms]
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +108,7 @@ def atom_key(catalog: TestimonyCatalog, atom: frozenset) -> str:
 def catalog_from_jsonable(labels: Any, *, world_cap: int | None = None) -> TestimonyCatalog:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParseError('"catalog" must be a list of strings')
-    for label in labels:
-        if not _LABEL_RE.fullmatch(label):
-            raise ParseError(
-                f"label {label!r} is not serializable; use letters, digits, '_', '.', '-'"
-            )
+    _check_labels(labels)
     try:
         return TestimonyCatalog(labels, world_cap=world_cap)
     except CapExceeded:
@@ -127,6 +135,7 @@ def _require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str]
 
 def disposition_to_jsonable(disposition: Disposition) -> dict[str, Any]:
     catalog = disposition.catalog
+    _check_labels(catalog.labels)
     convicting = sorted(disposition.convicting, key=lambda t: t.mask)
     return {
         "catalog": list(catalog.labels),
@@ -159,14 +168,13 @@ def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, A
     algebra = charge.algebra
     require_world_ground(algebra, catalog)
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
-    world_keys = _key_table(catalog).keys  # a world's code is its position here
-    keys: Iterable[str] = world_keys
+    keys: Iterable[str] = _key_table(catalog).keys
     if not algebra.is_world_powerset:
-        atom_keys = [[world_keys[w] for w in sorted(atom)] for atom in algebra.atoms]
+        atoms = _atom_world_keys(catalog, algebra)
         # the atoms partition the ground, so equal counts mean all singletons
         if len(algebra.atoms) != len(algebra.ground):
-            doc["atoms"] = atom_keys
-        keys = map(";".join, atom_keys)
+            doc["atoms"] = atoms
+        keys = map(";".join, atoms)
     doc["masses"] = dict(zip(keys, map(_rational_formatter(), charge.masses)))
     return doc
 
@@ -211,7 +219,8 @@ def charge_from_jsonable(
             algebra = BooleanSubalgebra(worlds, tuple(ordered))
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
-        key_to_index = {atom_key(catalog, atom): i for i, atom in enumerate(algebra.atoms)}
+        names = map(";".join, _atom_world_keys(catalog, algebra))
+        key_to_index = {name: i for i, name in enumerate(names)}
     else:
         algebra = world_algebra(catalog)
         key_to_index = _key_table(catalog).index

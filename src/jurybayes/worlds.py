@@ -252,22 +252,11 @@ def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[
     """All worlds whose transcript contains the given testimonies.
 
     This is the cumulative "these testimonies were heard" event; the
-    exact-transcript event is ``event_of_transcript``.  Only the
-    supersets of the transcript are visited, so the cost follows the
-    event's size rather than the world space's.
+    exact-transcript event is ``event_of_transcript``.
     """
     catalog._check_transcript(transcript)
-    need = transcript.mask
-    if not need:
-        return world_set(catalog)
-    # Each testimony outside the transcript doubles the codes: once absent,
-    # once present (bit i of the transcript is bit i+1 of the world code).
-    codes = [2 * need, 2 * need + 1]
-    for i in range(len(catalog)):
-        if not need >> i & 1:
-            bit = 2 << i
-            codes += [c | bit for c in codes]
-    return frozenset(map(full_world_space(catalog).__getitem__, codes))
+    # bit i of the transcript is bit i+1 of the world code
+    return frozenset(w for w in full_world_space(catalog) if w >> 1 & transcript == transcript)
 
 
 def heard_prefix_chain(

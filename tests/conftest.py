@@ -44,6 +44,7 @@ from jurybayes.scoring import (
     _require_same_ground,
     expected_score,
 )
+from jurybayes.serialize import catalog_from_jsonable
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -493,6 +494,29 @@ def oracle_parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
     except Exception as exc:
         raise ParseError(f"world key {key!r}: {exc}") from exc
     return World(transcript, Guilt(guilt_letter))
+
+
+def oracle_charge_from_jsonable(obj: dict) -> tuple[TestimonyCatalog, Charge]:
+    """A coarse charge document read world by world: each key parsed by
+    ``oracle_parse_world_key``, and each atom named again for its masses
+    through ``oracle_world_key``, one world at a time."""
+    catalog = catalog_from_jsonable(obj["catalog"])
+    atoms = [frozenset(oracle_parse_world_key(catalog, key) for key in raw) for raw in obj["atoms"]]
+    try:
+        ordered = sorted(atoms, key=lambda atom: min(atom, default=-1))
+        algebra = BooleanSubalgebra(full_world_space(catalog), tuple(ordered))
+    except ValueError as exc:
+        raise ParseError(f"bad atom partition: {exc}") from exc
+    names = [";".join(oracle_world_key(catalog, w) for w in sorted(atom)) for atom in algebra.atoms]
+    masses = [Fraction(0)] * len(names)
+    for key, value in obj["masses"].items():
+        if key not in names:
+            raise ParseError(f"mass key {key!r} is not an atom of the charge's algebra")
+        masses[names.index(key)] = as_rational(value)
+    try:
+        return catalog, Charge(algebra, tuple(masses))
+    except ValueError as exc:
+        raise ParseError(f"invalid charge: {exc}") from exc
 
 
 def random_masses(rng: random.Random, count: int) -> tuple[Fraction, ...]:

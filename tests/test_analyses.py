@@ -51,14 +51,10 @@ from conftest import (
 
 
 class TestOdds:
-    def test_parse_and_probability(self):
-        odds = Odds.parse("1:2")
+    def test_probability(self):
+        odds = Odds(1, 2)
         assert (odds.in_favor, odds.against) == (F(1), F(2))
         assert odds.probability == F(1, 3)
-
-    def test_parse_needs_a_colon(self):
-        with pytest.raises(ValueError, match="must look like 'a:b', got '12'"):
-            Odds.parse("12")
 
     def test_posner_shooting_example(self):
         assert posterior_odds(Odds(1, 2), 8).display() == "4:1"

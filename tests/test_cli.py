@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jurybayes import errors, worlds
+from jurybayes import cli, errors, worlds
 from jurybayes.cli import main
 from jurybayes.rationals import as_rational
 
@@ -148,6 +148,40 @@ class TestRoundTrips:
         doc = json.loads(out_path.read_text())
         assert doc["catalog"] == ["t1"]
         assert set(doc["masses"]) == {"{}|G", "{}|I", "{t1}|G", "{t1}|I"}
+
+
+class TestRenderOnce:
+    """``--out`` writes the stdout text when it is the same JSON document."""
+
+    @pytest.mark.parametrize(
+        "argv,renders,expected,part",
+        [
+            (("rationalize", str(DATA / "two_witness_n2.json"), "--theta", "3/4"),
+             1, "rationalize_two_witness_n2.json", None),
+            (("extend", str(DATA / "guilt_coarse_n1.json"), "--event", "guilt",
+              "--given", "heard:t1", "--target", "9/10"),
+             2, "extend_guilt_heard.json", "charge"),
+            (("rationalize", str(DATA / "two_witness_n2.json"), "--theta", "3/4",
+              "--format", "table"), 2, "rationalize_two_witness_n2.json", None),
+        ],
+    )
+    def test_render_calls(self, capsys, tmp_path, monkeypatch, argv, renders, expected, part):
+        calls = []
+        render = cli.render
+
+        def counting(doc, fmt):
+            calls.append(fmt)
+            return render(doc, fmt)
+
+        monkeypatch.setattr(cli, "render", counting)
+        out_path = tmp_path / "out.json"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        assert len(calls) == renders
+        text = golden(expected)
+        if part is not None:
+            text = json.dumps(json.loads(text)[part], indent=2) + "\n"
+        assert out_path.read_text() == text
 
 
 class TestExitCodes:

@@ -15,9 +15,9 @@ from jurybayes import serialize
 from jurybayes.charges import Charge
 from jurybayes.dispositions import Disposition, RationalizationCertificate, rationalize
 from jurybayes.errors import CatalogMismatch, ForeignTestimony, JuryBayesError, ParseError
-from jurybayes.rationals import as_rational
+from jurybayes.rationals import as_rational, format_rational
 from jurybayes.serialize import (
-    atom_key,
+    catalog_from_jsonable,
     certificate_to_jsonable,
     charge_document_from_jsonable,
     charge_from_jsonable,
@@ -44,6 +44,7 @@ from jurybayes.worlds import (
 
 from conftest import (
     oracle_certificate_to_jsonable,
+    oracle_charge_from_jsonable,
     oracle_charge_to_jsonable,
     oracle_parse_world_key,
     oracle_world_key,
@@ -232,6 +233,26 @@ class TestDispositionFormat:
             with pytest.raises(ParseError):
                 disposition_from_jsonable({"catalog": [label], "convicting": []})
 
+    def test_writers_refuse_the_labels_the_reader_refuses(self):
+        # '{a,b}|G' would name both the world that heard a and b and the one that heard 'a,b'
+        cat = TestimonyCatalog(("a", "b", "a,b"))
+        with pytest.raises(ParseError) as refused:
+            catalog_from_jsonable(list(cat.labels))
+        disposition = Disposition(cat, [cat.transcript(["a,b"])])
+        writers = [
+            lambda: disposition_to_jsonable(disposition),
+            lambda: charge_to_jsonable(cat, Charge.uniform_on_atoms(world_algebra(cat))),
+            lambda: certificate_to_jsonable(rationalize(disposition, F(3, 4))),
+            lambda: world_key(cat, full_world_space(cat)[0]),
+        ]
+        for write in writers:
+            with pytest.raises(ParseError) as got:
+                write()
+            assert str(got.value) == str(refused.value)
+        # a refused label set leaves no key table behind for its size
+        good = TestimonyCatalog(("a", "b", "c"))
+        assert world_key(good, full_world_space(good)[-1]) == "{a,b,c}|I"
+
     def test_foreign_labels_rejected(self):
         with pytest.raises(ParseError):
             disposition_from_jsonable({"catalog": ["a"], "convicting": [["b"]]})
@@ -413,6 +434,71 @@ class TestRenderingMatchesNaiveRenderer:
                 assert json.dumps(charge_to_jsonable(cat, charge), indent=2) == json.dumps(
                     oracle_charge_to_jsonable(cat, charge), indent=2
                 )
+
+
+class TestCoarseReaderMatchesNaiveReader:
+    """The reader names atoms from the key table; the oracle names them
+    world by world.  Both give the same charge or the same error."""
+
+    @staticmethod
+    def respelled(rng, key: str) -> str:
+        """The same world key with its labels shuffled and maybe one repeated."""
+        inner, guilt = key[1:].split("}|")
+        labels = [part for part in inner.split(",") if part]
+        if labels and rng.random() < 0.5:
+            labels.append(rng.choice(labels))
+        rng.shuffle(labels)
+        return "{" + ",".join(labels) + "}|" + guilt
+
+    def document(self, rng, cat: TestimonyCatalog) -> dict:
+        """A coarse charge document with its atoms, and the worlds within each
+        atom, in random order, and its world keys out of canonical form."""
+        worlds = full_world_space(cat)
+        blocks = list(random_partition(rng, worlds, min_block=rng.randrange(1, 4)))
+        rng.shuffle(blocks)
+        atoms = []
+        for block in blocks:
+            keys = [oracle_world_key(cat, w) for w in block]
+            rng.shuffle(keys)
+            atoms.append([self.respelled(rng, key) for key in keys])
+        names = [";".join(oracle_world_key(cat, w) for w in sorted(block)) for block in blocks]
+        masses = map(format_rational, random_masses(rng, len(blocks)))
+        return {"catalog": list(cat.labels), "atoms": atoms, "masses": dict(zip(names, masses))}
+
+    @staticmethod
+    def outcome(read, doc: dict):
+        try:
+            catalog, charge = read(json.loads(json.dumps(doc)))
+        except Exception as exc:
+            return type(exc), str(exc)
+        return catalog, charge.algebra, charge.masses
+
+    def test_documents_out_of_canonical_order(self, rng):
+        def respell_a_mass_key(doc):
+            name = next(iter(doc["masses"]))
+            parts = [self.respelled(rng, key) for key in name.split(";")]
+            doc["masses"][";".join(reversed(parts))] = doc["masses"].pop(name)
+
+        defects = [
+            lambda doc: doc["atoms"][0].pop(),  # a world in no atom
+            lambda doc: doc["atoms"][-1].append(doc["atoms"][0][0]),  # a world in two atoms
+            lambda doc: doc["atoms"][0].append("{zz}|G"),
+            lambda doc: doc["atoms"][-1].append("{}G"),
+            respell_a_mass_key,
+        ]
+        for n in range(9):
+            cat = TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+            for _ in range(4):
+                doc = self.document(rng, cat)
+                expected = self.outcome(oracle_charge_from_jsonable, doc)
+                assert expected[0] == cat
+                assert self.outcome(charge_from_jsonable, doc) == expected
+                for defect in defects:
+                    broken = json.loads(json.dumps(doc))
+                    defect(broken)
+                    assert self.outcome(charge_from_jsonable, broken) == self.outcome(
+                        oracle_charge_from_jsonable, broken
+                    )
 
 
 class TestEventSpecs:
