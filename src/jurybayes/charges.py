@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import AbstractSet, Iterable, Mapping
 
@@ -51,23 +52,28 @@ class Charge:
     """An exact finitely additive probability charge on a subalgebra.
 
     ``masses`` is aligned with ``algebra.atoms``.  Atom masses may be
-    zero; they must be nonnegative and sum to exactly one.
+    zero; they must be Fractions, nonnegative, and sum to exactly one.
+    The checks run first in C (one type pass) and on integers (one pass
+    that checks signs and tallies numerators per denominator); only when
+    one fails are the masses walked in order, so the first bad mass names
+    the error.
     """
 
     algebra: BooleanSubalgebra
     masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.masses) != len(self.algebra.atoms):
-            raise ValueError(
-                f"{len(self.masses)} masses for {len(self.algebra.atoms)} atoms"
-            )
-        for m in self.masses:
-            if not isinstance(m, Fraction):
-                raise TypeError(f"atom mass must be Fraction, got {type(m).__name__}")
-            if m.numerator < 0:
-                raise ValueError(f"atom mass must be nonnegative, got {m}")
-        total = fraction_sum(self.masses)
+        masses = self.masses
+        if len(masses) != len(self.algebra.atoms):
+            raise ValueError(f"{len(masses)} masses for {len(self.algebra.atoms)} atoms")
+        if not all(map(isinstance, masses, repeat(Fraction))):
+            _reject_first_bad_mass(masses)
+        numerators: dict[int, int] = {}
+        for n, d in map(Fraction.as_integer_ratio, masses):
+            if n < 0:
+                _reject_first_bad_mass(masses)
+            numerators[d] = numerators.get(d, 0) + n
+        total = _merge_numerators(numerators)
         if total != 1:
             raise ValueError(f"atom masses must sum to 1, got {format_rational(total)}")
 
@@ -315,6 +321,15 @@ class Charge:
         return scale
 
 
+def _reject_first_bad_mass(masses: Iterable[object]) -> None:
+    """TypeError or ValueError for the first mass, in order, that is not a nonnegative Fraction."""
+    for m in masses:
+        if not isinstance(m, Fraction):
+            raise TypeError(f"atom mass must be Fraction, got {type(m).__name__}")
+        if m.numerator < 0:
+            raise ValueError(f"atom mass must be nonnegative, got {m}")
+
+
 def fraction_sum(values: Iterable[Fraction]) -> Fraction:
     """Exact sum of Fractions, building one Fraction at the end.
 
@@ -324,6 +339,11 @@ def fraction_sum(values: Iterable[Fraction]) -> Fraction:
     numerators: dict[int, int] = {}
     for n, d in map(Fraction.as_integer_ratio, values):
         numerators[d] = numerators.get(d, 0) + n
+    return _merge_numerators(numerators)
+
+
+def _merge_numerators(numerators: Mapping[int, int]) -> Fraction:
+    """The sum of n/d over the (denominator d, numerator n) tallies, merged over the running lcm."""
     num, den = 0, 1
     for d, n in numerators.items():
         g = gcd(den, d)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import attrgetter, eq
 from typing import Iterable, Iterator
 
@@ -56,15 +57,21 @@ class Disposition:
         self, catalog: TestimonyCatalog, convicting: Iterable[Transcript]
     ) -> None:
         object.__setattr__(self, "catalog", catalog)
-        object.__setattr__(self, "convicting", frozenset(convicting))
-        for transcript in self.convicting:
-            catalog._check_transcript(transcript)
+        members = frozenset(convicting)
+        object.__setattr__(self, "convicting", members)
+        # one type pass and one range check in C; only when either fails are
+        # the members walked, so the first bad one names the error as before
+        if not all(map(isinstance, members, repeat(Transcript))) or (
+            members and (min(members) < 0 or max(members) >> len(catalog))
+        ):
+            for transcript in members:
+                catalog._check_transcript(transcript)
 
     @classmethod
     def from_label_sets(
         cls, catalog: TestimonyCatalog, label_sets: Iterable[Iterable[str]]
     ) -> "Disposition":
-        return cls(catalog, (catalog.transcript(labels) for labels in label_sets))
+        return cls(catalog, map(catalog.transcript, label_sets))
 
     def verdict(self, transcript: Transcript) -> Verdict:
         self.catalog._check_transcript(transcript)
@@ -276,7 +283,7 @@ def verify_rationalization(
     posteriors: dict[Transcript, Fraction] = {}
     witness: Transcript | None = None
     for transcript, guilty, innocent in _transcript_parts(prior, catalog):
-        key = (guilty.numerator, guilty.denominator, innocent.numerator, innocent.denominator)
+        key = guilty.as_integer_ratio() + innocent.as_integer_ratio()
         known = decided.get(key)
         if known is None:
             g_num, g_den, i_num, i_den = key

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import repeat
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .charges import ZERO, Charge
@@ -152,7 +153,7 @@ def disposition_from_jsonable(
         raise ParseError('only "acquit" is supported as the disposition default')
     catalog = catalog_from_jsonable(obj["catalog"], world_cap=world_cap)
     raw = obj["convicting"]
-    if not isinstance(raw, list) or not all(isinstance(entry, list) for entry in raw):
+    if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(list))):
         raise ParseError('"convicting" must be a list of label lists')
     try:
         return Disposition.from_label_sets(catalog, raw)
@@ -188,7 +189,7 @@ def _rational_formatter() -> Callable[[Fraction], str]:
     rendered: dict[tuple[int, int], str] = {}
 
     def render(value: Fraction) -> str:
-        key = (value.numerator, value.denominator)
+        key = value.as_integer_ratio()
         text = rendered.get(key)
         if text is None:
             text = rendered[key] = format_rational(value)
@@ -210,9 +211,15 @@ def charge_from_jsonable(
             isinstance(a, list) for a in raw_atoms
         ):
             raise ParseError('"atoms" must be a list of world-key lists')
+        # canonical keys are looked up in one table; an atom holding any
+        # other key is parsed key by key, so the first bad one names the error
+        index = _key_table(catalog).index
         atoms = []
         for raw in raw_atoms:
-            atoms.append(frozenset(parse_world_key(catalog, key) for key in raw))
+            try:
+                atoms.append(frozenset(map(worlds.__getitem__, map(index.__getitem__, raw))))
+            except (KeyError, TypeError):  # TypeError: an unhashable key
+                atoms.append(frozenset(parse_world_key(catalog, key) for key in raw))
         try:
             # an empty atom has no first world; the partition check rejects it
             ordered = sorted(atoms, key=lambda atom: min(atom, default=-1))

@@ -14,6 +14,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
+from operator import or_
 from typing import AbstractSet, ClassVar, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, CatalogMismatch, ForeignTestimony
@@ -152,8 +153,11 @@ class TestimonyCatalog:
         object.__setattr__(self, "labels", tuple(labels))
         cap = DEFAULT_WORLD_CAP if world_cap is None else check_world_cap(world_cap)
         object.__setattr__(self, "world_cap", cap)
-        if len(set(self.labels)) != len(self.labels):
+        # each label's transcript bit; not a field, so equality stays on the labels
+        bits = {label: 1 << i for i, label in enumerate(self.labels)}
+        if len(bits) != len(self.labels):
             raise ValueError(f"catalog labels must be distinct: {self.labels!r}")
+        object.__setattr__(self, "_bits", bits)
         if len(self.labels) > cap:
             raise CapExceeded(
                 f"catalog of {len(self.labels)} testimonies exceeds the world cap "
@@ -165,12 +169,26 @@ class TestimonyCatalog:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._bits[label].bit_length() - 1
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ForeignTestimony(f"label {label!r} is not in the catalog") from None
 
     def transcript(self, labels: Iterable[str]) -> Transcript:
-        return Transcript(self.index(lbl) for lbl in labels)
+        """The transcript of the given labels, in any order, repeats allowed.
+
+        The label lookups run first in C, as one OR of the labels' bits;
+        only when one fails are the labels walked in order, so the first
+        label not in the catalog names the ForeignTestimony.
+        """
+        if not isinstance(labels, (list, tuple)):
+            labels = tuple(labels)  # walked again on failure
+        try:
+            mask = reduce(or_, map(self._bits.__getitem__, labels), 0)
+        except (KeyError, TypeError):
+            for label in labels:
+                self.index(label)
+            raise
+        return _transcript_of_mask(mask)
 
     def transcript_labels(self, transcript: Transcript) -> tuple[str, ...]:
         self._check_transcript(transcript)

@@ -29,6 +29,7 @@ from jurybayes.errors import (
     CatalogMismatch,
     CatalogTooSmall,
     DegeneratePrior,
+    ForeignTestimony,
     InvariantViolation,
     NotIndependent,
     OutOfRange,
@@ -474,6 +475,19 @@ def oracle_certificate_to_jsonable(certificate: RationalizationCertificate) -> d
         "posteriors": rows,
         "prior": oracle_charge_to_jsonable(catalog, certificate.prior),
     }
+
+
+def oracle_transcript(catalog: TestimonyCatalog, labels) -> Transcript:
+    """A transcript built label by label: each label's position found by
+    ``tuple.index``, the indices collected by the checked constructor."""
+
+    def index(label) -> int:
+        try:
+            return catalog.labels.index(label)
+        except ValueError:
+            raise ForeignTestimony(f"label {label!r} is not in the catalog") from None
+
+    return Transcript(index(label) for label in labels)
 
 
 def oracle_world_key(catalog: TestimonyCatalog, world: World) -> str:

@@ -264,6 +264,16 @@ class TestMassValidation:
             "atom masses must sum to 1",
         }
 
+    def test_bad_masses_anywhere_among_many(self, rng):
+        # the first bad mass in order names the error, whichever pass finds it
+        algebra = powerset_algebra(tuple(range(128)))
+        for _ in range(100):
+            masses = list(random_masses(rng, 128))
+            for _ in range(rng.randrange(1, 4)):
+                bad = rng.choice((F(-1, 7), F(-1, 128), 0.5, "1/128", None, 1))
+                masses[rng.randrange(128)] = bad
+            assert charge_check(algebra, tuple(masses)) == oracle_mass_check(masses)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fractions(max_denominator=50), max_size=12))
     def test_fraction_sum_is_exact(self, values):

@@ -227,6 +227,16 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error[ParseError]: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("label", ["c", ["b"], {"a": 1}])
+    def test_convicting_label_outside_the_catalog_exits_3(self, capsys, tmp_path, label):
+        bad = tmp_path / "foreign.json"
+        bad.write_text(json.dumps({"catalog": ["a", "b"], "convicting": [["a", label]]}))
+        code, out, err = run_cli(capsys, "rationalize", str(bad), "--theta", "3/4")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error[ParseError]: bad convicting transcript: label {label!r} is not in the catalog\n"
+        )
+
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "rationalize", "no-such-file.json", "--theta", "3/4")
         assert code == 3

@@ -3,6 +3,8 @@
 import itertools
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +83,64 @@ class TestAxioms:
     def test_foreign_transcripts_rejected(self):
         with pytest.raises(ForeignTestimony):
             Disposition(catalog(1), [Transcript({3})])
+
+
+# A bad member among many good ones, and the exact error it must raise.
+# Members are checked in C first and walked only on failure.
+BAD_MEMBERS = [
+    ("300", TypeError, "expected a Transcript, got int"),
+    ("'t0'", TypeError, "expected a Transcript, got str"),
+    ("None", TypeError, "expected a Transcript, got NoneType"),
+    ("Transcript({8})", ForeignTestimony,
+     "transcript indices [8] are outside the catalog of size 8"),
+    ("Transcript({2, 9, 11})", ForeignTestimony,
+     "transcript indices [9, 11] are outside the catalog of size 8"),
+    # no public constructor makes a negative transcript, but the range check holds
+    ("int.__new__(Transcript, -1)", ForeignTestimony,
+     "transcript indices [] are outside the catalog of size 8"),
+]
+
+_MEMBER_CHECK = """
+import json, sys
+from jurybayes.worlds import TestimonyCatalog, Transcript
+from jurybayes.dispositions import Disposition
+cat = TestimonyCatalog(tuple(f"t{i}" for i in range(8)))
+good = list(cat.all_transcripts())[1:]
+try:
+    Disposition(cat, good[:100] + [eval(sys.argv[1])] + good[100:])
+except Exception as exc:
+    print(json.dumps([type(exc).__name__, str(exc), sys.flags.optimize]))
+"""
+
+
+class TestMemberChecks:
+    @pytest.mark.parametrize("bad,error,message", BAD_MEMBERS)
+    def test_one_bad_member_among_many(self, bad, error, message):
+        cat = catalog(8)
+        good = list(cat.all_transcripts())[1:]
+        with pytest.raises(error) as got:
+            Disposition(cat, good[:100] + [eval(bad)] + good[100:])
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("bad,error,message", BAD_MEMBERS[::3])
+    def test_the_same_under_python_o(self, bad, error, message):
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", _MEMBER_CHECK, bad], capture_output=True, text=True
+        )
+        assert json.loads(result.stdout) == [error.__name__, message, 1], result.stderr
+
+    def test_of_several_bad_members_the_first_in_set_order_names_the_error(self):
+        cat = catalog(8)
+        members = frozenset([*cat.all_transcripts(), Transcript({9}), "t0", Transcript({12}), 300])
+        for member in members:  # the member-by-member walk, in set order
+            try:
+                cat._check_transcript(member)
+            except (TypeError, ForeignTestimony) as exc:
+                expected = type(exc), str(exc)
+                break
+        with pytest.raises(expected[0]) as got:
+            Disposition(cat, members)
+        assert str(got.value) == expected[1]
 
 
 class TestRationalize:

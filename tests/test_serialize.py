@@ -127,9 +127,16 @@ class TestWorldKeys:
         assert parse_world_key(cat, "{a,a}|I") == World(cat.transcript(["a"]), Guilt.INNOCENT)
 
     def test_non_string_keys_rejected(self, cat):
+        coarse = atoms_of_generated_algebra(full_world_space(cat), [guilt_event(cat)])
         for bad in (1, None, ["{}|G"], {"{}|G": 1}):
             with pytest.raises(ParseError):
                 parse_world_key(cat, bad)
+            # also inside a coarse charge's atoms, whose keys are looked up in one table
+            doc = charge_to_jsonable(cat, Charge.uniform_on_atoms(coarse))
+            doc["atoms"][1].insert(1, bad)
+            with pytest.raises(ParseError) as got:
+                charge_from_jsonable(doc)
+            assert str(got.value) == f"world key must be a string, got {bad!r}"
 
     def test_same_size_catalogs_in_turn_get_their_own_keys(self, rng):
         first, flipped, other = ("a", "b", "c"), ("c", "b", "a"), ("x", "y", "z")
@@ -256,6 +263,16 @@ class TestDispositionFormat:
     def test_foreign_labels_rejected(self):
         with pytest.raises(ParseError):
             disposition_from_jsonable({"catalog": ["a"], "convicting": [["b"]]})
+
+    @pytest.mark.parametrize(
+        "entry,shown",
+        [(["a", "c"], "'c'"), (["a", ["b"]], "['b']"), (["b", {"a": 1}, "a"], "{'a': 1}")],
+    )
+    def test_a_label_not_in_the_catalog_is_named(self, entry, shown):
+        # an unhashable label is not in the catalog either, never a TypeError
+        with pytest.raises(ParseError) as got:
+            disposition_from_jsonable({"catalog": ["a", "b"], "convicting": [["a"], entry]})
+        assert str(got.value) == f"bad convicting transcript: label {shown} is not in the catalog"
 
     @pytest.mark.parametrize(
         "entry", [[1], [None], [["a"]], [{"a": 1}], [True], [1.5], [10**399], ["c"]]

@@ -37,6 +37,7 @@ from conftest import (
     naive_transcripts,
     naive_world_space,
     oracle_adjoin,
+    oracle_transcript,
 )
 
 
@@ -150,6 +151,32 @@ class TestEvents:
             event_of_transcript(cat, Transcript({5}))
         with pytest.raises(ForeignTestimony):
             cat.transcript(["nope"])
+
+    def test_label_lookup_matches_the_index_oracle(self, rng):
+        """Random label sets, repeats and foreign labels included, give the
+        same transcript, or the same error, as a label-by-label lookup."""
+        foreign = ("zz", "", "T0", ["t0"], {"t0": 1}, ("t0",), 0, None, 1.5)
+
+        def outcome(build, cat, labels):
+            try:
+                transcript = build(cat, labels)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return type(transcript), transcript
+
+        for n in range(9):
+            cat = catalog(n)
+            for _ in range(60):
+                labels = [rng.choice(cat.labels) for _ in range(rng.randrange(2 * n + 1))]
+                if rng.random() < 0.3:
+                    labels.insert(rng.randrange(len(labels) + 1), rng.choice(foreign))
+                expected = outcome(oracle_transcript, cat, labels)
+                for given in (labels, tuple(labels), iter(labels)):
+                    assert outcome(TestimonyCatalog.transcript, cat, given) == expected
+                for label in labels:
+                    assert outcome(TestimonyCatalog.index, cat, label) == outcome(
+                        lambda c, lbl: oracle_transcript(c, [lbl]).bit_length() - 1, cat, label
+                    )
 
     def test_guilt_event_small(self):
         cat = catalog(1)
