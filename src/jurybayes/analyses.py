@@ -357,15 +357,20 @@ class RatioBoundedPrior:
 
     ``posteriors[k]`` is the guilt posterior after the first k
     testimonies, read from ``charge``'s masses by suffix sums (index 0
-    is the prior);
-    ``chain[k-1]`` is the k-th cumulative heard-event.
+    is the prior).
     """
 
     catalog: TestimonyCatalog
     config: RateBoundConfig
     charge: Charge
-    chain: tuple[frozenset, ...]
     posteriors: tuple[Fraction, ...]
+
+    @property
+    def chain(self) -> tuple[frozenset, ...]:
+        """(H_1, ..., H_m): ``chain[k-1]`` is the k-th cumulative heard-event,
+        the union of the charge's atoms 2k onward."""
+        atoms = self.charge.algebra.atoms
+        return tuple(frozenset().union(*atoms[k:]) for k in range(2, len(atoms), 2))
 
     @property
     def ratios(self) -> tuple[Fraction, ...]:
@@ -394,7 +399,7 @@ def build_ratio_bounded_convicting_prior(
     prescription and every preserved earlier value is exact.
     """
     from .charges import Charge
-    from .worlds import heard_prefix_chain
+    from .worlds import heard_prefix_algebra
 
     count = min_convicting_testimony_count(config)
     if len(catalog) < count.steps:
@@ -416,9 +421,10 @@ def build_ratio_bounded_convicting_prior(
     # greedy_fill then fills the cut tails with theta_k * s and
     # (1 - theta_k) * s, each at most half the tail, and layer H_{k-1} - H_k
     # keeps the rest.  The atoms in canonical order are the layers in
-    # turn, guilty part first, then the tails of H_m (``heard_prefix_chain``
-    # reads each as a stride slice of the world space); the posterior trail
-    # is read back from these masses by suffix sums, not measured.
+    # turn, guilty part first, then the tails of H_m (``heard_prefix_algebra``
+    # reads each as a stride slice of the world space), so H_k is the union
+    # of atoms 2k onward: the posterior trail is read back from these masses
+    # by suffix sums, not measured, and ``chain`` is read from the atoms.
     growth = 1 + config.gamma
     masses: list[Fraction] = []
     tail_g = tail_i = target = HALF
@@ -430,14 +436,12 @@ def build_ratio_bounded_convicting_prior(
         tail_g, tail_i = inside_g, inside_i
     masses += (tail_g, tail_i)
 
-    chain, algebra = heard_prefix_chain(catalog, count.steps)
-    charge = Charge(algebra, tuple(masses))
+    charge = Charge(heard_prefix_algebra(catalog, count.steps), tuple(masses))
 
-    # H_k is the union of atoms 2k onward, so P(G & H_k) and P(H_k) are
-    # the suffix sums of masses[2k::2] and masses[2k:].  H_k holds the
-    # tails of H_m, theta_m * s and (1 - theta_m) * s with s > 0, so
-    # P(H_k) > 0: no conditioning event is null, and ZeroConditioningEvent
-    # cannot arise here.
+    # P(G & H_k) and P(H_k) are the suffix sums of masses[2k::2] and
+    # masses[2k:].  H_k holds the tails of H_m, theta_m * s and
+    # (1 - theta_m) * s with s > 0, so P(H_k) > 0: no conditioning event
+    # is null, and ZeroConditioningEvent cannot arise here.
     trail: list[Fraction] = []
     guilty = heard_mass = Fraction(0)
     for k in range(2 * count.steps, -1, -2):
@@ -448,6 +452,5 @@ def build_ratio_bounded_convicting_prior(
         catalog=catalog,
         config=config,
         charge=charge,
-        chain=chain,
         posteriors=tuple(reversed(trail)),
     )

@@ -97,18 +97,25 @@ def always_convict_nonempty(catalog: TestimonyCatalog) -> Disposition:
 
 @dataclass(frozen=True)
 class RationalizationCertificate:
-    """A prior certified to reproduce a disposition at threshold theta.
-
-    ``posteriors`` holds the construction's exact per-transcript guilt
-    posteriors: theta on convicting transcripts, 1-theta on acquitting
-    ones.  ``verify_rationalization`` recomputes them independently.
-    """
+    """A prior certified to reproduce a disposition at threshold theta."""
 
     disposition: Disposition
     theta: Fraction
     prior: Charge
     guilt_prior: Fraction
-    posteriors: dict[Transcript, Fraction]
+
+    @property
+    def posteriors(self) -> dict[Transcript, Fraction]:
+        """The construction's exact guilt posterior per transcript, in
+        canonical order: theta on convicting transcripts, 1-theta on
+        acquitting ones.  ``verify_rationalization`` recomputes them
+        independently from the prior."""
+        convicting, theta = self.disposition.convicting, self.theta
+        acquit_theta = 1 - theta
+        return {
+            t: theta if t in convicting else acquit_theta
+            for t in self.disposition.catalog.all_transcripts()
+        }
 
 
 @dataclass(frozen=True)
@@ -160,14 +167,8 @@ def rationalize(
     acquit_pair = (acquit_theta / (2 * n_acquit), theta / (2 * n_acquit))
 
     masses: list[Fraction] = []
-    posteriors: dict[Transcript, Fraction] = {}
     for t in catalog.all_transcripts():
-        if t in convicting:
-            masses += convict_pair
-            posteriors[t] = theta
-        else:
-            masses += acquit_pair
-            posteriors[t] = acquit_theta
+        masses += convict_pair if t in convicting else acquit_pair
     # world_algebra's atoms come in canonical order: transcripts in the
     # order of all_transcripts(), each guilty world before its innocent one
     prior = Charge(world_algebra(catalog), tuple(masses))
@@ -176,7 +177,6 @@ def rationalize(
         theta=theta,
         prior=prior,
         guilt_prior=HALF,
-        posteriors=posteriors,
     )
 
 

@@ -44,15 +44,6 @@ def _check_labels(labels: Iterable[str]) -> None:
             )
 
 
-def world_key(catalog: TestimonyCatalog, world: World) -> str:
-    if not isinstance(world, World):
-        raise TypeError(f"world keys name trial worlds, got {world!r}")
-    keys = _key_table(catalog).keys
-    if world >= len(keys):  # a world's code is its position in the canonical order
-        catalog.transcript_labels(world.transcript)  # raises ForeignTestimony
-    return keys[world]
-
-
 def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
     if not isinstance(key, str):
         raise ParseError(f"world key must be a string, got {key!r}")
@@ -136,11 +127,10 @@ def _require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str]
 
 def disposition_to_jsonable(disposition: Disposition) -> dict[str, Any]:
     catalog = disposition.catalog
-    _check_labels(catalog.labels)
-    convicting = sorted(disposition.convicting, key=lambda t: t.mask)
+    labels = _key_table(catalog).transcripts  # indexed by transcript; checks the labels
     return {
         "catalog": list(catalog.labels),
-        "convicting": [list(catalog.transcript_labels(t)) for t in convicting],
+        "convicting": [list(labels[t]) for t in sorted(disposition.convicting)],
         "default": "acquit",
     }
 
@@ -276,20 +266,18 @@ def charge_document_from_jsonable(
 def certificate_to_jsonable(certificate: RationalizationCertificate) -> dict[str, Any]:
     catalog = certificate.disposition.catalog
     convicting = certificate.disposition.convicting
-    posteriors = certificate.posteriors
-    render = _rational_formatter()
-    convict, acquit = Verdict.CONVICT.value, Verdict.ACQUIT.value
-    rows = [
-        {
-            "transcript": list(labels),
-            "verdict": convict if transcript in convicting else acquit,
-            "posterior": render(posteriors[transcript]),
-        }
-        for transcript, labels in zip(catalog.all_transcripts(), _key_table(catalog).transcripts)
-    ]
+    transcripts = _key_table(catalog).transcripts  # indexed by transcript; checks the labels
+    # the certificate's posterior: theta where it convicts, 1-theta where it acquits
+    theta = format_rational(certificate.theta)
+    convict = (Verdict.CONVICT.value, theta)
+    acquit = (Verdict.ACQUIT.value, format_rational(1 - certificate.theta))
+    rows = []
+    for transcript, labels in enumerate(transcripts):
+        verdict, posterior = convict if transcript in convicting else acquit
+        rows.append({"transcript": list(labels), "verdict": verdict, "posterior": posterior})
     return {
         "catalog": list(catalog.labels),
-        "theta": format_rational(certificate.theta),
+        "theta": theta,
         "guilt_prior": format_rational(certificate.guilt_prior),
         "posteriors": rows,
         "prior": charge_to_jsonable(catalog, certificate.prior),

@@ -51,13 +51,13 @@ class Guilt(enum.Enum):
 # canonical order (transcripts in binary counting order, guilty before
 # innocent) is integer order.  A set of worlds fixed by the low bits of
 # the code is then a stride slice of the world tuple, which is how
-# heard_prefix_chain reads the heard-events of a testimony prefix and
-# their layers.  Outside this module the layout is relied on only through
+# heard_prefix_algebra reads the layers of a testimony prefix's
+# heard-events.  Outside this module the layout is relied on only through
 # world_algebra's is_world_powerset flag and require_world_ground.
 #
 # Three builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
-# atoms are the cached world tuple's worlds one by one; heard_prefix_chain,
+# atoms are the cached world tuple's worlds one by one; heard_prefix_algebra,
 # whose layers and tail hold every world exactly once (by the lowest clear
 # bit of its mask); and BooleanSubalgebra.split, the one pass that adjoins
 # a set, since splitting every block of a partition by one set leaves a
@@ -277,17 +277,14 @@ def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[
     return frozenset(w for w in full_world_space(catalog) if w >> 1 & transcript == transcript)
 
 
-def heard_prefix_chain(
-    catalog: TestimonyCatalog, steps: int
-) -> tuple[tuple[frozenset[World], ...], "BooleanSubalgebra"]:
-    """The heard-events of the first testimonies and the algebra they generate.
+def heard_prefix_algebra(catalog: TestimonyCatalog, steps: int) -> "BooleanSubalgebra":
+    """The algebra the heard-events of the first testimonies generate with guilt.
 
-    Returns the chain (H_1, ..., H_m) for m = ``steps``, where H_k is
-    ``heard_event(catalog, Transcript(range(k)))``, and the algebra this
-    chain generates together with the guilt event, on the world space.
-    Its 2m + 2 atoms are each layer H_(j-1) - H_j (H_0 is the world
-    space) split into its guilty and innocent part, j = 1..m, then the
-    tail H_m split likewise, in canonical order.
+    For m = ``steps``, H_k is ``heard_event(catalog, Transcript(range(k)))``
+    and H_0 the world space.  The 2m + 2 atoms are each layer
+    H_(j-1) - H_j split into its guilty and innocent part, j = 1..m, then
+    the tail H_m split likewise, in canonical order, so H_k is the union
+    of atoms 2k onward.
     """
     catalog._check_transcript(Transcript(range(steps)))
     ws = full_world_space(catalog)
@@ -296,10 +293,6 @@ def heard_prefix_chain(
     # H_(j-1) - H_j also has bit j-1 of the mask clear, i.e. the codes
     # 2^j - 2 + g modulo 2^(j+1).  Each set is a stride slice per guilt
     # value, and the slices' first codes increase along the atoms.
-    chain = tuple(
-        frozenset(ws[stride - 2 :: stride] + ws[stride - 1 :: stride])
-        for stride in (2 << k for k in range(1, steps + 1))
-    )
     # (first code, stride) of each layer's guilty part, then of the tail's.
     # A mask whose lowest clear bit is j - 1 < m lies in layer j alone, and
     # a mask with its m low bits set in the tail, so the atoms partition
@@ -309,7 +302,7 @@ def heard_prefix_chain(
     atoms = tuple(
         frozenset(ws[first + g :: stride]) for first, stride in parts for g in (0, 1)
     )
-    return chain, BooleanSubalgebra._unchecked(ws, world_set(catalog), atoms)
+    return BooleanSubalgebra._unchecked(ws, world_set(catalog), atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +432,7 @@ def _world_algebra(n: int) -> BooleanSubalgebra:
 def require_world_ground(algebra: BooleanSubalgebra, catalog: TestimonyCatalog) -> None:
     """CatalogMismatch unless the algebra's ground is the catalog's world space.
 
-    ``world_algebra`` and ``heard_prefix_chain`` build on the cached world
+    ``world_algebra`` and ``heard_prefix_algebra`` build on the cached world
     set and ``split`` children share their parent's, so identity settles most.
     """
     ground_set = algebra.ground_set

@@ -45,7 +45,7 @@ from jurybayes.scoring import (
     _require_same_ground,
     expected_score,
 )
-from jurybayes.serialize import catalog_from_jsonable
+from jurybayes.serialize import _check_labels, catalog_from_jsonable
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -340,9 +340,10 @@ def oracle_rationalize_prior(disposition: Disposition, theta: Fraction) -> Charg
 
 def oracle_ratio_bounded_prior(
     catalog: TestimonyCatalog, config: RateBoundConfig
-) -> RatioBoundedPrior:
+) -> tuple[RatioBoundedPrior, tuple[frozenset, ...]]:
     """The ratio-bounded convicting prior built step by step: one
-    ``extend_conditional`` per nested heard-event."""
+    ``extend_conditional`` per nested heard-event.  Returned with the
+    chain of those heard-events, each found by ``heard_event``."""
     count = min_convicting_testimony_count(config)
     if len(catalog) < count.steps:
         raise CatalogTooSmall(
@@ -366,13 +367,13 @@ def oracle_ratio_bounded_prior(
         chain.append(heard)
         charge = charge.extend_conditional(guilt, heard, target, strict=False)
 
-    return RatioBoundedPrior(
+    prior = RatioBoundedPrior(
         catalog=catalog,
         config=config,
         charge=charge,
-        chain=tuple(chain),
         posteriors=oracle_ratio_bounded_trail(charge, chain, guilt),
     )
+    return prior, tuple(chain)
 
 
 def oracle_ratio_bounded_trail(
@@ -455,16 +456,30 @@ def oracle_charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict
     return doc
 
 
+def oracle_disposition_to_jsonable(disposition: Disposition) -> dict:
+    """A disposition document with the labels of each convicting
+    transcript found through ``catalog.transcript_labels``."""
+    catalog = disposition.catalog
+    _check_labels(catalog.labels)
+    convicting = sorted(disposition.convicting, key=lambda t: t.mask)
+    return {
+        "catalog": list(catalog.labels),
+        "convicting": [list(catalog.transcript_labels(t)) for t in convicting],
+        "default": "acquit",
+    }
+
+
 def oracle_certificate_to_jsonable(certificate: RationalizationCertificate) -> dict:
     """A certificate document with one ``verdict()`` call and one
     ``format_rational`` call per row."""
     disposition = certificate.disposition
     catalog = disposition.catalog
+    posteriors = certificate.posteriors
     rows = [
         {
             "transcript": list(catalog.transcript_labels(t)),
             "verdict": disposition.verdict(t).value,
-            "posterior": format_rational(certificate.posteriors[t]),
+            "posterior": format_rational(posteriors[t]),
         }
         for t in catalog.all_transcripts()
     ]

@@ -21,7 +21,7 @@ from jurybayes.worlds import (
     full_world_space,
     guilt_event,
     heard_event,
-    heard_prefix_chain,
+    heard_prefix_algebra,
     is_expressible,
     is_logically_independent,
     powerset_algebra,
@@ -214,10 +214,11 @@ class TestEvents:
         cat = catalog(n)
         guilt = guilt_event(cat)
         for m in steps:
-            chain, algebra = heard_prefix_chain(cat, m)
+            algebra = heard_prefix_algebra(cat, m)
             atoms = algebra.atoms
             heard = tuple(heard_event(cat, Transcript(range(k))) for k in range(1, m + 1))
-            assert chain == heard
+            # H_k is the union of atoms 2k onward
+            assert tuple(frozenset().union(*atoms[2 * k :]) for k in range(1, m + 1)) == heard
             nested = (world_set(cat), *heard)  # H_0, H_1, ..., H_m
             layers = [outer - inner for outer, inner in zip(nested, heard)] + [nested[-1]]
             assert atoms == tuple(
@@ -230,7 +231,7 @@ class TestEvents:
     def test_heard_prefix_chain_algebra_is_a_partition_of_the_world_space(self, n):
         cat = catalog(n)
         for m in range(n + 1):
-            _, algebra = heard_prefix_chain(cat, m)
+            algebra = heard_prefix_algebra(cat, m)
             assert algebra.ground is full_world_space(cat)
             assert algebra.ground_set is world_set(cat)
             assert len(algebra.atoms) == 2 * m + 2
@@ -238,9 +239,9 @@ class TestEvents:
 
     def test_heard_prefix_chain_refuses_steps_outside_the_catalog(self):
         with pytest.raises(ForeignTestimony):
-            heard_prefix_chain(catalog(3), 4)
+            heard_prefix_algebra(catalog(3), 4)
         with pytest.raises(ForeignTestimony):
-            heard_prefix_chain(catalog(3), WORLD_CAP_CEILING + 1)
+            heard_prefix_algebra(catalog(3), WORLD_CAP_CEILING + 1)
 
     def test_heard_event_is_upward_closure(self):
         cat = catalog(2)
@@ -420,7 +421,7 @@ class TestAdjoin:
             assert keys == sorted(keys)
             algebra = child
         cat = catalog(4)
-        _, built = heard_prefix_chain(cat, 3)
+        built = heard_prefix_algebra(cat, 3)
         assert built.ground is full_world_space(cat)
         assert built.ground_set is world_set(cat)
 
