@@ -109,21 +109,17 @@ class Charge:
     def measure(self, event: AbstractSet) -> Fraction:
         """Probability of an event expressible in the algebra.
 
-        One pass over the atoms collects the masses of those inside the
-        event.  The atoms partition the ground, so they cover the event
-        unless it cuts an atom, which raises NotExpressible.
+        The algebra's ``cover`` names the atoms inside the event, whose
+        masses are summed, and the atoms it cuts: any such atom raises
+        NotExpressible.
         """
         event = frozenset(event)
         if not event <= self.algebra.ground_set:
             raise NotExpressible("event contains elements outside the ground set")
-        inside, covered = [], 0
-        for atom, m in zip(self.algebra.atoms, self.masses):
-            if atom <= event:
-                inside.append(m)
-                covered += len(atom)
-        if covered != len(event):
+        inside, cut = self.algebra.cover(event)
+        if cut:
             raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
-        return fraction_sum(inside)
+        return fraction_sum(map(self.masses.__getitem__, inside))
 
     def conditional(self, target: AbstractSet, given: AbstractSet) -> ConditionalResult:
         """P(target | given) with the conditioning mass attached."""
@@ -140,11 +136,10 @@ class Charge:
         denom = self.measure(event)
         if denom == 0:
             raise ZeroConditioningEvent("conditioning event has measure zero")
-        new = tuple(
-            m / denom if atom <= event else ZERO
-            for atom, m in zip(self.algebra.atoms, self.masses)
-        )
-        return Charge(self.algebra, new)
+        new = [ZERO] * len(self.masses)
+        for i in self.algebra.cover(event)[0]:
+            new[i] = self.masses[i] / denom
+        return Charge(self.algebra, tuple(new))
 
     # -- extension -----------------------------------------------------
 
@@ -159,14 +154,9 @@ class Charge:
         subset = frozenset(subset)
         if not subset <= self.algebra.ground_set:
             raise ValueError("subset contains elements outside the ground set")
-        inner, outer = [], []
-        for atom, m in zip(self.algebra.atoms, self.masses):
-            if atom <= subset:
-                inner.append(m)
-                outer.append(m)
-            elif not atom.isdisjoint(subset):
-                outer.append(m)
-        return fraction_sum(inner), fraction_sum(outer)
+        inside, cut = self.algebra.cover(subset)
+        inner = fraction_sum(map(self.masses.__getitem__, inside))
+        return inner, inner + fraction_sum(map(self.masses.__getitem__, cut))
 
     def extend(self, subset: AbstractSet, value: RationalLike) -> "Charge":
         """Extend to the algebra adjoining ``subset`` with the given value.

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping
 
 from .charges import ZERO, Charge
 from .dispositions import Disposition, RationalizationCertificate, Verdict
@@ -22,13 +23,16 @@ from .worlds import (
     BooleanSubalgebra,
     Guilt,
     TestimonyCatalog,
+    Transcript,
     World,
+    _check_partition,
     event_of_transcript,
     full_world_space,
     guilt_event,
     heard_event,
     require_world_ground,
     world_algebra,
+    world_set,
 )
 
 #: Labels must stay clear of the characters world keys and event specs use.
@@ -63,11 +67,35 @@ def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
     return World(transcript, Guilt(guilt_letter))
 
 
-class _KeyTable(NamedTuple):
-    labels: tuple[str, ...]
-    transcripts: tuple[tuple[str, ...], ...]  # each transcript's labels, in canonical order
-    keys: tuple[str, ...]  # each world's key, in canonical order
-    index: dict[str, int]  # key -> position in the world order and in world_algebra's atoms
+class _KeyTable:
+    """A catalog's canonical label tuples and world keys; each field built on first use."""
+
+    def __init__(self, catalog: TestimonyCatalog) -> None:
+        self.catalog = catalog
+        self.labels = catalog.labels
+
+    @cached_property
+    def transcripts(self) -> tuple[tuple[str, ...], ...]:
+        """Each transcript's labels, in canonical order."""
+        rows: list[tuple[str, ...]] = [()]
+        for label in self.labels:  # appended to every row so far, in canonical order
+            rows += [row + (label,) for row in rows]
+        return tuple(rows)
+
+    @cached_property
+    def by_labels(self) -> dict[tuple[str, ...], Transcript]:
+        """The reverse of ``transcripts``: a canonical label tuple -> its transcript."""
+        return dict(zip(self.transcripts, self.catalog.all_transcripts()))
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        """Each world's key, in canonical order."""
+        return tuple(f"{{{','.join(row)}}}|{guilt}" for row in self.transcripts for guilt in "GI")
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """key -> position in the world order and in world_algebra's atoms."""
+        return {key: i for i, key in enumerate(self.keys)}
 
 
 #: The last-seen catalog's table for each size, like the world caches; never mutated.
@@ -78,12 +106,7 @@ def _key_table(catalog: TestimonyCatalog) -> _KeyTable:
     table = _key_tables.get(len(catalog))
     if table is None or table.labels != catalog.labels:
         _check_labels(catalog.labels)
-        rows: list[tuple[str, ...]] = [()]
-        for label in catalog.labels:  # appended to every row so far, in canonical order
-            rows += [row + (label,) for row in rows]
-        keys = tuple(f"{{{','.join(row)}}}|{guilt}" for row in rows for guilt in "GI")
-        index = {key: i for i, key in enumerate(keys)}
-        table = _key_tables[len(catalog)] = _KeyTable(catalog.labels, tuple(rows), keys, index)
+        table = _key_tables[len(catalog)] = _KeyTable(catalog)
     return table
 
 
@@ -145,6 +168,12 @@ def disposition_from_jsonable(
     raw = obj["convicting"]
     if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(list))):
         raise ParseError('"convicting" must be a list of label lists')
+    # canonical label lists are looked up in one table; when any list is
+    # not, all are read label by label, so the first bad label names the error
+    try:
+        return Disposition(catalog, map(_key_table(catalog).by_labels.__getitem__, map(tuple, raw)))
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        pass
     try:
         return Disposition.from_label_sets(catalog, raw)
     except ForeignTestimony as exc:
@@ -166,26 +195,12 @@ def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, A
         if len(algebra.atoms) != len(algebra.ground):
             doc["atoms"] = atoms
         keys = map(";".join, atoms)
-    doc["masses"] = dict(zip(keys, map(_rational_formatter(), charge.masses)))
+    # a prior repeats few mass objects (a rationalize prior holds four), so
+    # each distinct object is rendered once and the rest looked up by id
+    ids = list(map(id, charge.masses))
+    rendered = {i: format_rational(m) for i, m in dict(zip(ids, charge.masses)).items()}
+    doc["masses"] = dict(zip(keys, map(rendered.__getitem__, ids)))
     return doc
-
-
-def _rational_formatter() -> Callable[[Fraction], str]:
-    """``format_rational`` that renders each distinct value once.
-
-    A prior repeats few values, so the strings are memoized on the
-    value's integers, which hash without a Fraction's modular inverse.
-    """
-    rendered: dict[tuple[int, int], str] = {}
-
-    def render(value: Fraction) -> str:
-        key = value.as_integer_ratio()
-        text = rendered.get(key)
-        if text is None:
-            text = rendered[key] = format_rational(value)
-        return text
-
-    return render
 
 
 def charge_from_jsonable(
@@ -210,12 +225,13 @@ def charge_from_jsonable(
                 atoms.append(frozenset(map(worlds.__getitem__, map(index.__getitem__, raw))))
             except (KeyError, TypeError):  # TypeError: an unhashable key
                 atoms.append(frozenset(parse_world_key(catalog, key) for key in raw))
+        # an empty atom has no first world; the partition check rejects it
+        ordered = tuple(sorted(atoms, key=lambda atom: min(atom, default=-1)))
         try:
-            # an empty atom has no first world; the partition check rejects it
-            ordered = sorted(atoms, key=lambda atom: min(atom, default=-1))
-            algebra = BooleanSubalgebra(worlds, tuple(ordered))
+            _check_partition(ordered, world_set(catalog))
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
+        algebra = BooleanSubalgebra._unchecked(worlds, world_set(catalog), ordered)
         names = map(";".join, _atom_world_keys(catalog, algebra))
         key_to_index = {name: i for i, name in enumerate(names)}
     else:

@@ -53,7 +53,9 @@ class Guilt(enum.Enum):
 # the code is then a stride slice of the world tuple, which is how
 # heard_prefix_algebra reads the layers of a testimony prefix's
 # heard-events.  Outside this module the layout is relied on only through
-# world_algebra's is_world_powerset flag and require_world_ground.
+# world_algebra's is_world_powerset flag, require_world_ground and
+# BooleanSubalgebra.cover, which answers a world powerset from the world
+# codes: its atom i is the world with code i.
 #
 # Three builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
@@ -358,6 +360,37 @@ class BooleanSubalgebra:
     def atom_sort_key(self, atom: frozenset) -> int:
         return min(map(self._position.__getitem__, atom))
 
+    @cached_property
+    def _atom_keys(self) -> tuple[int, ...]:
+        """Each atom's sort key, built on first use; ``split`` hands its children theirs."""
+        if len(self.atoms) == 1:  # the whole ground, which starts at position 0
+            return (0,)
+        return tuple(map(self.atom_sort_key, self.atoms))
+
+    def cover(self, event: AbstractSet) -> tuple[Iterable[int], list[int]]:
+        """The indices of the atoms inside ``event``, and of the atoms it cuts.
+
+        ``event`` must lie within the ground set.  On a world powerset atom
+        i is the world with code i, so the event's worlds are the indices
+        of the atoms inside it and no atom is cut.  Any other algebra takes
+        one pass over its atoms and lists both in atom order.
+        """
+        if self.is_world_powerset:
+            return event, []
+        inside, covered = [], 0
+        for i, atom in enumerate(self.atoms):
+            if atom <= event:
+                inside.append(i)
+                covered += len(atom)
+        # the atoms partition the ground, so unless the event cuts one they
+        # hold all of it; only then are the others scanned for a common element
+        if covered == len(event):
+            return inside, []
+        held = set(inside)
+        return inside, [
+            i for i, atom in enumerate(self.atoms) if i not in held and not atom.isdisjoint(event)
+        ]
+
     def members(self) -> Iterator[frozenset]:
         """All 2^k members.  Exponential; intended for small algebras."""
         for r in range(len(self.atoms) + 1):
@@ -374,16 +407,29 @@ class BooleanSubalgebra:
         """
         event = frozenset(event)
         parts: list[tuple[frozenset, frozenset]] = []
-        for atom in self.atoms:
+        # each child atom by its sort key; an uncut atom, and the part of a
+        # cut one that holds its first element, keep the parent atom's key
+        by_key: dict[int, frozenset] = {}
+        for atom, key in zip(self.atoms, self._atom_keys):
             inside = atom & event
             if len(inside) == len(atom):
                 parts.append((atom, frozenset()))
+            elif not inside:
+                parts.append((inside, atom))
             else:
-                parts.append((inside, atom - inside if inside else atom))
+                outside = atom - inside
+                parts.append((inside, outside))
+                first, other = (inside, outside) if self.ground[key] in inside else (outside, inside)
+                by_key[self.atom_sort_key(other)] = other
+                atom = first
+            by_key[key] = atom
         if sum(len(inside) for inside, _ in parts) != len(event):
             raise ValueError("adjoined set contains elements outside the ground set")
-        atoms = tuple(sorted((p for pair in parts for p in pair if p), key=self.atom_sort_key))
-        child = self._unchecked(self.ground, self._ground_set, atoms, _position=self._position)
+        keys = tuple(sorted(by_key))
+        atoms = tuple(map(by_key.__getitem__, keys))
+        child = self._unchecked(
+            self.ground, self._ground_set, atoms, _position=self._position, _atom_keys=keys
+        )
         return child, parts
 
     def adjoin(self, new_event: AbstractSet) -> "BooleanSubalgebra":
@@ -461,7 +507,7 @@ def is_expressible(event: AbstractSet, algebra: BooleanSubalgebra) -> bool:
     event = frozenset(event)
     if not event <= algebra.ground_set:
         return False
-    return all(atom <= event or atom.isdisjoint(event) for atom in algebra.atoms)
+    return not algebra.cover(event)[1]
 
 
 def is_logically_independent(event: AbstractSet, algebra: BooleanSubalgebra) -> bool:

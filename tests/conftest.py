@@ -31,9 +31,11 @@ from jurybayes.errors import (
     DegeneratePrior,
     ForeignTestimony,
     InvariantViolation,
+    NotExpressible,
     NotIndependent,
     OutOfRange,
     ParseError,
+    ZeroConditioningEvent,
 )
 from jurybayes.rationals import RationalLike, as_rational, format_rational
 from jurybayes.scoring import (
@@ -107,10 +109,51 @@ def as_naive(world: World) -> NaiveWorld:
     return (world.transcript.members, world.guilt)
 
 
+def oracle_cover(algebra: BooleanSubalgebra, event: frozenset) -> tuple[list[int], list[int]]:
+    """The indices of the atoms inside the event and of those it cuts, each
+    atom tested element by element."""
+    inside = [i for i, atom in enumerate(algebra.atoms) if all(e in event for e in atom)]
+    met = [i for i, atom in enumerate(algebra.atoms) if any(e in event for e in atom)]
+    return inside, [i for i in met if i not in inside]
+
+
+def oracle_measure(charge: Charge, event: frozenset) -> Fraction:
+    """The masses of the atoms within the event added one by one;
+    NotExpressible if the event leaves the ground set or cuts an atom."""
+    event = frozenset(event)
+    if not event <= charge.algebra.ground_set:
+        raise NotExpressible("event contains elements outside the ground set")
+    total = Fraction(0)
+    for atom, mass in zip(charge.algebra.atoms, charge.masses):
+        met = atom & event
+        if met and met != atom:
+            raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
+        if met:
+            total += mass
+    return total
+
+
+def oracle_condition(charge: Charge, event: frozenset) -> Charge:
+    """Each atom's mass within the event over the event's mass."""
+    denom = oracle_measure(charge, event)
+    if denom == 0:
+        raise ZeroConditioningEvent("conditioning event has measure zero")
+    return Charge(
+        charge.algebra,
+        tuple(oracle_measure(charge, atom & event) / denom for atom in charge.algebra.atoms),
+    )
+
+
+def oracle_is_expressible(event: frozenset, algebra: BooleanSubalgebra) -> bool:
+    """The event lies in the ground set and equals the union of the atoms it meets."""
+    met = [atom for atom in algebra.atoms if atom & event]
+    return event <= algebra.ground_set and frozenset().union(*met) == event
+
+
 def oracle_inner_outer(charge: Charge, subset: frozenset) -> tuple[Fraction, Fraction]:
     """sup of member measures below, inf of member measures above."""
-    below = [charge.measure(m) for m in charge.algebra.members() if m <= subset]
-    above = [charge.measure(m) for m in charge.algebra.members() if subset <= m]
+    below = [oracle_measure(charge, m) for m in charge.algebra.members() if m <= subset]
+    above = [oracle_measure(charge, m) for m in charge.algebra.members() if subset <= m]
     return max(below), min(above)
 
 

@@ -41,8 +41,10 @@ from conftest import (
     oracle_extend,
     oracle_extend_conditional,
     oracle_extend_conditional_by_sides,
+    oracle_condition,
     oracle_inner_outer,
     oracle_mass_check,
+    oracle_measure,
     random_charge,
     random_masses,
     random_partition,
@@ -124,7 +126,8 @@ class TestMeasure:
 
     def test_world_powerset_path_matches_shuffled_singletons(self, rng):
         """The same masses on ``world_algebra``'s canonical singletons and on
-        shuffled ones measure alike; ``measure`` has no path by world code."""
+        shuffled ones measure alike: the first are read by world code through
+        ``cover``, the second by its atom loop."""
         for n in range(6):
             cat = TestimonyCatalog(f"t{i}" for i in range(n))
             worlds = full_world_space(cat)
@@ -161,6 +164,25 @@ class TestMeasure:
                     assert outcome(ordered.measure, spoiled) == expected
                     assert outcome(ordered.conditional, event, spoiled) == expected
                     assert outcome(ordered.condition, spoiled) == expected
+
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_world_powerset_matches_the_oracles(self, n, rng):
+        cat = TestimonyCatalog(f"t{i}" for i in range(n))
+        worlds = full_world_space(cat)
+        charge = Charge(world_algebra(cat), random_masses(rng, len(worlds)))
+        events = [frozenset(), frozenset(worlds), guilt_event(cat)]
+        events += [frozenset(w for w in worlds if rng.random() < 0.5) for _ in range(8)]
+        for event in events:
+            assert charge.measure(event) == oracle_measure(charge, event)
+            assert outcome(charge.condition, event) == outcome(oracle_condition, charge, event)
+            spoiled = event | {World(Transcript({n}), Guilt.GUILTY)}
+            assert outcome(charge.measure, spoiled) == outcome(oracle_measure, charge, spoiled)
+            assert outcome(charge.condition, spoiled) == outcome(oracle_condition, charge, spoiled)
+            if n <= 2:  # the oracle walks all 2^(2^(n+1)) members
+                assert charge.inner_outer(event) == oracle_inner_outer(charge, event)
+            else:
+                assert charge.inner_outer(event) == (oracle_measure(charge, event),) * 2
 
 
 class TestCondition:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from jurybayes import serialize
 from jurybayes.charges import Charge
 from jurybayes.dispositions import Disposition, RationalizationCertificate, rationalize
-from jurybayes.errors import CatalogMismatch, JuryBayesError, ParseError
+from jurybayes.errors import CatalogMismatch, ForeignTestimony, JuryBayesError, ParseError
 from jurybayes.rationals import as_rational, format_rational
 from jurybayes.serialize import (
     catalog_from_jsonable,
@@ -39,6 +39,7 @@ from jurybayes.worlds import (
     guilt_event,
     powerset_algebra,
     world_algebra,
+    world_set,
 )
 
 from conftest import (
@@ -274,6 +275,53 @@ class TestDispositionFormat:
         with pytest.raises(ParseError, match="bad convicting transcript"):
             disposition_from_jsonable({"catalog": ["a", "b"], "convicting": [entry]})
 
+    def test_reader_matches_the_label_by_label_reader(self, rng, monkeypatch):
+        """Canonical lists are looked up in the key table; any other list is
+        read label by label, with the same result or the same ParseError."""
+        label_by_label = Disposition.from_label_sets
+
+        def expected(cat, convicting):
+            try:
+                return label_by_label(cat, convicting)
+            except ForeignTestimony as exc:
+                return ParseError, f"bad convicting transcript: {exc}"
+
+        def read(cat, convicting, *, looked_up):
+            if looked_up:  # the lookup alone must read these lists
+                monkeypatch.setattr(Disposition, "from_label_sets", None)
+            try:
+                doc = {"catalog": list(cat.labels), "convicting": convicting}
+                return disposition_from_jsonable(doc)
+            except ParseError as exc:
+                return ParseError, str(exc)
+            finally:
+                monkeypatch.undo()
+
+        for n in range(7):
+            # same-size catalogs take turns, so each reads its own key table
+            for labels in ([f"t{i}" for i in range(n)], [f"u{i}" for i in range(n)]):
+                cat = TestimonyCatalog(labels)
+                rows = [[labels[i] for i in range(n) if m >> i & 1] for m in range(1 << n)]
+                canonical = [row for row in rows if rng.random() < 0.5]
+                other = rng.choice(rows) if rows else []
+                cases = [
+                    canonical,
+                    [],
+                    [[]],
+                    canonical + [other[::-1]],  # permuted
+                    canonical + [other + other[:1]] + [other],  # a repeated label and list
+                    canonical + [other + ["z"]],  # foreign
+                    canonical + [other + ["t0" if n == 0 else labels[0].upper()]],  # case
+                    [other + [1]] + canonical,  # not a string
+                    canonical + [other + [None]],
+                    canonical + [[True]],
+                    canonical + [other + [["t0"]]],  # unhashable
+                    [[{"t0": 1}]] + canonical,
+                ]
+                for i, convicting in enumerate(cases):
+                    got = read(cat, convicting, looked_up=i < 3)
+                    assert got == expected(cat, convicting)
+
     def test_shape_errors(self):
         with pytest.raises(ParseError):
             disposition_from_jsonable(["not", "an", "object"])
@@ -340,6 +388,24 @@ class TestChargeFormat:
         }
         with pytest.raises(ParseError):
             charge_from_jsonable(bad_atoms)  # atoms miss half the world space
+
+    def test_bad_atom_partitions_keep_their_messages(self, cat):
+        keys = written_keys(cat)
+        cases = [
+            ([[], keys], "atoms must be nonempty"),
+            ([keys[:5], keys[4:]], "atoms must partition the ground set"),  # an overlap
+            ([keys[:4], keys[5:]], "atoms must partition the ground set"),  # a gap
+        ]
+        for atoms, message in cases:
+            doc = {"catalog": list(cat.labels), "atoms": atoms, "masses": {}}
+            with pytest.raises(ParseError) as got:
+                charge_from_jsonable(doc)
+            assert str(got.value) == f"bad atom partition: {message}"
+        # a valid partition is built on the cached world set, not a copy of it
+        atoms = [keys[:5], keys[5:]]
+        doc = {"catalog": list(cat.labels), "atoms": atoms, "masses": {";".join(keys[:5]): "1"}}
+        _, charge = charge_from_jsonable(doc)
+        assert charge.algebra.ground_set is world_set(cat)
 
     def test_cached_world_algebra_serializes_like_any_point_algebra(self, rng):
         for n in range(4):

@@ -37,7 +37,10 @@ from conftest import (
     naive_transcripts,
     naive_world_space,
     oracle_adjoin,
+    oracle_cover,
+    oracle_is_expressible,
     oracle_transcript,
+    random_partition,
 )
 
 
@@ -342,6 +345,52 @@ class TestExpressibility:
         assert not is_expressible({9}, algebra)
 
 
+def cover_cases(rng, n):
+    """World powerset, shuffled and plain-int powersets, and coarse algebras
+    over the world space of ``n`` testimonies."""
+    cat = catalog(n)
+    worlds = full_world_space(cat)
+    shuffled = list(world_algebra(cat).atoms)
+    rng.shuffle(shuffled)
+    heard = heard_event(cat, Transcript(i for i in range(n) if rng.random() < 0.5))
+    return [
+        world_algebra(cat),
+        BooleanSubalgebra(worlds, tuple(shuffled)),
+        powerset_algebra(range(len(worlds))),  # plain ints equal to the world codes
+        atoms_of_generated_algebra(worlds, [guilt_event(cat), heard]),
+        heard_prefix_algebra(cat, rng.randrange(n + 1)),
+        BooleanSubalgebra(worlds, random_partition(rng, worlds, min_block=2)),
+    ]
+
+
+class TestCover:
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_the_atom_by_atom_oracle(self, n, rng):
+        for algebra in cover_cases(rng, n):
+            ground = algebra.ground
+            events = [frozenset(), algebra.ground_set]
+            for _ in range(8):
+                share = rng.random()
+                events.append(frozenset(e for e in ground if rng.random() < share))
+                events.append(frozenset().union(*(a for a in algebra.atoms if rng.random() < 0.5)))
+            for event in events:
+                inside, cut = algebra.cover(event)
+                assert (sorted(inside), cut) == oracle_cover(algebra, event)
+                assert is_expressible(event, algebra) == oracle_is_expressible(event, algebra)
+                spoiled = event | {"x"}
+                assert is_expressible(spoiled, algebra) is False
+                assert oracle_is_expressible(spoiled, algebra) is False
+
+    def test_only_world_algebra_answers_by_world_code(self, rng):
+        cat = catalog(3)
+        event = heard_event(cat, Transcript({1}))
+        inside, cut = world_algebra(cat).cover(event)
+        assert inside is event and cut == []
+        for algebra in cover_cases(rng, 3)[1:]:
+            assert not algebra.is_world_powerset
+            assert algebra.cover(event)[0] == oracle_cover(algebra, event)[0]
+
+
 class TestLogicalIndependence:
     def test_crossing_set_is_independent(self):
         algebra = atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}])
@@ -455,6 +504,8 @@ class TestAdjoin:
             child, parts = algebra.split(event)
             _check_partition(child.atoms, world_set(cat))
             assert child == oracle_adjoin(algebra, event)
+            # the keys split hands on are those a fresh pass computes
+            assert child._atom_keys == tuple(map(child.atom_sort_key, child.atoms))
             assert len(parts) == len(algebra.atoms)
             for atom, (inside, outside) in zip(algebra.atoms, parts):
                 assert (inside, outside) == (atom & event, atom - event)
