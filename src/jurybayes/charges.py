@@ -113,13 +113,17 @@ class Charge:
         masses are summed, and the atoms it cuts: any such atom raises
         NotExpressible.
         """
+        return fraction_sum(map(self.masses.__getitem__, self._inside(event)))
+
+    def _inside(self, event: AbstractSet) -> Iterable[int]:
+        """The indices of the atoms inside an event; NotExpressible unless it is their union."""
         event = frozenset(event)
         if not event <= self.algebra.ground_set:
             raise NotExpressible("event contains elements outside the ground set")
         inside, cut = self.algebra.cover(event)
         if cut:
             raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
-        return fraction_sum(map(self.masses.__getitem__, inside))
+        return inside
 
     def conditional(self, target: AbstractSet, given: AbstractSet) -> ConditionalResult:
         """P(target | given) with the conditioning mass attached."""
@@ -131,13 +135,17 @@ class Charge:
         return ConditionalResult(num / denom, denom)
 
     def condition(self, event: AbstractSet) -> "Charge":
-        """The posterior charge given an event of positive measure."""
-        event = frozenset(event)
-        denom = self.measure(event)
+        """The posterior charge given an event of positive measure.
+
+        One ``cover`` call names the atoms inside the event, and their
+        masses are divided by their sum.
+        """
+        inside = self._inside(event)
+        denom = fraction_sum(map(self.masses.__getitem__, inside))
         if denom == 0:
             raise ZeroConditioningEvent("conditioning event has measure zero")
         new = [ZERO] * len(self.masses)
-        for i in self.algebra.cover(event)[0]:
+        for i in inside:
             new[i] = self.masses[i] / denom
         return Charge(self.algebra, tuple(new))
 

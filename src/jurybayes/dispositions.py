@@ -13,25 +13,19 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter, eq
+from operator import eq
 from typing import Iterable, Iterator
 
-from .charges import ZERO, Charge
-from .errors import (
-    AxiomViolation,
-    NotExpressible,
-    ThetaOutOfRange,
-    ZeroTranscriptMass,
-)
+from .charges import Charge
+from .errors import AxiomViolation, ThetaOutOfRange, ZeroTranscriptMass
 from .rationals import RationalLike, as_rational, format_rational
 from .worlds import (
     EMPTY_TRANSCRIPT,
-    Guilt,
     TestimonyCatalog,
     Transcript,
-    World,
     guilt_event,
     require_world_ground,
+    transcript_masses,
     world_algebra,
 )
 
@@ -180,73 +174,24 @@ def rationalize(
     )
 
 
-def _transcript_parts(
-    prior: Charge, catalog: TestimonyCatalog | None = None
-) -> Iterator[tuple[Transcript, Fraction, Fraction]]:
-    """Yield (T, P(E_T ∩ G), P(E_T ∩ ¬G)) for every transcript T.
-
-    The one per-transcript kernel: each part is one of the prior's own
-    atom masses, or zero, and nothing is added or divided, so callers
-    can work on the parts' integers.  Order, laziness and errors are
-    those documented on ``transcript_posteriors``.
-    """
-    algebra = prior.algebra
-    if catalog is not None:
-        require_world_ground(algebra, catalog)
-        order: Iterable[Transcript] = catalog.all_transcripts()
-    if algebra.is_world_powerset:
-        # one atom per world, canonical order: guilty then innocent per transcript
-        masses = prior.masses
-        if catalog is None:
-            order = map(attrgetter("transcript"), algebra.ground[0::2])
-        yield from zip(order, masses[0::2], masses[1::2])
-        return
-    if catalog is None:
-        first_seen: dict[Transcript, None] = {}
-        for world in algebra.ground:
-            if not isinstance(world, World):
-                raise TypeError("transcript posteriors need a charge over trial worlds")
-            first_seen[world.transcript] = None
-        order = first_seen
-    guilty: dict[Transcript, Fraction] = {}
-    innocent: dict[Transcript, Fraction] = {}
-    cut: set[Transcript] = set()
-    for atom, m in zip(algebra.atoms, prior.masses):
-        if len(atom) == 1:
-            (world,) = atom
-            side = guilty if world.guilt is Guilt.GUILTY else innocent
-            side[world.transcript] = m
-            continue
-        members = {w.transcript for w in atom}
-        # an atom across transcripts, or one transcript's two worlds with positive mass
-        if len(members) > 1 or m:
-            cut |= members
-    for transcript in order:
-        if transcript in cut:
-            raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
-        yield transcript, guilty.get(transcript, ZERO), innocent.get(transcript, ZERO)
-
-
 def transcript_posteriors(
     prior: Charge, catalog: TestimonyCatalog | None = None
 ) -> Iterator[tuple[Transcript, Fraction, Fraction]]:
     """Yield (T, P(E_T), P(E_T ∩ G)) for every transcript T.
 
-    One pass over the prior's atoms sorts them by transcript; the rows
-    are then yielded lazily, so an error surfaces at the transcript the
-    per-event ``measure`` path would have reached it.  With a catalog the
-    prior must live on its world space (CatalogMismatch otherwise) and
+    The rows are read from ``worlds.transcript_masses`` and yielded
+    lazily, so an error surfaces at the transcript the per-event
+    ``measure`` path would have reached it.  With a catalog the prior
+    must live on its world space (CatalogMismatch otherwise) and
     transcripts come in canonical order; without one every ground
     element must be a World (TypeError otherwise) and transcripts come in
     ground order.  NotExpressible is raised on reaching a transcript
     whose event cuts through an atom, or, when that event has positive
     mass, whose guilty and innocent worlds share an atom.  A zero-mass
-    transcript yields (T, 0, 0).  A prior on ``world_algebra`` (every
-    ``rationalize`` prior, and every charge parsed without atoms) is read
-    pairwise from its masses; any other prior, whatever its shape, takes
-    the pass over its atoms.
+    transcript yields (T, 0, 0).
     """
-    for transcript, guilty, innocent in _transcript_parts(prior, catalog):
+    rows = zip(*transcript_masses(prior.algebra, prior.masses, catalog))
+    for transcript, guilty, innocent in rows:
         yield transcript, guilty + innocent, guilty
 
 
@@ -282,7 +227,8 @@ def verify_rationalization(
     decided: dict[tuple[int, int, int, int], tuple[Fraction, bool]] = {}
     posteriors: dict[Transcript, Fraction] = {}
     witness: Transcript | None = None
-    for transcript, guilty, innocent in _transcript_parts(prior, catalog):
+    rows = zip(*transcript_masses(prior.algebra, prior.masses, catalog))
+    for transcript, guilty, innocent in rows:
         key = guilty.as_integer_ratio() + innocent.as_integer_ratio()
         known = decided.get(key)
         if known is None:
@@ -307,16 +253,13 @@ def is_open_door(prior: Charge) -> bool:
     """True iff no positive-mass transcript pins guilt to 0 or 1.
 
     Guilt is pinned exactly when one of the transcript's guilty and
-    innocent masses is zero and the other is not.  A prior on
-    ``world_algebra`` is read pairwise from its masses.
+    innocent masses is zero and the other is not.  Transcripts are read
+    in ground order and the first pinned one answers, so NotExpressible
+    (see ``transcript_posteriors``) is raised only when a transcript that
+    cannot be read comes before every pinned one.
     """
-    if prior.algebra.is_world_powerset:
-        masses = prior.masses
-        return all(map(eq, map(bool, masses[0::2]), map(bool, masses[1::2])))
-    for _, guilty, innocent in _transcript_parts(prior):
-        if bool(guilty) != bool(innocent):
-            return False
-    return True
+    _, guilty, innocent = transcript_masses(prior.algebra, prior.masses)
+    return all(map(eq, map(bool, guilty), map(bool, innocent)))
 
 
 def posner_even_odds_prior(catalog: TestimonyCatalog, theta: RationalLike) -> Charge:

@@ -26,6 +26,7 @@ from .worlds import (
     Transcript,
     World,
     _check_partition,
+    atom_names,
     event_of_transcript,
     full_world_space,
     guilt_event,
@@ -110,12 +111,6 @@ def _key_table(catalog: TestimonyCatalog) -> _KeyTable:
     return table
 
 
-def _atom_world_keys(catalog: TestimonyCatalog, algebra: BooleanSubalgebra) -> list[list[str]]:
-    """Each atom's world keys, in world order, so atom keys are byte-stable."""
-    world_keys = _key_table(catalog).keys  # a world's code is its position here
-    return [[world_keys[w] for w in sorted(atom)] for atom in algebra.atoms]
-
-
 # ---------------------------------------------------------------------------
 # Catalogs.
 
@@ -188,13 +183,10 @@ def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, A
     algebra = charge.algebra
     require_world_ground(algebra, catalog)
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
-    keys: Iterable[str] = _key_table(catalog).keys
-    if not algebra.is_world_powerset:
-        atoms = _atom_world_keys(catalog, algebra)
-        # the atoms partition the ground, so equal counts mean all singletons
-        if len(algebra.atoms) != len(algebra.ground):
-            doc["atoms"] = atoms
-        keys = map(";".join, atoms)
+    keys, atoms = atom_names(algebra, _key_table(catalog).keys)
+    # the atoms partition the ground, so equal counts mean all singletons
+    if len(algebra.atoms) != len(algebra.ground):
+        doc["atoms"] = atoms
     # a prior repeats few mass objects (a rationalize prior holds four), so
     # each distinct object is rendered once and the rest looked up by id
     ids = list(map(id, charge.masses))
@@ -232,7 +224,7 @@ def charge_from_jsonable(
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
         algebra = BooleanSubalgebra._unchecked(worlds, world_set(catalog), ordered)
-        names = map(";".join, _atom_world_keys(catalog, algebra))
+        names = atom_names(algebra, _key_table(catalog).keys)[0]
         key_to_index = {name: i for i, name in enumerate(names)}
     else:
         algebra = world_algebra(catalog)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from operator import or_
+from operator import attrgetter, or_
 from typing import AbstractSet, ClassVar, Hashable, Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, CatalogMismatch, ForeignTestimony
+from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, NotExpressible
 
 #: Default ceiling on catalog size.  The world space has 2^(n+1) elements
 #: and every construction in this package is exponential in n.
@@ -52,10 +53,11 @@ class Guilt(enum.Enum):
 # innocent) is integer order.  A set of worlds fixed by the low bits of
 # the code is then a stride slice of the world tuple, which is how
 # heard_prefix_algebra reads the layers of a testimony prefix's
-# heard-events.  Outside this module the layout is relied on only through
-# world_algebra's is_world_powerset flag, require_world_ground and
-# BooleanSubalgebra.cover, which answers a world powerset from the world
-# codes: its atom i is the world with code i.
+# heard-events.  Only this module reads world_algebra's is_world_powerset
+# flag.  Outside it the layout is relied on only through
+# require_world_ground and three readers that answer a world powerset from
+# the world codes, its atom i being the world with code i:
+# BooleanSubalgebra.cover, transcript_masses and atom_names.
 #
 # Three builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
@@ -487,6 +489,76 @@ def require_world_ground(algebra: BooleanSubalgebra, catalog: TestimonyCatalog) 
     # plain ints equal to the world codes compare equal to the worlds
     if ground_set != world_set(catalog) or set(map(type, algebra.ground)) != {World}:
         raise CatalogMismatch("the charge is not defined on the world space of this catalog")
+
+
+_ZERO = Fraction(0)  # the mass of a transcript no atom holds a world of
+
+
+def transcript_masses(
+    algebra: BooleanSubalgebra, masses: Sequence, catalog: TestimonyCatalog | None = None
+) -> tuple[Iterable[Transcript], Iterable, Iterable]:
+    """Every transcript T, and aligned with them P(E_T ∩ G) and P(E_T ∩ ¬G).
+
+    ``masses`` is aligned with the algebra's atoms.  Each mass returned is
+    one of them, or zero, so callers can work on their integers.  With a
+    catalog the algebra must live on its world space (CatalogMismatch
+    otherwise) and transcripts come in canonical order; without one every
+    ground element must be a World (TypeError otherwise) and transcripts
+    come in ground order.  A world powerset's columns are its masses read
+    pairwise.  Any other algebra takes one pass over its atoms, and its
+    columns are lazy: each raises NotExpressible on reaching a transcript
+    whose event cuts through an atom, or whose guilty and innocent worlds
+    share an atom of positive mass, so callers that stop early never
+    reach the error.  A zero-mass transcript reads (0, 0).
+    """
+    if catalog is not None:
+        require_world_ground(algebra, catalog)
+        order: Iterable[Transcript] = catalog.all_transcripts()
+    elif algebra.is_world_powerset:
+        order = map(attrgetter("transcript"), itertools.islice(algebra.ground, 0, None, 2))
+    elif all(map(isinstance, algebra.ground, itertools.repeat(World))):
+        order = dict.fromkeys(map(attrgetter("transcript"), algebra.ground))
+    else:
+        raise TypeError("transcript posteriors need a charge over trial worlds")
+    if algebra.is_world_powerset:
+        # one atom per world, canonical order: guilty then innocent per transcript
+        return order, masses[0::2], masses[1::2]
+    order = tuple(order)  # read by both columns
+    guilty: dict[Transcript, Fraction] = {}
+    innocent: dict[Transcript, Fraction] = {}
+    cut: set[Transcript] = set()
+    for atom, m in zip(algebra.atoms, masses):
+        if len(atom) == 1:
+            (world,) = atom
+            (guilty if world.guilt is Guilt.GUILTY else innocent)[world.transcript] = m
+            continue
+        members = {w.transcript for w in atom}
+        # an atom across transcripts, or one transcript's two worlds with positive mass
+        if len(members) > 1 or m:
+            cut |= members
+
+    def column(side: dict[Transcript, Fraction]) -> Iterator[Fraction]:
+        for transcript in order:
+            if transcript in cut:
+                raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
+            yield side.get(transcript, _ZERO)
+
+    return order, column(guilty), column(innocent)
+
+
+def atom_names(
+    algebra: BooleanSubalgebra, world_names: Sequence[str]
+) -> tuple[Iterable[str], Iterable[list[str]]]:
+    """Each atom's mass key, and each atom's world names in world order.
+
+    ``world_names`` is indexed by world code.  A world powerset's keys are
+    ``world_names`` itself; any other algebra's key joins its atom's world
+    names with ";", so keys are byte-stable.
+    """
+    if algebra.is_world_powerset:
+        return world_names, map(list, zip(world_names))
+    lists = [[world_names[w] for w in sorted(atom)] for atom in algebra.atoms]
+    return map(";".join, lists), lists
 
 
 def atoms_of_generated_algebra(

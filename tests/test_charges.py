@@ -236,6 +236,29 @@ class TestCondition:
         with pytest.raises(ZeroConditioningEvent):
             charge.condition(frozenset({4, 5}))
 
+    def test_condition_covers_its_event_once(self, monkeypatch, rng):
+        """One ``cover`` call per ``condition``, on a coarse charge and on
+        ``world_algebra``, and the same posterior as the oracle."""
+        cat = TestimonyCatalog(f"t{i}" for i in range(3))
+        worlds = full_world_space(cat)
+        coarse = atoms_of_generated_algebra(
+            worlds, [guilt_event(cat), heard_event(cat, Transcript({0}))]
+        )
+        charges = [random_charge(rng, coarse), Charge(world_algebra(cat), random_masses(rng, 16))]
+        calls = []
+        cover = BooleanSubalgebra.cover
+        monkeypatch.setattr(
+            BooleanSubalgebra, "cover", lambda self, event: calls.append(event) or cover(self, event)
+        )
+        for charge in charges:
+            for event in (guilt_event(cat), heard_event(cat, Transcript({0})), frozenset(worlds)):
+                if not charge.measure(event):
+                    continue
+                calls.clear()
+                posterior = charge.condition(event)
+                assert len(calls) == 1
+                assert posterior == oracle_condition(charge, event)
+
     def test_conditional_result_carries_mass(self):
         charge = uniform4()
         result = charge.conditional({0, 1}, {0, 1, 2, 3})

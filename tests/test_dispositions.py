@@ -539,6 +539,68 @@ def oracle_open_door(prior):
     return True
 
 
+def coded_prior(n: int, blocks, masses) -> Charge:
+    """A prior on the canonical world ground whose atoms are given as world codes."""
+    worlds = full_world_space(catalog(n))
+    atoms = tuple(frozenset(worlds[code] for code in block) for block in blocks)
+    return Charge(BooleanSubalgebra(worlds, atoms), tuple(masses))
+
+
+T = Transcript
+#: (n, atoms as world codes, masses, rows read before the error, the error,
+#: the open-door answer).  A world's code is 2*mask + 1 when innocent, so
+#: codes 2k and 2k+1 are the k-th transcript's two worlds.
+OPEN_DOOR_ORDER = {
+    "pinned before a shared pair": (
+        1, [[0], [1], [2, 3]], [F(1, 2), F(0), F(1, 2)],
+        [(T(), F(1, 2), F(1, 2))], NotExpressible, False,
+    ),
+    "shared pair before a pinned one": (
+        1, [[0, 1], [2], [3]], [F(1, 2), F(1, 2), F(0)],
+        [], NotExpressible, NotExpressible,
+    ),
+    "zero-mass shared pair": (
+        1, [[0], [1], [2, 3]], [F(1, 2), F(1, 2), F(0)],
+        [(T(), F(1), F(1, 2)), (T({0}), F(0), F(0))], None, True,
+    ),
+    "pinned before an atom across transcripts": (
+        2, [[0], [1], [2], [3], [4, 6], [5, 7]], [F(1, 4)] * 3 + [F(0), F(1, 4), F(0)],
+        [(T(), F(1, 2), F(1, 4)), (T({0}), F(1, 4), F(1, 4))], NotExpressible, False,
+    ),
+    "a zero-mass atom across transcripts before a pinned one": (
+        2, [[0], [1], [2], [3], [4, 6], [5, 7]], [F(1, 4)] * 4 + [F(0)] * 2,
+        [(T(), F(1, 2), F(1, 4)), (T({0}), F(1, 2), F(1, 4))], NotExpressible, NotExpressible,
+    ),
+    "an atom across transcripts first": (
+        2, [[0, 2], [1], [3], [4], [5], [6], [7]], [F(1, 6)] * 6 + [F(0)],
+        [], NotExpressible, NotExpressible,
+    ),
+    "zero-mass shared pair among singletons": (
+        2, [[0], [1], [2, 3], [4], [5], [6], [7]], [F(1, 6)] * 2 + [F(0)] + [F(1, 6)] * 4,
+        [
+            (T(), F(1, 3), F(1, 6)), (T({0}), F(0), F(0)),
+            (T({1}), F(1, 3), F(1, 6)), (T({0, 1}), F(1, 3), F(1, 6)),
+        ],
+        None, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OPEN_DOOR_ORDER)
+def test_coarse_priors_are_read_in_transcript_order(case):
+    """On a coarse prior the first pinned transcript answers the open-door
+    check, and a transcript that cannot be read raises only when it comes
+    first; the kernel's rows stop at that transcript, with a catalog or
+    without one."""
+    n, blocks, masses, rows, error, door = OPEN_DOOR_ORDER[case]
+    prior = coded_prior(n, blocks, masses)
+    assert outcome(transcript_posteriors(prior, catalog(n))) == (rows, error)
+    assert outcome(transcript_posteriors(prior)) == (rows, error)
+    assert outcome(oracle_transcript_posteriors(prior)) == (rows, error)
+    assert open_door_outcome(prior, is_open_door) == door
+    assert open_door_outcome(prior, oracle_open_door) == door
+
+
 class TestTranscriptPosteriorsKernel:
     """The one-pass kernel against two ``measure`` calls per transcript."""
 

@@ -5,6 +5,7 @@ import pkgutil
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +106,13 @@ def test_star_import_binds_every_name():
         "print(json.dumps([n for n in jurybayes.__all__ if n not in globals()]))\n"
     )
     assert unbound == []
+
+
+def test_only_worlds_reads_the_world_powerset_flag():
+    """The world-powerset layout (atom i is the world with code i) is known
+    to ``worlds`` alone: every other module asks its readers."""
+    package = Path(jurybayes.__file__).parent
+    readers = sorted(
+        path.name for path in package.glob("*.py") if "is_world_powerset" in path.read_text()
+    )
+    assert readers == ["worlds.py"]

@@ -16,6 +16,7 @@ from jurybayes.worlds import (
     TestimonyCatalog,
     Transcript,
     World,
+    atom_names,
     atoms_of_generated_algebra,
     event_of_transcript,
     full_world_space,
@@ -389,6 +390,22 @@ class TestCover:
         for algebra in cover_cases(rng, 3)[1:]:
             assert not algebra.is_world_powerset
             assert algebra.cover(event)[0] == oracle_cover(algebra, event)[0]
+
+
+class TestAtomNames:
+    @pytest.mark.parametrize("n", range(5))
+    def test_world_powerset_keys_are_the_world_names(self, n, rng):
+        """``world_algebra``'s keys are the names it is given, with no join per
+        atom; any other algebra joins each atom's world names in world order."""
+        names = tuple(f"w{code}" for code in range(2 << n))
+        keys, lists = atom_names(world_algebra(catalog(n)), names)
+        assert keys is names
+        assert list(lists) == [[name] for name in names]
+        for algebra in cover_cases(rng, n)[1:]:
+            keys, lists = atom_names(algebra, names)
+            expected = [[names[w] for w in sorted(atom)] for atom in algebra.atoms]
+            assert lists == expected
+            assert list(keys) == [";".join(atom) for atom in expected]
 
 
 class TestLogicalIndependence:
