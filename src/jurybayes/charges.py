@@ -10,11 +10,13 @@ stated equality holds as rational equality, never within a tolerance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -57,6 +59,13 @@ class Charge:
     that checks signs and tallies numerators per denominator); only when
     one fails are the masses walked in order, so the first bad mass names
     the error.
+
+    ``values`` and ``codes`` view the same masses coded, so that
+    ``masses[i] is values[codes[i]]`` and a reader can decide each
+    distinct mass once.  A charge built from a tuple builds them on first
+    read, by identity: the distinct mass objects in first-seen order, and
+    each atom's index into them.  ``_from_codes`` takes them as given and
+    checks each value the codes name once, weighted by its count.
     """
 
     algebra: BooleanSubalgebra
@@ -66,10 +75,17 @@ class Charge:
         masses = self.masses
         if len(masses) != len(self.algebra.atoms):
             raise ValueError(f"{len(masses)} masses for {len(self.algebra.atoms)} atoms")
-        if not all(map(isinstance, masses, repeat(Fraction))):
+        checked = masses
+        if "codes" in vars(self):  # built by _from_codes: each value the codes name, once
+            tally = Counter(self.codes)
+            checked = list(map(self.values.__getitem__, tally))
+        if not all(map(isinstance, checked, repeat(Fraction))):
             _reject_first_bad_mass(masses)
+        ratios = map(Fraction.as_integer_ratio, checked)
+        if checked is not masses:  # each value weighted by its count
+            ratios = [(n * count, d) for (n, d), count in zip(ratios, tally.values())]
         numerators: dict[int, int] = {}
-        for n, d in map(Fraction.as_integer_ratio, masses):
+        for n, d in ratios:
             if n < 0:
                 _reject_first_bad_mass(masses)
             numerators[d] = numerators.get(d, 0) + n
@@ -77,7 +93,32 @@ class Charge:
         if total != 1:
             raise ValueError(f"atom masses must sum to 1, got {format_rational(total)}")
 
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The masses' distinct objects, in first-seen order, unless built from codes."""
+        return tuple(dict(zip(map(id, self.masses), self.masses)).values())
+
+    @cached_property
+    def codes(self) -> Sequence[int]:
+        """Each atom's index into ``values``."""
+        code_of = {id(value): code for code, value in enumerate(self.values)}
+        return tuple(map(code_of.__getitem__, map(id, self.masses)))
+
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _from_codes(cls, algebra, values, codes) -> "Charge":
+        """The charge whose atom i has mass ``values[codes[i]]``, its masses built in C.
+
+        ``codes`` is a tuple or bytes, and is kept as the charge's codes.
+        The dataclass constructor still runs, so ``__post_init__`` checks
+        the values the codes name, with the errors a tuple of the same
+        masses gives; a value no atom names is not checked.
+        """
+        charge, values = cls.__new__(cls), list(values)  # a list's __getitem__ maps fastest
+        vars(charge).update(values=tuple(values), codes=codes)
+        charge.__init__(algebra, tuple(map(values.__getitem__, codes)))  # type: ignore[misc]
+        return charge
 
     @classmethod
     def from_atom_masses(

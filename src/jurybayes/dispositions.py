@@ -12,12 +12,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import eq
+from itertools import compress, repeat
+from operator import add, eq, mul
 from typing import Iterable, Iterator
 
 from .charges import Charge
-from .errors import AxiomViolation, ThetaOutOfRange, ZeroTranscriptMass
+from .errors import AxiomViolation, NotExpressible, ThetaOutOfRange, ZeroTranscriptMass
 from .rationals import RationalLike, as_rational, format_rational
 from .worlds import (
     EMPTY_TRANSCRIPT,
@@ -136,7 +136,8 @@ def rationalize(
     requiring prior guilt exactly 1/2.  The mixture takes only four
     values, theta/(2n_C) and (1-theta)/(2n_C) on convicting transcripts
     and their mirror (1-theta)/(2n_A) and theta/(2n_A) on acquitting ones,
-    so it is written down directly on the catalog's world algebra.
+    so it is written down directly on the catalog's world algebra, as
+    those four values and each world's code among them.
     """
     theta = as_rational(theta, name="theta")
     if not HALF < theta < 1:
@@ -156,16 +157,17 @@ def rationalize(
     n_convict = len(convicting)
     n_acquit = (1 << len(catalog)) - n_convict
     acquit_theta = 1 - theta
-    # (guilty, innocent) world masses of a convicting and an acquitting transcript
-    convict_pair = (theta / (2 * n_convict), acquit_theta / (2 * n_convict))
-    acquit_pair = (acquit_theta / (2 * n_acquit), theta / (2 * n_acquit))
-
-    masses: list[Fraction] = []
-    for t in catalog.all_transcripts():
-        masses += convict_pair if t in convicting else acquit_pair
-    # world_algebra's atoms come in canonical order: transcripts in the
-    # order of all_transcripts(), each guilty world before its innocent one
-    prior = Charge(world_algebra(catalog), tuple(masses))
+    # (guilty, innocent) world masses of a convicting, then of an acquitting, transcript
+    values = (theta / (2 * n_convict), acquit_theta / (2 * n_convict))
+    values += (acquit_theta / (2 * n_acquit), theta / (2 * n_acquit))
+    # world_algebra's atoms come in canonical order: transcripts by mask,
+    # each guilty world before its innocent one.  A transcript's flag is 1
+    # if it convicts, and its two worlds' codes are (0, 1) then, else (2, 3).
+    flags = bytes(map(convicting.__contains__, range(1 << len(catalog))))
+    codes = bytearray(2 * len(flags))
+    codes[0::2] = flags.translate(bytes.maketrans(b"\0\1", b"\2\0"))
+    codes[1::2] = flags.translate(bytes.maketrans(b"\0\1", b"\3\1"))
+    prior = Charge._from_codes(world_algebra(catalog), values, bytes(codes))
     return RationalizationCertificate(
         disposition=disposition,
         theta=theta,
@@ -190,8 +192,8 @@ def transcript_posteriors(
     mass, whose guilty and innocent worlds share an atom.  A zero-mass
     transcript yields (T, 0, 0).
     """
-    rows = zip(*transcript_masses(prior.algebra, prior.masses, catalog))
-    for transcript, guilty, innocent in rows:
+    order, values, *columns = transcript_masses(prior.algebra, prior.values, prior.codes, catalog)
+    for transcript, guilty, innocent in zip(order, *(map(values.__getitem__, c) for c in columns)):
         yield transcript, guilty + innocent, guilty
 
 
@@ -211,41 +213,48 @@ def verify_rationalization(
     """Check f(T) = convict iff P(guilt | transcript T) >= theta.
 
     Recomputes every conditional from the prior's atom masses; it never
-    trusts a certificate's posterior table.  Each transcript is decided
-    by an integer cross-multiplication, and each distinct pair of
-    guilty and innocent masses is decided once.  Returns the first
-    failing transcript (canonical order) as witness.  Raises
-    ThetaOutOfRange unless 0 < theta < 1.
+    trusts a certificate's posterior table.  Each distinct pair of guilty
+    and innocent mass codes is decided once, by an integer
+    cross-multiplication, and the transcripts are then mapped to their
+    pair's posterior and verdict in C.  Returns the first failing
+    transcript (canonical order) as witness.  Raises ThetaOutOfRange
+    unless 0 < theta < 1, and on the first transcript (canonical order)
+    that cannot be decided, ZeroTranscriptMass or NotExpressible.
     """
     theta = verification_theta(theta)
     catalog = disposition.catalog
-    convicting = disposition.convicting
+    order, values, *columns = transcript_masses(prior.algebra, prior.values, prior.codes, catalog)
+    # each transcript's guilty and innocent codes (g, i) as the one int g*k + i;
+    # a transcript that cuts an atom ends the read, and the pairs before it stay
+    order, pairs, cut, k = tuple(order), [], None, len(values)
+    try:
+        pairs += map(add, map(mul, columns[0], repeat(k)), columns[1])
+    except NotExpressible as exc:
+        cut = exc
     theta_num, theta_den = theta.numerator, theta.denominator
-    # (posterior, convicts) per distinct (guilty, innocent) pair, keyed on
-    # their integers: P(G | T) = gn*id / (gn*id + in*gd) = a/s, and with
-    # s > 0 it meets theta iff a*theta_den >= theta_num*s
-    decided: dict[tuple[int, int, int, int], tuple[Fraction, bool]] = {}
-    posteriors: dict[Transcript, Fraction] = {}
-    witness: Transcript | None = None
-    rows = zip(*transcript_masses(prior.algebra, prior.masses, catalog))
-    for transcript, guilty, innocent in rows:
-        key = guilty.as_integer_ratio() + innocent.as_integer_ratio()
-        known = decided.get(key)
-        if known is None:
-            g_num, g_den, i_num, i_den = key
-            a = g_num * i_den
-            s = a + i_num * g_den
-            if s == 0:
-                raise ZeroTranscriptMass(
-                    f"P(E_T) = 0 for transcript "
-                    f"{{{','.join(catalog.transcript_labels(transcript))}}}; "
-                    "the threshold biconditional is undefined there"
-                )
-            known = decided[key] = (Fraction(a, s), a * theta_den >= theta_num * s)
-        posterior, convicts = known
-        posteriors[transcript] = posterior
-        if witness is None and convicts != (transcript in convicting):
-            witness = transcript
+    # posterior and verdict per distinct pair, in first-seen order, so the
+    # first zero-mass pair is the first zero-mass transcript's
+    posterior, convicts = {}, {}
+    for pair in dict.fromkeys(pairs):
+        (g_num, g_den), (i_num, i_den) = (values[c].as_integer_ratio() for c in divmod(pair, k))
+        # P(G | T) = gn*id / (gn*id + in*gd) = a/s, and with s > 0 it
+        # meets theta iff a*theta_den >= theta_num*s
+        a = g_num * i_den
+        s = a + i_num * g_den
+        if s == 0:
+            raise ZeroTranscriptMass(
+                f"P(E_T) = 0 for transcript "
+                f"{{{','.join(catalog.transcript_labels(order[pairs.index(pair)]))}}}; "
+                "the threshold biconditional is undefined there"
+            )
+        posterior[pair], convicts[pair] = Fraction(a, s), a * theta_den >= theta_num * s
+    if cut is not None:
+        raise cut
+    posteriors = dict(zip(order, map(posterior.__getitem__, pairs)))
+    wrong = disposition.convicting.symmetric_difference(
+        compress(order, map(convicts.__getitem__, pairs))
+    )
+    witness = min(wrong, default=None)  # transcripts are their masks, so min is first
     return VerificationResult(witness is None, witness, posteriors)
 
 
@@ -253,13 +262,15 @@ def is_open_door(prior: Charge) -> bool:
     """True iff no positive-mass transcript pins guilt to 0 or 1.
 
     Guilt is pinned exactly when one of the transcript's guilty and
-    innocent masses is zero and the other is not.  Transcripts are read
-    in ground order and the first pinned one answers, so NotExpressible
-    (see ``transcript_posteriors``) is raised only when a transcript that
-    cannot be read comes before every pinned one.
+    innocent masses is zero and the other is not.  Whether a mass is zero
+    is asked once per distinct mass; the transcripts are then compared in
+    C, in ground order, and the first pinned one answers, so
+    NotExpressible (see ``transcript_posteriors``) is raised only when a
+    transcript that cannot be read comes before every pinned one.
     """
-    _, guilty, innocent = transcript_masses(prior.algebra, prior.masses)
-    return all(map(eq, map(bool, guilty), map(bool, innocent)))
+    _, values, guilty, innocent = transcript_masses(prior.algebra, prior.values, prior.codes)
+    positive = list(map(bool, values))
+    return all(map(eq, map(positive.__getitem__, guilty), map(positive.__getitem__, innocent)))
 
 
 def posner_even_odds_prior(catalog: TestimonyCatalog, theta: RationalLike) -> Charge:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from typing import Any, Iterable, Mapping
 
 from .charges import ZERO, Charge
@@ -180,6 +179,12 @@ def disposition_from_jsonable(
 
 
 def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, Any]:
+    """The charge's document: every atom's key and its mass, in atom order.
+
+    Each distinct mass is formatted once and the atoms' codes pick their
+    literal.  CatalogMismatch unless the charge lives on the catalog's
+    world space.
+    """
     algebra = charge.algebra
     require_world_ground(algebra, catalog)
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
@@ -187,20 +192,26 @@ def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, A
     # the atoms partition the ground, so equal counts mean all singletons
     if len(algebra.atoms) != len(algebra.ground):
         doc["atoms"] = atoms
-    # a prior repeats few mass objects (a rationalize prior holds four), so
-    # each distinct object is rendered once and the rest looked up by id
-    ids = list(map(id, charge.masses))
-    rendered = {i: format_rational(m) for i, m in dict(zip(ids, charge.masses)).items()}
-    doc["masses"] = dict(zip(keys, map(rendered.__getitem__, ids)))
+    rendered = list(map(format_rational, charge.values))
+    doc["masses"] = dict(zip(keys, map(rendered.__getitem__, charge.codes)))
     return doc
 
 
 def charge_from_jsonable(
     obj: Any, *, world_cap: int | None = None
 ) -> tuple[TestimonyCatalog, Charge]:
+    """The catalog and the charge of a charge document; ParseError if it is malformed.
+
+    Each distinct literal is parsed once and gives the atoms that carry
+    it their code.  A document without "atoms" whose keys are every
+    world's key in canonical order, as the writer emits, is read by C
+    maps.  Any other document is read key by key, so the first bad key
+    names the error, and an atom it omits has mass zero.
+    """
     _require_keys(obj, {"catalog", "masses"}, {"atoms"}, "charge")
     catalog = catalog_from_jsonable(obj["catalog"], world_cap=world_cap)
     worlds = full_world_space(catalog)
+    table = _key_table(catalog)
 
     if "atoms" in obj:
         raw_atoms = obj["atoms"]
@@ -210,7 +221,7 @@ def charge_from_jsonable(
             raise ParseError('"atoms" must be a list of world-key lists')
         # canonical keys are looked up in one table; an atom holding any
         # other key is parsed key by key, so the first bad one names the error
-        index = _key_table(catalog).index
+        index = table.index
         atoms = []
         for raw in raw_atoms:
             try:
@@ -224,35 +235,44 @@ def charge_from_jsonable(
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
         algebra = BooleanSubalgebra._unchecked(worlds, world_set(catalog), ordered)
-        names = atom_names(algebra, _key_table(catalog).keys)[0]
+        names = atom_names(algebra, table.keys)[0]
         key_to_index = {name: i for i, name in enumerate(names)}
     else:
         algebra = world_algebra(catalog)
-        key_to_index = _key_table(catalog).index
+        key_to_index = table.index
 
     raw_masses = obj["masses"]
     if not isinstance(raw_masses, Mapping):
         raise ParseError('"masses" must be an object mapping atom keys to rationals')
-    masses = [ZERO] * len(algebra.atoms)
-    # a prior repeats few mass literals, so each distinct one is parsed once
-    parsed: dict[str, Fraction] = {}
-    for key, raw_value in raw_masses.items():
-        index = key_to_index.get(key)
-        if index is None:
-            raise ParseError(f"mass key {key!r} is not an atom of the charge's algebra")
-        if not isinstance(raw_value, str):
-            raise ParseError(
-                f"mass for {key!r} must be an exact rational string, got {raw_value!r}"
-            )
-        value = parsed.get(raw_value)
-        if value is None:
-            try:
-                value = parsed[raw_value] = as_rational(raw_value, name=f"mass[{key}]")
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
-        masses[index] = value
+    literals = list(raw_masses.values())
+    values = None
+    if "atoms" not in obj and tuple(raw_masses) == table.keys:
+        try:  # TypeError: an unhashable literal; ValueError: one that does not parse
+            code_of = dict(zip(dict.fromkeys(literals), count()))
+            if all(map(isinstance, code_of, repeat(str))):  # each distinct literal
+                codes = tuple(map(code_of.__getitem__, literals))
+                values = list(map(as_rational, code_of))
+        except (TypeError, ValueError):
+            pass  # the walk below names the first bad literal's key
+    if values is None:  # key by key, so the first bad key names the error
+        values, code_of, codes = [ZERO], {}, [0] * len(algebra.atoms)  # an omitted atom reads 0
+        for key, raw_value in raw_masses.items():
+            index = key_to_index.get(key)
+            if index is None:
+                raise ParseError(f"mass key {key!r} is not an atom of the charge's algebra")
+            if not isinstance(raw_value, str):
+                raise ParseError(
+                    f"mass for {key!r} must be an exact rational string, got {raw_value!r}"
+                )
+            if raw_value not in code_of:  # each distinct literal is parsed where it first appears
+                try:
+                    values.append(as_rational(raw_value, name=f"mass[{key}]"))
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from exc
+                code_of[raw_value] = len(values) - 1
+            codes[index] = code_of[raw_value]
     try:
-        charge = Charge(algebra, tuple(masses))
+        charge = Charge._from_codes(algebra, values, tuple(codes))
     except ValueError as exc:
         raise ParseError(f"invalid charge: {exc}") from exc
     return catalog, charge

@@ -25,10 +25,10 @@ from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, NotExpressib
 DEFAULT_WORLD_CAP = 12
 
 #: Largest world cap any catalog may be given.  Library ``rationalize``
-#: followed by ``verify_rationalization`` peaks at about 0.62 kB per world
-#: (two-witness disposition, n=16: 81 MB for 131072 worlds on CPython
+#: followed by ``verify_rationalization`` peaks at about 0.58 kB per world
+#: (two-witness disposition, n=16: 72 MB for 131072 worlds on CPython
 #: 3.11), so this ceiling bounds that path at 2^21 worlds and about
-#: 1.3 GB.  The figure covers the library path only: the CLI's
+#: 1.2 GB.  The figure covers the library path only: the CLI's
 #: ``rationalize --out`` peaked at 976 MB already at n=18.  A cap above
 #: the ceiling is refused before any world is built.  Testimony indices
 #: stay below it, so no transcript outgrows every catalog.
@@ -495,21 +495,27 @@ _ZERO = Fraction(0)  # the mass of a transcript no atom holds a world of
 
 
 def transcript_masses(
-    algebra: BooleanSubalgebra, masses: Sequence, catalog: TestimonyCatalog | None = None
-) -> tuple[Iterable[Transcript], Iterable, Iterable]:
-    """Every transcript T, and aligned with them P(E_T ∩ G) and P(E_T ∩ ¬G).
+    algebra: BooleanSubalgebra,
+    values: tuple,
+    codes: Sequence,
+    catalog: TestimonyCatalog | None = None,
+) -> tuple[Iterable[Transcript], list, Iterable[int], Iterable[int]]:
+    """Every transcript T, a list of masses, and the codes of T's two masses.
 
-    ``masses`` is aligned with the algebra's atoms.  Each mass returned is
-    one of them, or zero, so callers can work on their integers.  With a
-    catalog the algebra must live on its world space (CatalogMismatch
-    otherwise) and transcripts come in canonical order; without one every
-    ground element must be a World (TypeError otherwise) and transcripts
-    come in ground order.  A world powerset's columns are its masses read
-    pairwise.  Any other algebra takes one pass over its atoms, and its
-    columns are lazy: each raises NotExpressible on reaching a transcript
-    whose event cuts through an atom, or whose guilty and innocent worlds
-    share an atom of positive mass, so callers that stop early never
-    reach the error.  A zero-mass transcript reads (0, 0).
+    The codes, aligned with the transcripts, are those of P(E_T ∩ G) and
+    of P(E_T ∩ ¬G).  Atom i's mass is ``values[codes[i]]``, and the codes
+    returned index the list returned: ``values``, and on an algebra that
+    is no world powerset one more entry, zero, the code of a transcript
+    no atom holds a world of.  So callers decide each distinct mass once.
+    With a catalog the algebra must live on its world space
+    (CatalogMismatch otherwise) and transcripts come in canonical order;
+    without one every ground element must be a World (TypeError
+    otherwise) and transcripts come in ground order.  A world powerset's
+    columns are its codes read pairwise.  Any other algebra takes one pass
+    over its atoms, and its columns are lazy: each raises NotExpressible
+    on reaching a transcript whose event cuts through an atom, or whose
+    guilty and innocent worlds share an atom of positive mass, so callers
+    that stop early never reach the error.
     """
     if catalog is not None:
         require_world_ground(algebra, catalog)
@@ -522,28 +528,28 @@ def transcript_masses(
         raise TypeError("transcript posteriors need a charge over trial worlds")
     if algebra.is_world_powerset:
         # one atom per world, canonical order: guilty then innocent per transcript
-        return order, masses[0::2], masses[1::2]
+        return order, list(values), codes[0::2], codes[1::2]
     order = tuple(order)  # read by both columns
-    guilty: dict[Transcript, Fraction] = {}
-    innocent: dict[Transcript, Fraction] = {}
+    guilty: dict[Transcript, int] = {}
+    innocent: dict[Transcript, int] = {}
     cut: set[Transcript] = set()
-    for atom, m in zip(algebra.atoms, masses):
+    for atom, code in zip(algebra.atoms, codes):
         if len(atom) == 1:
             (world,) = atom
-            (guilty if world.guilt is Guilt.GUILTY else innocent)[world.transcript] = m
+            (guilty if world.guilt is Guilt.GUILTY else innocent)[world.transcript] = code
             continue
         members = {w.transcript for w in atom}
         # an atom across transcripts, or one transcript's two worlds with positive mass
-        if len(members) > 1 or m:
+        if len(members) > 1 or values[code]:
             cut |= members
 
-    def column(side: dict[Transcript, Fraction]) -> Iterator[Fraction]:
+    def column(side: dict[Transcript, int]) -> Iterator[int]:
         for transcript in order:
             if transcript in cut:
                 raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
-            yield side.get(transcript, _ZERO)
+            yield side.get(transcript, len(values))
 
-    return order, column(guilty), column(innocent)
+    return order, [*values, _ZERO], column(guilty), column(innocent)
 
 
 def atom_names(

@@ -569,14 +569,18 @@ def oracle_parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
 
 
 def oracle_charge_from_jsonable(obj: dict) -> tuple[TestimonyCatalog, Charge]:
-    """A coarse charge document read world by world: each key parsed by
+    """A charge document read world by world: each key parsed by
     ``oracle_parse_world_key``, and each atom named again for its masses
-    through ``oracle_world_key``, one world at a time."""
+    through ``oracle_world_key``, one world at a time.  Without "atoms"
+    every world is an atom.  Masses are read key by key in document
+    order, each literal parsed where it stands."""
     catalog = catalog_from_jsonable(obj["catalog"])
-    atoms = [frozenset(oracle_parse_world_key(catalog, key) for key in raw) for raw in obj["atoms"]]
+    worlds = full_world_space(catalog)
+    raw_atoms = obj.get("atoms", [[oracle_world_key(catalog, w)] for w in worlds])
+    atoms = [frozenset(oracle_parse_world_key(catalog, key) for key in raw) for raw in raw_atoms]
     try:
         ordered = sorted(atoms, key=lambda atom: min(atom, default=-1))
-        algebra = BooleanSubalgebra(full_world_space(catalog), tuple(ordered))
+        algebra = BooleanSubalgebra(worlds, tuple(ordered))
     except ValueError as exc:
         raise ParseError(f"bad atom partition: {exc}") from exc
     names = [";".join(oracle_world_key(catalog, w) for w in sorted(atom)) for atom in algebra.atoms]
@@ -584,11 +588,42 @@ def oracle_charge_from_jsonable(obj: dict) -> tuple[TestimonyCatalog, Charge]:
     for key, value in obj["masses"].items():
         if key not in names:
             raise ParseError(f"mass key {key!r} is not an atom of the charge's algebra")
-        masses[names.index(key)] = as_rational(value)
+        if not isinstance(value, str):
+            raise ParseError(f"mass for {key!r} must be an exact rational string, got {value!r}")
+        try:
+            masses[names.index(key)] = as_rational(value, name=f"mass[{key}]")
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     try:
         return catalog, Charge(algebra, tuple(masses))
     except ValueError as exc:
         raise ParseError(f"invalid charge: {exc}") from exc
+
+
+def recoded(rng: random.Random, charge: Charge) -> Charge:
+    """The same charge built by ``Charge._from_codes``, from a shuffled
+    palette that holds each mass value once or twice (as equal but
+    distinct objects) and one negative value that no atom names."""
+    palette: list = []
+    for value in set(charge.masses):
+        twins = rng.randrange(1, 3)
+        palette += [Fraction(value.numerator, value.denominator) for _ in range(twins)]
+    palette.append(Fraction(-1))
+    rng.shuffle(palette)
+    by_value: dict[Fraction, list[int]] = {}
+    for code, value in enumerate(palette):
+        by_value.setdefault(value, []).append(code)
+    codes = [rng.choice(by_value[m]) for m in charge.masses]
+    as_bytes = len(palette) <= 256 and rng.random() < 0.5
+    built = Charge._from_codes(charge.algebra, palette, bytes(codes) if as_bytes else tuple(codes))
+    assert built == charge
+    return built
+
+
+def assert_coded_view(charge: Charge) -> None:
+    """Each atom's mass is the very value its code names."""
+    assert len(charge.codes) == len(charge.masses)
+    assert all(m is charge.values[c] for m, c in zip(charge.masses, charge.codes))
 
 
 def random_masses(rng: random.Random, count: int) -> tuple[Fraction, ...]:

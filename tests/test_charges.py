@@ -1,6 +1,7 @@
 """Charges: measurement, conditioning, mixtures, and the extension constructions."""
 
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from jurybayes.worlds import (
 )
 
 from conftest import (
+    assert_coded_view,
     oracle_extend,
     oracle_extend_conditional,
     oracle_extend_conditional_by_sides,
@@ -49,6 +51,7 @@ from conftest import (
     random_masses,
     random_partition,
     random_rational,
+    recoded,
     splitting_event,
 )
 
@@ -275,6 +278,21 @@ def charge_check(algebra, masses):
     return None
 
 
+def coded_check(algebra, masses, rng):
+    """``charge_check`` through ``Charge._from_codes``: a shuffled palette
+    holds each (type, value) of the masses once, beside bad entries no
+    atom names, and the codes pick each atom's entry."""
+    palette = list({(type(m), m): m for m in masses}.values()) + [None, F(-1), 0.5, "1/2"]
+    rng.shuffle(palette)
+    code_of = {(type(m), m): code for code, m in enumerate(palette)}
+    codes = tuple(code_of[type(m), m] for m in masses)
+    try:
+        Charge._from_codes(algebra, palette, codes)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestMassValidation:
     """Per-denominator integer sums against a naive Fraction sum."""
 
@@ -301,6 +319,7 @@ class TestMassValidation:
                 masses = [F(w, sum(weights) + rng.randrange(0, 2)) for w in weights]
             expected = oracle_mass_check(masses)
             assert charge_check(algebra, tuple(masses)) == expected
+            assert coded_check(algebra, masses, rng) == expected
             outcomes.add(None if expected is None else expected[1].split(",")[0])
         assert outcomes == {
             None,
@@ -318,6 +337,24 @@ class TestMassValidation:
                 bad = rng.choice((F(-1, 7), F(-1, 128), 0.5, "1/128", None, 1))
                 masses[rng.randrange(128)] = bad
             assert charge_check(algebra, tuple(masses)) == oracle_mass_check(masses)
+            assert coded_check(algebra, masses, rng) == oracle_mass_check(masses)
+
+    def test_coded_masses_are_checked_once_per_code_with_their_counts(self, rng):
+        algebra = powerset_algebra(tuple(range(8)))
+        # one value named eight times sums to one; an entry no atom names is not checked
+        for unused in (None, F(-1), 0.5, "1/8", F(7, 8)):
+            charge = Charge._from_codes(algebra, [unused, F(1, 8)], bytes([1] * 8))
+            assert charge.masses == (F(1, 8),) * 8
+            assert charge == Charge(algebra, (F(1, 8),) * 8)
+        # the count weighs the value: seven eighths fall short of one
+        with pytest.raises(ValueError, match=r"^atom masses must sum to 1, got 7/8$"):
+            Charge._from_codes(algebra, [F(1, 8), F(0)], bytes([0] * 7 + [1]))
+        with pytest.raises(ValueError, match=r"^7 masses for 8 atoms$"):
+            Charge._from_codes(algebra, [F(1, 7)], bytes(7))
+        # the first bad mass in atom order names the error, not the first bad code
+        with pytest.raises(TypeError, match=r"got float$"):
+            Charge._from_codes(algebra, [F(-1, 8), 0.5, F(1, 8)], (2, 1, 0, 2, 2, 2, 2, 2))
+
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fractions(max_denominator=50), max_size=12))
@@ -357,6 +394,55 @@ class TestMassValidation:
         assert total == 1 - F(1, 2**8192)
         assert elapsed < 1.0, f"{elapsed:.2f} s"
 
+
+class TestCodedView:
+    """``values`` and ``codes`` view the masses coded: the distinct mass
+    objects in first-seen order, and each atom's index into them."""
+
+    def test_tuple_charges_code_each_distinct_object(self, rng):
+        for n in range(0, 7):
+            cat = TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+            worlds = full_world_space(cat)
+            coarse = BooleanSubalgebra(worlds, random_partition(rng, worlds))
+            for algebra in (world_algebra(cat), coarse):
+                weights = [rng.randrange(0, 4) for _ in range(rng.randrange(1, 6))]
+                picks = [rng.randrange(len(weights)) for _ in algebra.atoms]
+                total = sum(weights[k] for k in picks)
+                if total == 0:
+                    weights[picks[0]], total = 1, picks.count(picks[0])
+                # each weight as two equal but distinct objects, picked at random
+                twins = [(F(w, total), F(w, total)) for w in weights]
+                masses = tuple(rng.choice(twins[k]) for k in picks)
+                charge = Charge(algebra, masses)
+                assert "codes" not in vars(charge) and "values" not in vars(charge)
+                assert_coded_view(charge)
+                first_seen = list({id(m): m for m in masses}.values())
+                assert len(charge.values) == len(first_seen)
+                assert all(map(operator.is_, charge.values, first_seen))
+                assert charge.codes is charge.codes  # built once
+        # equal but distinct objects get codes of their own
+        a, b = F(1, 4), F(1, 4)
+        charge = Charge(powerset_algebra(range(4)), (a, b, a, b))
+        assert charge.codes == (0, 1, 0, 1)
+        assert charge.values[0] is a and charge.values[1] is b
+
+    def test_coded_charges_equal_their_tuple_twins(self, rng):
+        for n in range(0, 7):
+            cat = TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+            worlds = full_world_space(cat)
+            coarse = BooleanSubalgebra(worlds, random_partition(rng, worlds))
+            for algebra in (world_algebra(cat), coarse):
+                charge = random_charge(rng, algebra)
+                coded = recoded(rng, charge)
+                assert coded == charge and hash(coded) == hash(charge)
+                assert repr(coded) == repr(charge)
+                assert_coded_view(coded)
+                assert type(coded.codes) in (bytes, tuple)
+                # an operation on a coded charge gives the same charge as on the tuple-built one
+                event = frozenset(w for w in worlds if rng.random() < 0.5)
+                assert outcome(coded.extend, event, coded.inner_outer(event)[0]) == outcome(
+                    charge.extend, event, charge.inner_outer(event)[0]
+                )
 
 class TestMix:
     def test_extreme_weights_return_the_parts(self):

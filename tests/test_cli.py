@@ -150,6 +150,46 @@ class TestRoundTrips:
         assert set(doc["masses"]) == {"{}|G", "{}|I", "{t1}|G", "{t1}|I"}
 
 
+class TestRespelledPriors:
+    """A rationalized prior written other than the writer writes it is read
+    key by key to the charge the writer's document gives, and verifies."""
+
+    @staticmethod
+    def respelled(masses: dict, variant: str) -> tuple[dict, dict]:
+        """(the masses as the writer would write them, the respelled masses)."""
+        if variant == "reversed key order":
+            return masses, dict(reversed(masses.items()))
+        if variant == "decimal literals":
+            return masses, {k: "0.125" if v == "1/8" else v for k, v in masses.items()}
+        # the prior has no zero mass, so one is made: the convicting
+        # transcript's innocent mass moves to its guilty world (posterior 1)
+        written = {**masses, "{t1,t2}|G": "1/2", "{t1,t2}|I": "0"}
+        return written, {k: v for k, v in written.items() if k != "{t1,t2}|I"}
+
+    @pytest.mark.parametrize("variant", ["reversed key order", "decimal literals", "zero omitted"])
+    def test_verify_holds(self, capsys, tmp_path, variant):
+        from jurybayes.serialize import charge_from_jsonable
+
+        code, out, _ = run_cli(
+            capsys, "rationalize", str(DATA / "two_witness_n2.json"), "--theta", "3/4"
+        )
+        assert code == 0
+        certificate = json.loads(out)
+        written, masses = self.respelled(certificate["prior"]["masses"], variant)
+        assert list(masses.items()) != list(written.items())
+        prior = dict(certificate["prior"], masses=masses)
+        assert charge_from_jsonable(prior) == charge_from_jsonable(
+            dict(certificate["prior"], masses=written)
+        )
+        path = tmp_path / "respelled.json"
+        path.write_text(json.dumps(dict(certificate, prior=prior)))
+        code, out, _ = run_cli(
+            capsys, "verify", str(DATA / "two_witness_n2.json"), str(path), "--theta", "3/4"
+        )
+        assert code == 0
+        assert json.loads(out)["holds"] is True
+
+
 class TestRenderOnce:
     """``--out`` writes the stdout text when it is the same JSON document."""
 

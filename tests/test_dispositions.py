@@ -34,7 +34,7 @@ from jurybayes.errors import (
     ThetaOutOfRange,
     ZeroTranscriptMass,
 )
-from jurybayes.serialize import charge_to_jsonable
+from jurybayes.serialize import charge_from_jsonable, charge_to_jsonable
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -49,10 +49,12 @@ from jurybayes.worlds import (
 )
 
 from conftest import (
+    assert_coded_view,
     oracle_rationalize_prior,
     oracle_transcript_posteriors,
     random_masses,
     random_partition,
+    recoded,
 )
 
 
@@ -217,6 +219,31 @@ class TestRationalize:
                     for t in cat.all_transcripts()
                 }
 
+    def test_prior_is_four_values_and_each_worlds_code(self, rng):
+        for n in range(1, 7):
+            cat = catalog(n)
+            nonempty = [t for t in cat.all_transcripts() if len(t) > 0]
+            for _ in range(6):
+                convicting = rng.sample(nonempty, rng.randrange(1, len(nonempty) + 1))
+                disposition = Disposition(cat, convicting)
+                theta = F(rng.randrange(31, 60), 60)
+                prior = rationalize(disposition, theta).prior
+                assert prior == oracle_rationalize_prior(disposition, theta)
+                assert_coded_view(prior)
+                n_convict = len(disposition.convicting)
+                n_acquit = (1 << n) - n_convict
+                assert prior.values == (
+                    theta / (2 * n_convict),
+                    (1 - theta) / (2 * n_convict),
+                    (1 - theta) / (2 * n_acquit),
+                    theta / (2 * n_acquit),
+                )
+                assert prior.codes == bytes(
+                    code
+                    for t in cat.all_transcripts()
+                    for code in ((0, 1) if t in disposition.convicting else (2, 3))
+                )
+
     def test_rejection_is_exactly_axiom_failure_exhaustively(self):
         # all 2^(2^n) dispositions for n <= 3
         for n in range(0, 4):
@@ -283,6 +310,33 @@ class TestVerify:
             verify_rationalization(
                 Disposition(cat, [cat.transcript(["t0"])]), F(3, 4), concentrated
             )
+
+    @pytest.mark.parametrize(
+        "blocks,masses,error",
+        [
+            # {t0} has mass 0 and comes before {t1}, whose worlds share atoms with {t0,t1}'s
+            (
+                [[0], [1], [2], [3], [4, 6], [5, 7]],
+                [F(1, 2), F(1, 4), F(0), F(0), F(1, 4), F(0)],
+                ZeroTranscriptMass,
+            ),
+            # the atom across {} and {t0} comes first, before the zero-mass {t1}
+            (
+                [[0, 2], [1], [3], [4], [5], [6], [7]],
+                [F(1, 2), F(1, 4), F(0), F(0), F(0), F(1, 4), F(0)],
+                NotExpressible,
+            ),
+        ],
+    )
+    def test_the_first_transcript_that_cannot_be_decided_names_the_error(
+        self, rng, blocks, masses, error
+    ):
+        cat = catalog(2)
+        disposition = Disposition(cat, [cat.transcript(["t0", "t1"])])
+        prior = coded_prior(2, blocks, masses)
+        for charge in (prior, recoded(rng, prior)):
+            assert verify_outcome(disposition, F(3, 4), charge) is error
+            assert oracle_verify_outcome(disposition, F(3, 4), charge) is error
 
     @pytest.mark.parametrize("theta", [F(2), F(-1), F(0), F(1)])
     def test_theta_outside_the_open_unit_interval_is_refused_first(self, theta):
@@ -478,6 +532,25 @@ def many_denominator_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
     return Charge(world_algebra(cat), tuple(m / total for m in raw))
 
 
+def recoded_one_sided_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
+    """A one-sided prior built from codes, over a palette with twins and an unused value."""
+    return recoded(rng, one_sided_prior(rng, cat))
+
+
+def recoded_coarse_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
+    """A coarse prior built from codes, over a palette with twins and an unused value."""
+    return recoded(rng, coarse_prior(rng, cat))
+
+
+def read_back_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
+    """A prior with gaps written and read back: the reader codes each distinct literal."""
+    prior = point_prior_with_gaps(rng, cat)
+    doc = json.loads(json.dumps(charge_to_jsonable(cat, prior)))
+    read = charge_from_jsonable(doc)[1]
+    assert read == prior and len(read.values) == len(set(doc["masses"].values()))
+    return read
+
+
 def tie_thetas(rng: random.Random, prior: Charge) -> list[F]:
     """A random threshold, and posteriors of the prior itself: there the
     integer test meets its edge, a posterior exactly equal to theta."""
@@ -587,18 +660,19 @@ OPEN_DOOR_ORDER = {
 
 
 @pytest.mark.parametrize("case", OPEN_DOOR_ORDER)
-def test_coarse_priors_are_read_in_transcript_order(case):
+def test_coarse_priors_are_read_in_transcript_order(case, rng):
     """On a coarse prior the first pinned transcript answers the open-door
     check, and a transcript that cannot be read raises only when it comes
     first; the kernel's rows stop at that transcript, with a catalog or
-    without one."""
+    without one, and so they do when the prior is built from codes."""
     n, blocks, masses, rows, error, door = OPEN_DOOR_ORDER[case]
     prior = coded_prior(n, blocks, masses)
-    assert outcome(transcript_posteriors(prior, catalog(n))) == (rows, error)
-    assert outcome(transcript_posteriors(prior)) == (rows, error)
     assert outcome(oracle_transcript_posteriors(prior)) == (rows, error)
-    assert open_door_outcome(prior, is_open_door) == door
     assert open_door_outcome(prior, oracle_open_door) == door
+    for charge in (prior, recoded(rng, prior)):
+        assert outcome(transcript_posteriors(charge, catalog(n))) == (rows, error)
+        assert outcome(transcript_posteriors(charge)) == (rows, error)
+        assert open_door_outcome(charge, is_open_door) == door
 
 
 class TestTranscriptPosteriorsKernel:
@@ -612,6 +686,9 @@ class TestTranscriptPosteriorsKernel:
             coarse_prior,
             one_sided_prior,
             many_denominator_prior,
+            recoded_one_sided_prior,
+            recoded_coarse_prior,
+            read_back_prior,
         ],
     )
     def test_matches_measure_oracle(self, rng, make):
@@ -645,12 +722,14 @@ class TestTranscriptPosteriorsKernel:
                 door = open_door_outcome(prior, is_open_door)
                 assert door == open_door_outcome(prior, oracle_open_door)
                 seen.add(("open door", door))
-        if make is not coarse_prior:
+        coarse = make in (coarse_prior, recoded_coarse_prior)
+        if not coarse:
             assert {True, False, "tie"} <= seen
-        if make in (point_prior_with_gaps, one_sided_prior):
+        gaps = (point_prior_with_gaps, one_sided_prior, recoded_one_sided_prior, read_back_prior)
+        if make in gaps:
             assert ZeroTranscriptMass in errors and None in errors
             assert ("open door", False) in seen
-        if make is coarse_prior:
+        if coarse:
             assert {NotExpressible, ZeroTranscriptMass, None} <= errors
 
     def test_point_path_matches_measure_oracle(self, rng):

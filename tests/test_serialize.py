@@ -15,7 +15,7 @@ from jurybayes import serialize
 from jurybayes.charges import Charge
 from jurybayes.dispositions import Disposition, RationalizationCertificate, rationalize
 from jurybayes.errors import CatalogMismatch, ForeignTestimony, JuryBayesError, ParseError
-from jurybayes.rationals import as_rational, format_rational
+from jurybayes.rationals import as_rational, exact_decimal, format_rational
 from jurybayes.serialize import (
     catalog_from_jsonable,
     certificate_to_jsonable,
@@ -43,6 +43,7 @@ from jurybayes.worlds import (
 )
 
 from conftest import (
+    assert_coded_view,
     oracle_certificate_to_jsonable,
     oracle_charge_from_jsonable,
     oracle_charge_to_jsonable,
@@ -51,6 +52,7 @@ from conftest import (
     oracle_world_key,
     random_masses,
     random_partition,
+    recoded,
 )
 
 
@@ -515,9 +517,11 @@ class TestRenderingMatchesNaiveRenderer:
                 raw[0] += 1
                 total = sum(raw)
                 charge = Charge(algebra, tuple(m / total for m in raw))
-                assert json.dumps(charge_to_jsonable(cat, charge), indent=2) == json.dumps(
-                    oracle_charge_to_jsonable(cat, charge), indent=2
-                )
+                expected = json.dumps(oracle_charge_to_jsonable(cat, charge), indent=2)
+                assert json.dumps(charge_to_jsonable(cat, charge), indent=2) == expected
+                # built from codes, over a palette with twins and an unused value
+                coded = recoded(rng, charge)
+                assert json.dumps(charge_to_jsonable(cat, coded), indent=2) == expected
 
 
 class TestCoarseReaderMatchesNaiveReader:
@@ -583,6 +587,95 @@ class TestCoarseReaderMatchesNaiveReader:
                     assert self.outcome(charge_from_jsonable, broken) == self.outcome(
                         oracle_charge_from_jsonable, broken
                     )
+
+
+class TestMassReaderMatchesNaiveReader:
+    """What the writer emits, every world's key in canonical order, is read
+    by C maps; any other document key by key.  Either way the reader gives
+    the oracle's charge, or its error class and message."""
+
+    @staticmethod
+    def priors(rng, cat: TestimonyCatalog) -> list[Charge]:
+        nonempty = [t for t in cat.all_transcripts() if len(t) > 0]
+        disposition = Disposition(cat, rng.sample(nonempty, rng.randrange(1, len(nonempty) + 1)))
+        weights = [rng.randrange(0, 4) for _ in full_world_space(cat)]
+        weights[0] += 1
+        gaps = Charge(world_algebra(cat), tuple(F(w, sum(weights)) for w in weights))
+        prior = rationalize(disposition, F(rng.randrange(11, 20), 20)).prior
+        return [prior, gaps, recoded(rng, gaps)]
+
+    @staticmethod
+    def variants(rng, doc: dict) -> list[dict]:
+        """The document as written, and as other writers or hands might write it."""
+        masses = doc["masses"]
+        keys = list(masses)
+        key = rng.choice(keys)
+
+        def with_masses(new):
+            return dict(doc, masses=new)
+
+        out = [
+            doc,
+            with_masses(dict(reversed(masses.items()))),
+            with_masses({k: v for k, v in masses.items() if v != "0"}),
+            with_masses({k: f" {v} " if k == key else v for k, v in masses.items()}),
+            with_masses({k: (exact_decimal(F(v)) or v) for k, v in masses.items()}),
+            dict(doc, atoms=[[k] for k in keys]),
+        ]
+        for bad in ("1/0", "x", "1e5000", "-1/3", "1/3", 0.5, None, 1, True, ["1/2"]):
+            out.append(with_masses({k: bad if k == key else v for k, v in masses.items()}))
+        out.append(with_masses({**masses, "{zz}|G": "0"}))
+        out.append(with_masses({k: v for k, v in masses.items() if k != key}))
+        return out
+
+    def test_written_documents_and_their_variants(self, rng, monkeypatch):
+        parsed = []
+
+        def counting(value, *, name="value"):
+            parsed.append(value)
+            return as_rational(value, name=name)
+
+        monkeypatch.setattr(serialize, "as_rational", counting)
+        for n in range(1, 7):
+            cat = TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+            for prior in self.priors(rng, cat):
+                doc = json.loads(json.dumps(charge_to_jsonable(cat, prior)))
+                assert doc == oracle_charge_to_jsonable(cat, prior)
+                for variant in self.variants(rng, doc):
+                    parsed.clear()
+                    expected = TestCoarseReaderMatchesNaiveReader.outcome(
+                        oracle_charge_from_jsonable, variant
+                    )
+                    got = TestCoarseReaderMatchesNaiveReader.outcome(charge_from_jsonable, variant)
+                    assert got == expected
+                    literals = set(doc["masses"].values())
+                    if variant is doc:
+                        # canonical keys: each distinct literal is parsed once and coded
+                        parsed.clear()
+                        _, read = charge_from_jsonable(variant)
+                        assert read == prior and read.algebra is world_algebra(cat)
+                        assert_coded_view(read)
+                        assert len(read.values) == len(literals)
+                        assert sorted(parsed) == sorted(literals)
+                    elif list(variant["masses"].items()) == list(reversed(doc["masses"].items())):
+                        # read key by key, each distinct literal still parsed once
+                        parsed.clear()
+                        _, read = charge_from_jsonable(variant)
+                        assert read == prior
+                        assert_coded_view(read)
+                        assert len(read.values) == len(literals) + 1  # and zero, for omitted atoms
+                        assert sorted(parsed) == sorted(literals)
+
+    def test_a_bad_literal_in_a_canonical_document_is_named_by_its_first_key(self):
+        cat = TestimonyCatalog(("t1", "t2"))
+        prior = rationalize(Disposition.from_label_sets(cat, [["t1", "t2"]]), F(3, 4)).prior
+        masses = charge_to_jsonable(cat, prior)["masses"]
+        keys = list(masses)
+        for first, second in ((1, 5), (5, 1)):
+            bad = {**masses, keys[first]: "1/0", keys[second]: "x"}
+            with pytest.raises(ParseError) as got:
+                charge_from_jsonable({"catalog": ["t1", "t2"], "masses": bad})
+            assert str(got.value).startswith(f"mass[{keys[min(first, second)]}]: cannot parse")
 
 
 class TestEventSpecs:
