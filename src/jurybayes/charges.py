@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import (
     AlgebraMismatch,
@@ -61,11 +62,11 @@ class Charge:
     the error.
 
     ``values`` and ``codes`` view the same masses coded, so that
-    ``masses[i] is values[codes[i]]`` and a reader can decide each
-    distinct mass once.  A charge built from a tuple builds them on first
-    read, by identity: the distinct mass objects in first-seen order, and
-    each atom's index into them.  ``_from_codes`` takes them as given and
-    checks each value the codes name once, weighted by its count.
+    ``masses[i] is values[codes[i]]``.  A charge built from a tuple is its
+    own view, at no cost: ``values`` is ``masses`` and atom i has code i.
+    ``_from_codes`` keeps a builder's few values and their codes, and
+    checks each value the codes name once, weighted by its count; readers
+    of the view then decide each of those values once.
     """
 
     algebra: BooleanSubalgebra
@@ -75,17 +76,10 @@ class Charge:
         masses = self.masses
         if len(masses) != len(self.algebra.atoms):
             raise ValueError(f"{len(masses)} masses for {len(self.algebra.atoms)} atoms")
-        checked = masses
-        if "codes" in vars(self):  # built by _from_codes: each value the codes name, once
-            tally = Counter(self.codes)
-            checked = list(map(self.values.__getitem__, tally))
-        if not all(map(isinstance, checked, repeat(Fraction))):
+        if not all(map(isinstance, masses, repeat(Fraction))):
             _reject_first_bad_mass(masses)
-        ratios = map(Fraction.as_integer_ratio, checked)
-        if checked is not masses:  # each value weighted by its count
-            ratios = [(n * count, d) for (n, d), count in zip(ratios, tally.values())]
         numerators: dict[int, int] = {}
-        for n, d in ratios:
+        for n, d in map(Fraction.as_integer_ratio, masses):
             if n < 0:
                 _reject_first_bad_mass(masses)
             numerators[d] = numerators.get(d, 0) + n
@@ -93,16 +87,10 @@ class Charge:
         if total != 1:
             raise ValueError(f"atom masses must sum to 1, got {format_rational(total)}")
 
-    @cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        """The masses' distinct objects, in first-seen order, unless built from codes."""
-        return tuple(dict(zip(map(id, self.masses), self.masses)).values())
-
-    @cached_property
-    def codes(self) -> Sequence[int]:
-        """Each atom's index into ``values``."""
-        code_of = {id(value): code for code, value in enumerate(self.values)}
-        return tuple(map(code_of.__getitem__, map(id, self.masses)))
+    # the masses the codes index, and each atom's code: for a tuple-built
+    # charge its own masses and indices; ``_from_codes`` stores the builder's
+    values = cached_property(attrgetter("masses"))
+    codes = cached_property(lambda self: range(len(self.masses)))
 
     # -- constructors -------------------------------------------------
 
@@ -111,13 +99,25 @@ class Charge:
         """The charge whose atom i has mass ``values[codes[i]]``, its masses built in C.
 
         ``codes`` is a tuple or bytes, and is kept as the charge's codes.
-        The dataclass constructor still runs, so ``__post_init__`` checks
-        the values the codes name, with the errors a tuple of the same
-        masses gives; a value no atom names is not checked.
+        Each value the codes name is checked once, weighted by its count;
+        a value no atom names is not checked.  On any failure the tuple
+        constructor runs on the masses, so the error is the one it gives.
         """
-        charge, values = cls.__new__(cls), list(values)  # a list's __getitem__ maps fastest
-        vars(charge).update(values=tuple(values), codes=codes)
-        charge.__init__(algebra, tuple(map(values.__getitem__, codes)))  # type: ignore[misc]
+        values = list(values)  # a list's __getitem__ maps fastest
+        masses = tuple(map(values.__getitem__, codes))
+        tally = Counter(codes)
+        named = list(map(values.__getitem__, tally))
+        if len(masses) != len(algebra.atoms) or not all(map(isinstance, named, repeat(Fraction))):
+            return cls(algebra, masses)  # raises, as for a tuple of these masses
+        numerators: dict[int, int] = {}
+        for (n, d), weight in zip(map(Fraction.as_integer_ratio, named), tally.values()):
+            if n < 0:
+                return cls(algebra, masses)
+            numerators[d] = numerators.get(d, 0) + n * weight
+        if _merge_numerators(numerators) != 1:
+            return cls(algebra, masses)
+        charge = cls.__new__(cls)
+        vars(charge).update(algebra=algebra, masses=masses, values=tuple(values), codes=codes)
         return charge
 
     @classmethod

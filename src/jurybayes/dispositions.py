@@ -12,12 +12,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, eq, mul
+from itertools import repeat
+from operator import eq
 from typing import Iterable, Iterator
 
 from .charges import Charge
-from .errors import AxiomViolation, NotExpressible, ThetaOutOfRange, ZeroTranscriptMass
+from .errors import AxiomViolation, ThetaOutOfRange, ZeroTranscriptMass
 from .rationals import RationalLike, as_rational, format_rational
 from .worlds import (
     EMPTY_TRANSCRIPT,
@@ -213,48 +213,43 @@ def verify_rationalization(
     """Check f(T) = convict iff P(guilt | transcript T) >= theta.
 
     Recomputes every conditional from the prior's atom masses; it never
-    trusts a certificate's posterior table.  Each distinct pair of guilty
-    and innocent mass codes is decided once, by an integer
-    cross-multiplication, and the transcripts are then mapped to their
-    pair's posterior and verdict in C.  Returns the first failing
-    transcript (canonical order) as witness.  Raises ThetaOutOfRange
-    unless 0 < theta < 1, and on the first transcript (canonical order)
-    that cannot be decided, ZeroTranscriptMass or NotExpressible.
+    trusts a certificate's posterior table.  Each transcript is decided
+    by an integer cross-multiplication, each distinct pair of guilty and
+    innocent masses is decided once, and the integers of each of the
+    prior's values are read once.  Returns the first failing transcript
+    (canonical order) as witness.  Raises ThetaOutOfRange unless
+    0 < theta < 1.
     """
     theta = verification_theta(theta)
     catalog = disposition.catalog
-    order, values, *columns = transcript_masses(prior.algebra, prior.values, prior.codes, catalog)
-    # each transcript's guilty and innocent codes (g, i) as the one int g*k + i;
-    # a transcript that cuts an atom ends the read, and the pairs before it stay
-    order, pairs, cut, k = tuple(order), [], None, len(values)
-    try:
-        pairs += map(add, map(mul, columns[0], repeat(k)), columns[1])
-    except NotExpressible as exc:
-        cut = exc
+    convicting = disposition.convicting
     theta_num, theta_den = theta.numerator, theta.denominator
-    # posterior and verdict per distinct pair, in first-seen order, so the
-    # first zero-mass pair is the first zero-mass transcript's
-    posterior, convicts = {}, {}
-    for pair in dict.fromkeys(pairs):
-        (g_num, g_den), (i_num, i_den) = (values[c].as_integer_ratio() for c in divmod(pair, k))
-        # P(G | T) = gn*id / (gn*id + in*gd) = a/s, and with s > 0 it
-        # meets theta iff a*theta_den >= theta_num*s
-        a = g_num * i_den
-        s = a + i_num * g_den
-        if s == 0:
-            raise ZeroTranscriptMass(
-                f"P(E_T) = 0 for transcript "
-                f"{{{','.join(catalog.transcript_labels(order[pairs.index(pair)]))}}}; "
-                "the threshold biconditional is undefined there"
-            )
-        posterior[pair], convicts[pair] = Fraction(a, s), a * theta_den >= theta_num * s
-    if cut is not None:
-        raise cut
-    posteriors = dict(zip(order, map(posterior.__getitem__, pairs)))
-    wrong = disposition.convicting.symmetric_difference(
-        compress(order, map(convicts.__getitem__, pairs))
-    )
-    witness = min(wrong, default=None)  # transcripts are their masks, so min is first
+    # (posterior, convicts) per distinct (guilty, innocent) pair, keyed on
+    # their integers: P(G | T) = gn*id / (gn*id + in*gd) = a/s, and with
+    # s > 0 it meets theta iff a*theta_den >= theta_num*s
+    decided: dict[tuple[int, int, int, int], tuple[Fraction, bool]] = {}
+    posteriors: dict[Transcript, Fraction] = {}
+    witness: Transcript | None = None
+    order, values, *columns = transcript_masses(prior.algebra, prior.values, prior.codes, catalog)
+    ratios = list(map(Fraction.as_integer_ratio, values))  # each value's integers, once
+    for transcript, guilty, innocent in zip(order, *columns):
+        key = ratios[guilty] + ratios[innocent]
+        known = decided.get(key)
+        if known is None:
+            g_num, g_den, i_num, i_den = key
+            a = g_num * i_den
+            s = a + i_num * g_den
+            if s == 0:
+                raise ZeroTranscriptMass(
+                    f"P(E_T) = 0 for transcript "
+                    f"{{{','.join(catalog.transcript_labels(transcript))}}}; "
+                    "the threshold biconditional is undefined there"
+                )
+            known = decided[key] = (Fraction(a, s), a * theta_den >= theta_num * s)
+        posterior, convicts = known
+        posteriors[transcript] = posterior
+        if witness is None and convicts != (transcript in convicting):
+            witness = transcript
     return VerificationResult(witness is None, witness, posteriors)
 
 

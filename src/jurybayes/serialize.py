@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from functools import cached_property
-from itertools import count, repeat
+from itertools import repeat
 from typing import Any, Iterable, Mapping
 
 from .charges import ZERO, Charge
@@ -202,16 +202,13 @@ def charge_from_jsonable(
 ) -> tuple[TestimonyCatalog, Charge]:
     """The catalog and the charge of a charge document; ParseError if it is malformed.
 
-    Each distinct literal is parsed once and gives the atoms that carry
-    it their code.  A document without "atoms" whose keys are every
-    world's key in canonical order, as the writer emits, is read by C
-    maps.  Any other document is read key by key, so the first bad key
-    names the error, and an atom it omits has mass zero.
+    The masses are read key by key, so the first bad key names the error,
+    and an atom the document omits has mass zero.  Each distinct literal
+    is parsed once and gives the atoms that carry it their code.
     """
     _require_keys(obj, {"catalog", "masses"}, {"atoms"}, "charge")
     catalog = catalog_from_jsonable(obj["catalog"], world_cap=world_cap)
     worlds = full_world_space(catalog)
-    table = _key_table(catalog)
 
     if "atoms" in obj:
         raw_atoms = obj["atoms"]
@@ -221,7 +218,7 @@ def charge_from_jsonable(
             raise ParseError('"atoms" must be a list of world-key lists')
         # canonical keys are looked up in one table; an atom holding any
         # other key is parsed key by key, so the first bad one names the error
-        index = table.index
+        index = _key_table(catalog).index
         atoms = []
         for raw in raw_atoms:
             try:
@@ -235,42 +232,31 @@ def charge_from_jsonable(
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
         algebra = BooleanSubalgebra._unchecked(worlds, world_set(catalog), ordered)
-        names = atom_names(algebra, table.keys)[0]
+        names = atom_names(algebra, _key_table(catalog).keys)[0]
         key_to_index = {name: i for i, name in enumerate(names)}
     else:
         algebra = world_algebra(catalog)
-        key_to_index = table.index
+        key_to_index = _key_table(catalog).index
 
     raw_masses = obj["masses"]
     if not isinstance(raw_masses, Mapping):
         raise ParseError('"masses" must be an object mapping atom keys to rationals')
-    literals = list(raw_masses.values())
-    values = None
-    if "atoms" not in obj and tuple(raw_masses) == table.keys:
-        try:  # TypeError: an unhashable literal; ValueError: one that does not parse
-            code_of = dict(zip(dict.fromkeys(literals), count()))
-            if all(map(isinstance, code_of, repeat(str))):  # each distinct literal
-                codes = tuple(map(code_of.__getitem__, literals))
-                values = list(map(as_rational, code_of))
-        except (TypeError, ValueError):
-            pass  # the walk below names the first bad literal's key
-    if values is None:  # key by key, so the first bad key names the error
-        values, code_of, codes = [ZERO], {}, [0] * len(algebra.atoms)  # an omitted atom reads 0
-        for key, raw_value in raw_masses.items():
-            index = key_to_index.get(key)
-            if index is None:
-                raise ParseError(f"mass key {key!r} is not an atom of the charge's algebra")
-            if not isinstance(raw_value, str):
-                raise ParseError(
-                    f"mass for {key!r} must be an exact rational string, got {raw_value!r}"
-                )
-            if raw_value not in code_of:  # each distinct literal is parsed where it first appears
-                try:
-                    values.append(as_rational(raw_value, name=f"mass[{key}]"))
-                except ValueError as exc:
-                    raise ParseError(str(exc)) from exc
-                code_of[raw_value] = len(values) - 1
-            codes[index] = code_of[raw_value]
+    values, code_of, codes = [ZERO], {}, [0] * len(algebra.atoms)
+    for key, raw_value in raw_masses.items():
+        index = key_to_index.get(key)
+        if index is None:
+            raise ParseError(f"mass key {key!r} is not an atom of the charge's algebra")
+        if not isinstance(raw_value, str):
+            raise ParseError(
+                f"mass for {key!r} must be an exact rational string, got {raw_value!r}"
+            )
+        if raw_value not in code_of:
+            try:
+                values.append(as_rational(raw_value, name=f"mass[{key}]"))
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+            code_of[raw_value] = len(values) - 1
+        codes[index] = code_of[raw_value]
     try:
         charge = Charge._from_codes(algebra, values, tuple(codes))
     except ValueError as exc:

@@ -495,9 +495,7 @@ _ZERO = Fraction(0)  # the mass of a transcript no atom holds a world of
 
 
 def transcript_masses(
-    algebra: BooleanSubalgebra,
-    values: tuple,
-    codes: Sequence,
+    algebra: BooleanSubalgebra, values: Sequence, codes: Sequence,
     catalog: TestimonyCatalog | None = None,
 ) -> tuple[Iterable[Transcript], list, Iterable[int], Iterable[int]]:
     """Every transcript T, a list of masses, and the codes of T's two masses.
@@ -506,7 +504,7 @@ def transcript_masses(
     of P(E_T ∩ ¬G).  Atom i's mass is ``values[codes[i]]``, and the codes
     returned index the list returned: ``values``, and on an algebra that
     is no world powerset one more entry, zero, the code of a transcript
-    no atom holds a world of.  So callers decide each distinct mass once.
+    no atom holds a world of.  So callers can decide each value once.
     With a catalog the algebra must live on its world space
     (CatalogMismatch otherwise) and transcripts come in canonical order;
     without one every ground element must be a World (TypeError

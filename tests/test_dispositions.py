@@ -338,6 +338,19 @@ class TestVerify:
             assert verify_outcome(disposition, F(3, 4), charge) is error
             assert oracle_verify_outcome(disposition, F(3, 4), charge) is error
 
+    def test_equal_masses_in_distinct_objects_are_decided_once(self):
+        """A tuple-built prior's codes are its atoms, so pairs are decided
+        once per value: equal but distinct masses share one posterior."""
+        cat = catalog(3)
+        disposition = Disposition(cat, [t for t in cat.all_transcripts() if len(t) >= 2])
+        prior = rationalize(disposition, F(2, 3)).prior
+        twins = Charge(prior.algebra, tuple(F(m.numerator, m.denominator) for m in prior.masses))
+        assert len(set(map(id, twins.masses))) == len(twins.masses)
+        for charge in (prior, twins):
+            result = verify_rationalization(disposition, F(2, 3), charge)
+            assert result.ok
+            assert len(set(map(id, result.posteriors.values()))) == 2  # convict, acquit
+
     @pytest.mark.parametrize("theta", [F(2), F(-1), F(0), F(1)])
     def test_theta_outside_the_open_unit_interval_is_refused_first(self, theta):
         cat = catalog(1)
@@ -547,7 +560,7 @@ def read_back_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
     prior = point_prior_with_gaps(rng, cat)
     doc = json.loads(json.dumps(charge_to_jsonable(cat, prior)))
     read = charge_from_jsonable(doc)[1]
-    assert read == prior and len(read.values) == len(set(doc["masses"].values()))
+    assert read == prior and len(set(read.codes)) == len(set(doc["masses"].values()))
     return read
 
 
