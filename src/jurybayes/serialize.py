@@ -181,8 +181,9 @@ def disposition_from_jsonable(
 def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, Any]:
     """The charge's document: every atom's key and its mass, in atom order.
 
-    Each distinct mass is formatted once and the atoms' codes pick their
-    literal.  CatalogMismatch unless the charge lives on the catalog's
+    Each of the charge's values is formatted once and the atoms' codes
+    pick their literal, so a charge built from codes formats only its few
+    values.  CatalogMismatch unless the charge lives on the catalog's
     world space.
     """
     algebra = charge.algebra

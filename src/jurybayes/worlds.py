@@ -25,8 +25,8 @@ from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, NotExpressib
 DEFAULT_WORLD_CAP = 12
 
 #: Largest world cap any catalog may be given.  Library ``rationalize``
-#: followed by ``verify_rationalization`` peaks at about 0.58 kB per world
-#: (two-witness disposition, n=16: 72 MB for 131072 worlds on CPython
+#: followed by ``verify_rationalization`` peaks at about 0.56 kB per world
+#: (two-witness disposition, n=16: 70 MB for 131072 worlds on CPython
 #: 3.11), so this ceiling bounds that path at 2^21 worlds and about
 #: 1.2 GB.  The figure covers the library path only: the CLI's
 #: ``rationalize --out`` peaked at 976 MB already at n=18.  A cap above
