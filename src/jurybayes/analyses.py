@@ -21,7 +21,7 @@ from .errors import (
     NonpositiveRatio,
     UndefinedRatio,
 )
-from .rationals import RationalLike, as_rational, exact_decimal, format_rational
+from .rationals import RationalLike, as_rational, as_rational_fields, exact_decimal, format_rational
 
 # The odds and rate-bound analyses need no world machinery, so the two
 # builders that do import charges and worlds where they run.
@@ -43,9 +43,8 @@ class Odds:
     in_favor: Fraction
     against: Fraction
 
-    def __init__(self, in_favor: RationalLike, against: RationalLike) -> None:
-        object.__setattr__(self, "in_favor", as_rational(in_favor, name="in_favor"))
-        object.__setattr__(self, "against", as_rational(against, name="against"))
+    def __post_init__(self) -> None:
+        as_rational_fields(self)
         if self.in_favor <= 0 or self.against <= 0:
             raise ValueError("odds components must be strictly positive")
 
@@ -246,9 +245,8 @@ class RateBoundConfig:
     gamma: Fraction
     theta: Fraction
 
-    def __init__(self, gamma: RationalLike, theta: RationalLike) -> None:
-        object.__setattr__(self, "gamma", as_rational(gamma, name="gamma"))
-        object.__setattr__(self, "theta", as_rational(theta, name="theta"))
+    def __post_init__(self) -> None:
+        as_rational_fields(self)
         if self.gamma <= 0:
             raise ValueError("gamma must be strictly positive")
         if not 0 < self.theta < 1:

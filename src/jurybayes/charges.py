@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import repeat
 from math import gcd
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -54,12 +54,13 @@ class ConditionalResult:
 class Charge:
     """An exact finitely additive probability charge on a subalgebra.
 
-    ``masses`` is aligned with ``algebra.atoms``.  Atom masses may be
-    zero; they must be Fractions, nonnegative, and sum to exactly one.
-    The checks run first in C (one type pass) and on integers (one pass
-    that checks signs and tallies numerators per denominator); only when
-    one fails are the masses walked in order, so the first bad mass names
-    the error.
+    ``masses`` is aligned with ``algebra.atoms`` and kept as a tuple.
+    Atom masses may be zero; they must be Fractions, nonnegative, and sum
+    to exactly one.  Both builders, the constructor and ``_from_codes``,
+    run the one check ``_check_masses``: first in C (one type pass), then
+    on integers (one pass that checks signs and tallies numerators per
+    denominator).  Only when one fails are the masses walked in order, so
+    the first bad mass names the error.
 
     ``values`` and ``codes`` view the same masses coded, so that
     ``masses[i] is values[codes[i]]``.  A charge built from a tuple is its
@@ -73,19 +74,9 @@ class Charge:
     masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        masses = self.masses
-        if len(masses) != len(self.algebra.atoms):
-            raise ValueError(f"{len(masses)} masses for {len(self.algebra.atoms)} atoms")
-        if not all(map(isinstance, masses, repeat(Fraction))):
-            _reject_first_bad_mass(masses)
-        numerators: dict[int, int] = {}
-        for n, d in map(Fraction.as_integer_ratio, masses):
-            if n < 0:
-                _reject_first_bad_mass(masses)
-            numerators[d] = numerators.get(d, 0) + n
-        total = _merge_numerators(numerators)
-        if total != 1:
-            raise ValueError(f"atom masses must sum to 1, got {format_rational(total)}")
+        masses = tuple(self.masses)  # the very tuple, when given one
+        object.__setattr__(self, "masses", masses)
+        _check_masses(self.algebra, masses, masses)
 
     # the masses the codes index, and each atom's code: for a tuple-built
     # charge its own masses and indices; ``_from_codes`` stores the builder's
@@ -99,23 +90,14 @@ class Charge:
         """The charge whose atom i has mass ``values[codes[i]]``, its masses built in C.
 
         ``codes`` is a tuple or bytes, and is kept as the charge's codes.
-        Each value the codes name is checked once, weighted by its count;
-        a value no atom names is not checked.  On any failure the tuple
-        constructor runs on the masses, so the error is the one it gives.
+        ``_check_masses`` checks each value the codes name once, weighted
+        by its count, and a value no atom names not at all; it raises what
+        the constructor would raise for these masses.
         """
         values = list(values)  # a list's __getitem__ maps fastest
         masses = tuple(map(values.__getitem__, codes))
         tally = Counter(codes)
-        named = list(map(values.__getitem__, tally))
-        if len(masses) != len(algebra.atoms) or not all(map(isinstance, named, repeat(Fraction))):
-            return cls(algebra, masses)  # raises, as for a tuple of these masses
-        numerators: dict[int, int] = {}
-        for (n, d), weight in zip(map(Fraction.as_integer_ratio, named), tally.values()):
-            if n < 0:
-                return cls(algebra, masses)
-            numerators[d] = numerators.get(d, 0) + n * weight
-        if _merge_numerators(numerators) != 1:
-            return cls(algebra, masses)
+        _check_masses(algebra, masses, list(map(values.__getitem__, tally)), tally.values())
         charge = cls.__new__(cls)
         vars(charge).update(algebra=algebra, masses=masses, values=tuple(values), codes=codes)
         return charge
@@ -358,6 +340,30 @@ class Charge:
                 "conditional value is defined on it"
             )
         return scale
+
+
+def _check_masses(algebra, masses: tuple, named: Sequence, counts: Iterable[int] = ()) -> None:
+    """TypeError or ValueError unless ``masses`` are a probability on the algebra's atoms.
+
+    ``named`` holds the masses to check: all of ``masses``, or with
+    ``counts`` each distinct value once and how many atoms it weighs.
+    Only a type or sign failure walks ``masses``, for the first bad one.
+    """
+    if len(masses) != len(algebra.atoms):
+        raise ValueError(f"{len(masses)} masses for {len(algebra.atoms)} atoms")
+    if not all(map(isinstance, named, repeat(Fraction))):
+        _reject_first_bad_mass(masses)
+    ratios = map(Fraction.as_integer_ratio, named)
+    if counts:
+        ratios = [(n * count, d) for (n, d), count in zip(ratios, counts)]
+    numerators: dict[int, int] = {}
+    for n, d in ratios:
+        if n < 0:
+            _reject_first_bad_mass(masses)
+        numerators[d] = numerators.get(d, 0) + n
+    total = _merge_numerators(numerators)
+    if total != 1:
+        raise ValueError(f"atom masses must sum to 1, got {format_rational(total)}")
 
 
 def _reject_first_bad_mass(masses: Iterable[object]) -> None:

@@ -139,12 +139,7 @@ def rationalize(
     so it is written down directly on the catalog's world algebra, as
     those four values and each world's code among them.
     """
-    theta = as_rational(theta, name="theta")
-    if not HALF < theta < 1:
-        raise ThetaOutOfRange(
-            f"rationalization threshold must satisfy 1/2 < theta < 1, "
-            f"got {format_rational(theta)}"
-        )
+    theta = _theta_in(theta, "rationalization threshold must satisfy 1/2 < theta < 1", HALF)
     if not check_poi(disposition):
         raise AxiomViolation(
             "presumption of innocence fails: the empty transcript convicts"
@@ -199,11 +194,14 @@ def transcript_posteriors(
 
 def verification_theta(theta: RationalLike) -> Fraction:
     """theta as an exact rational; ThetaOutOfRange unless 0 < theta < 1."""
+    return _theta_in(theta, "verification threshold must satisfy 0 < theta < 1", 0)
+
+
+def _theta_in(theta: RationalLike, rule: str, low: Fraction | int) -> Fraction:
+    """theta as an exact rational; ThetaOutOfRange stating ``rule`` unless low < theta < 1."""
     theta = as_rational(theta, name="theta")
-    if not 0 < theta < 1:
-        raise ThetaOutOfRange(
-            f"verification threshold must satisfy 0 < theta < 1, got {format_rational(theta)}"
-        )
+    if not low < theta < 1:
+        raise ThetaOutOfRange(f"{rule}, got {format_rational(theta)}")
     return theta
 
 
@@ -276,11 +274,7 @@ def posner_even_odds_prior(catalog: TestimonyCatalog, theta: RationalLike) -> Ch
     runs at the interior threshold 2/3, whose posteriors still dominate
     theta.
     """
-    theta = as_rational(theta, name="theta")
-    if not 0 < theta < 1:
-        raise ThetaOutOfRange(
-            f"even-odds prior needs 0 < theta < 1, got {format_rational(theta)}"
-        )
+    theta = _theta_in(theta, "even-odds prior needs 0 < theta < 1", 0)
     effective = theta if theta > HALF else Fraction(2, 3)
     certificate = rationalize(always_convict_nonempty(catalog), effective)
     return certificate.prior

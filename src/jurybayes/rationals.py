@@ -50,6 +50,17 @@ def as_rational(value: RationalLike, *, name: str = "value") -> Fraction:
     raise TypeError(f"{name} must be int, str, or Fraction, got {type(value).__name__}")
 
 
+def as_rational_fields(value: object) -> None:
+    """Convert each field of a frozen dataclass in place, in field order, by ``as_rational``.
+
+    The field's name names any error, so the first bad field in order
+    names it.  Fields are read from ``__dataclass_fields__``, which keeps
+    ``dataclasses`` (and the ``inspect`` it imports) out of this module.
+    """
+    for name in value.__dataclass_fields__:  # type: ignore[attr-defined]
+        object.__setattr__(value, name, as_rational(getattr(value, name), name=name))
+
+
 def _check_literal_size(text: str, name: str) -> None:
     """Refuse a literal whose value could outgrow MAX_LITERAL_DIGITS digits."""
     _, _, exponent = text.lower().partition("e")
@@ -98,25 +109,25 @@ def exact_decimal(value: Fraction) -> str | None:
     if den != 1:
         return None
     places = max(twos, fives)
-    if places == 0:
+    if places == 0:  # a zero-width slice in _point would drop the digits
         return _digits(value.numerator)
-    scaled = value.numerator * 10**places // value.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = _digits(abs(scaled)).rjust(places + 1, "0")
-    whole, frac = digits[:-places], digits[-places:]
-    return f"{sign}{whole}.{frac}"
+    return _point(value.numerator * 10**places // value.denominator, places)
 
 
 def approx_decimal(value: Fraction) -> str:
     """Display-only decimal: exact when terminating, otherwise rounded.
 
     Rounded values carry a trailing '…' marker so reports never pass an
-    approximation off as exact.
+    approximation off as exact.  One that rounds to zero carries no sign.
     """
     exact = exact_decimal(value)
     if exact is not None:
         return exact
-    scaled = round(value * 10**APPROX_PLACES)
+    return _point(round(value * 10**APPROX_PLACES), APPROX_PLACES) + "…"
+
+
+def _point(scaled: int, places: int) -> str:
+    """``scaled / 10**places`` written with ``places`` (at least 1) digits after the point."""
     sign = "-" if scaled < 0 else ""
-    digits = _digits(abs(scaled)).rjust(APPROX_PLACES + 1, "0")
-    return f"{sign}{digits[:-APPROX_PLACES]}.{digits[-APPROX_PLACES:]}…"
+    digits = _digits(abs(scaled)).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"

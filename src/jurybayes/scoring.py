@@ -22,7 +22,7 @@ from operator import getitem
 from typing import TYPE_CHECKING, AbstractSet, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, DegenerateUtilities, OutOfRange
-from .rationals import RationalLike, as_rational, format_rational
+from .rationals import RationalLike, as_rational, as_rational_fields, format_rational
 
 if TYPE_CHECKING:
     from .charges import Charge
@@ -89,9 +89,8 @@ class ScoreWeights:
     reward: Fraction
     penalty: Fraction
 
-    def __init__(self, reward: RationalLike, penalty: RationalLike) -> None:
-        object.__setattr__(self, "reward", as_rational(reward, name="reward"))
-        object.__setattr__(self, "penalty", as_rational(penalty, name="penalty"))
+    def __post_init__(self) -> None:
+        as_rational_fields(self)
         if self.reward <= 0 or self.penalty <= 0:
             raise ValueError("reward and penalty must both be strictly positive")
 
@@ -113,6 +112,7 @@ class DoxasticState:
     attitudes: tuple[Attitude, ...]
 
     def __post_init__(self) -> None:
+        vars(self).update(pairs=tuple(self.pairs), attitudes=tuple(self.attitudes))
         if len(self.pairs) != len(self.attitudes):
             raise ValueError("one attitude per pair required")
         names = [p.name for p in self.pairs]
@@ -276,27 +276,8 @@ class UtilityQuadruple:
     acquit_guilty: Fraction
     acquit_innocent: Fraction
 
-    def __init__(
-        self,
-        convict_guilty: RationalLike,
-        convict_innocent: RationalLike,
-        acquit_guilty: RationalLike,
-        acquit_innocent: RationalLike,
-    ) -> None:
-        object.__setattr__(
-            self, "convict_guilty", as_rational(convict_guilty, name="convict_guilty")
-        )
-        object.__setattr__(
-            self,
-            "convict_innocent",
-            as_rational(convict_innocent, name="convict_innocent"),
-        )
-        object.__setattr__(
-            self, "acquit_guilty", as_rational(acquit_guilty, name="acquit_guilty")
-        )
-        object.__setattr__(
-            self, "acquit_innocent", as_rational(acquit_innocent, name="acquit_innocent")
-        )
+    def __post_init__(self) -> None:
+        as_rational_fields(self)
 
     @classmethod
     def from_belief_weights(cls, weights: ScoreWeights) -> "UtilityQuadruple":

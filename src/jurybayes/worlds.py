@@ -322,18 +322,22 @@ class BooleanSubalgebra:
     partition with k blocks encodes 2^k members without listing them.
 
     ``ground`` is an ordered tuple; the order is the canonical element
-    order used for deterministic atom ordering and serialization.
+    order used for deterministic atom ordering and serialization.  Both
+    are kept as tuples, the atoms as frozensets, whatever they were built
+    from.
     """
 
     ground: tuple[Hashable, ...]
     atoms: tuple[frozenset, ...]
 
     def __post_init__(self) -> None:
-        ground_set = frozenset(self.ground)
-        if len(ground_set) != len(self.ground):
+        ground = tuple(self.ground)
+        ground_set = frozenset(ground)
+        if len(ground_set) != len(ground):
             raise ValueError("ground elements must be distinct")
         _check_partition(self.atoms, ground_set)
-        object.__setattr__(self, "_ground_set", ground_set)
+        atoms = tuple(map(frozenset, self.atoms))  # after the check, which refuses a str
+        vars(self).update(ground=ground, atoms=atoms, _ground_set=ground_set)
 
     @property
     def ground_set(self) -> frozenset:

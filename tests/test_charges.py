@@ -394,6 +394,19 @@ class TestMassValidation:
         assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
+def test_a_charge_built_from_a_list_keeps_its_own_tuple():
+    algebra = powerset_algebra(("a", "b"))
+    masses = [F(1, 2), F(1, 2)]
+    charge = Charge(algebra, masses)
+    masses[0] = F(5)
+    assert charge.masses == (F(1, 2), F(1, 2))
+    assert charge.measure(algebra.ground_set) == 1
+    twin = Charge(algebra, (F(1, 2), F(1, 2)))
+    assert charge == twin and hash(charge) == hash(twin)
+    # a tuple is kept as it is
+    assert Charge(algebra, twin.masses).masses is twin.masses
+
+
 class TestCodedView:
     """``values`` and ``codes`` view the masses coded: a tuple-built
     charge's are its own masses and each atom's own index, and a charge

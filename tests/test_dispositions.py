@@ -477,6 +477,41 @@ class TestPosnerPrior:
             posner_even_odds_prior(catalog(0), F(3, 4))
 
 
+class TestThetaRanges:
+    """The three θ checks: each class and exact message at θ = low, at θ = 1, and for a float."""
+
+    RULES = {
+        "rationalize": "rationalization threshold must satisfy 1/2 < theta < 1",
+        "verify": "verification threshold must satisfy 0 < theta < 1",
+        "posner": "even-odds prior needs 0 < theta < 1",
+    }
+
+    def check(self, kind, theta):
+        cat = catalog(1)
+        disposition = Disposition(cat, [cat.transcript(["t0"])])
+        if kind == "rationalize":
+            return rationalize(disposition, theta)
+        if kind == "verify":
+            return verify_rationalization(disposition, theta, rationalize(disposition, "3/4").prior)
+        return posner_even_odds_prior(cat, theta)
+
+    @pytest.mark.parametrize("kind", RULES)
+    def test_exact_messages_at_the_bounds(self, kind):
+        low = "1/2" if kind == "rationalize" else "0"
+        for theta, shown in ((F(low), low), (1, "1"), ("-3/2", "-3/2"), (F(9, 8), "9/8")):
+            with pytest.raises(ThetaOutOfRange) as caught:
+                self.check(kind, theta)
+            assert str(caught.value) == f"{self.RULES[kind]}, got {shown}"
+
+    @pytest.mark.parametrize("kind", RULES)
+    def test_a_float_theta_is_a_type_error(self, kind):
+        with pytest.raises(TypeError) as caught:
+            self.check(kind, 0.75)
+        assert str(caught.value) == (
+            "theta must be exact (int, Fraction, or string like '3/4'); got float 0.75"
+        )
+
+
 def rationalized_prior(rng: random.Random, cat: TestimonyCatalog) -> Charge:
     nonempty = [t for t in cat.all_transcripts() if len(t) > 0]
     convicting = rng.sample(nonempty, rng.randrange(1, len(nonempty) + 1))

@@ -312,6 +312,16 @@ class TestBruteForceAgainstOracle:
         assert len(calls) == 2 * 5 * 3**4  # each believed side of each state
 
 
+def test_a_state_built_from_lists_keeps_its_own_tuples():
+    _, pair = one_pair_setup(F(1, 2))
+    pairs, attitudes = [pair], [Attitude.SUSPEND]
+    built = DoxasticState(pairs, attitudes)
+    attitudes[0] = Attitude.BELIEVE_POSITIVE
+    twin = DoxasticState((pair,), (Attitude.SUSPEND,))
+    assert (built.pairs, built.attitudes) == (twin.pairs, twin.attitudes)
+    assert built == twin and hash(built) == hash(twin)
+
+
 class TestDoxasticState:
     def test_completeness(self):
         _, pair = one_pair_setup(F(1, 2))

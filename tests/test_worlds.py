@@ -1,6 +1,7 @@
 """World spaces, events, and subalgebra machinery."""
 
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -47,6 +48,22 @@ from conftest import (
 
 def catalog(n: int) -> TestimonyCatalog:
     return TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+
+
+def test_an_algebra_built_from_lists_and_sets_keeps_tuples_and_frozensets():
+    ground, atoms = ["a", "b", "c"], [{"a"}, {"b", "c"}]
+    algebra = BooleanSubalgebra(ground, atoms)
+    ground.append("d")
+    atoms[1].add("d")
+    twin = BooleanSubalgebra(("a", "b", "c"), (frozenset({"a"}), frozenset({"b", "c"})))
+    assert algebra.ground == ("a", "b", "c")
+    assert algebra.atoms == twin.atoms
+    assert all(type(atom) is frozenset for atom in algebra.atoms)
+    assert algebra == twin and hash(algebra) == hash(twin)
+    # tuples and frozensets are kept as they are
+    again = BooleanSubalgebra(twin.ground, twin.atoms)
+    assert again.ground is twin.ground
+    assert all(map(operator.is_, again.atoms, twin.atoms))
 
 
 class TestWorldSpace:
