@@ -75,7 +75,8 @@ class Charge:
 
     def __post_init__(self) -> None:
         masses = tuple(self.masses)  # the very tuple, when given one
-        object.__setattr__(self, "masses", masses)
+        if masses is not self.masses:  # a list would stay the caller's to change
+            object.__setattr__(self, "masses", masses)
         _check_masses(self.algebra, masses, masses)
 
     # the masses the codes index, and each atom's code: for a tuple-built
