@@ -354,8 +354,10 @@ class RatioBoundedPrior:
     """A convicting prior whose posterior chain respects the ratio bound.
 
     ``posteriors[k]`` is the guilt posterior after the first k
-    testimonies, read from ``charge``'s masses by suffix sums (index 0
-    is the prior).
+    testimonies (index 0 is the prior).  The charge is built so that the
+    guilt posterior on the k-th heard-event is the k-th target
+    min((1/2)(1+gamma)^k, theta), so the trail is the targets themselves,
+    not read back from the masses.
     """
 
     catalog: TestimonyCatalog
@@ -399,56 +401,75 @@ def build_ratio_bounded_convicting_prior(
     from .charges import Charge
     from .worlds import heard_prefix_algebra
 
-    count = min_convicting_testimony_count(config)
-    if len(catalog) < count.steps:
-        raise CatalogTooSmall(
-            f"need at least {count.steps} testimonies to reach "
-            f"{format_rational(config.theta)} under the ratio bound; "
-            f"catalog has {len(catalog)}"
-        )
+    targets = _ratio_bounded_targets(config, len(catalog))
+    if targets is None or len(targets) == 1:
+        # Either the catalog is too short for the chain, or no step is
+        # needed.  Either way the step count raises what it always has
+        # first: CapExceeded past RATE_STEP_CAP, or for a logarithmic
+        # bound beyond the float range.
+        count = min_convicting_testimony_count(config)
+        if targets is None:
+            raise CatalogTooSmall(
+                f"need at least {count.steps} testimonies to reach "
+                f"{format_rational(config.theta)} under the ratio bound; "
+                f"catalog has {len(catalog)}"
+            )
+    steps = len(targets) - 1
     # The prior is what the chain of
-    #     charge.extend_conditional(guilt, H_k, theta_k, strict=False)
+    #     charge.extend_conditional(guilt, H_k, t_k, strict=False)
     # for k = 1..m builds from the even-odds guilt algebra, written in
     # closed form.  H_k = heard_event(catalog, Transcript(range(k))) nests
     # inside H_{k-1} (H_0 is the world space), so before step k the atoms
     # are G and I intersected with each layer H_{j-1} - H_j (j < k), which
     # H_k misses, and the two tails G & H_{k-1} and I & H_{k-1}, with
-    # masses t_G and t_I, which H_k cuts.  No atom lies inside H_k, so the
-    # forced masses in_e and in_c are 0 and _conditional_scale gives
-    #     s = min(t_G / theta_k, t_I / (1 - theta_k)) / 2.
-    # greedy_fill then fills the cut tails with theta_k * s and
-    # (1 - theta_k) * s, each at most half the tail, and layer H_{k-1} - H_k
-    # keeps the rest.  The atoms in canonical order are the layers in
-    # turn, guilty part first, then the tails of H_m (``heard_prefix_algebra``
-    # reads each as a stride slice of the world space), so H_k is the union
-    # of atoms 2k onward: the posterior trail is read back from these masses
-    # by suffix sums, not measured, and ``chain`` is read from the atoms.
-    growth = 1 + config.gamma
+    # masses g_{k-1} and i_{k-1}, which H_k cuts.  No atom lies inside H_k,
+    # so the forced masses in_e and in_c are 0 and _conditional_scale gives
+    #     s = min(g_{k-1} / t_k, i_{k-1} / (1 - t_k)) / 2,
+    # and greedy_fill gives H_k the tails g_k = t_k * s and
+    # i_k = (1 - t_k) * s.  By induction P(G | H_{k-1}) = t_{k-1} <= t_k,
+    # so g_{k-1} / t_k <= i_{k-1} / (1 - t_k): the guilty side sets s, and
+    #     g_k = g_{k-1} / 2 = 2^-(k+1),
+    #     i_k = 2^-(k+1) (1 - t_k) / t_k,
+    #     P(G | H_k) = t_k.
+    # Layer H_{k-1} - H_k keeps the rest: 2^-(k+1) guilty and
+    # i_{k-1} - i_k innocent, which i_k <= i_{k-1} / 2 keeps positive.  The
+    # atoms in canonical order are the layers in turn, guilty part first,
+    # then the tails of H_m (``heard_prefix_algebra`` reads each as a stride
+    # slice of the world space), so H_k is the union of atoms 2k onward and
+    # ``chain`` is read from the atoms.  Every mass is written on integers
+    # and made a Fraction once; the trail is the targets.
     masses: list[Fraction] = []
-    tail_g = tail_i = target = HALF
-    for _ in range(count.steps):
-        target = min(target * growth, config.theta)
-        scale = min(tail_g / target, tail_i / (1 - target)) / 2
-        inside_g, inside_i = target * scale, (1 - target) * scale
-        masses += (tail_g - inside_g, tail_i - inside_i)
-        tail_g, tail_i = inside_g, inside_i
-    masses += (tail_g, tail_i)
-
-    charge = Charge(heard_prefix_algebra(catalog, count.steps), tuple(masses))
-
-    # P(G & H_k) and P(H_k) are the suffix sums of masses[2k::2] and
-    # masses[2k:].  H_k holds the tails of H_m, theta_m * s and
-    # (1 - theta_m) * s with s > 0, so P(H_k) > 0: no conditioning event
-    # is null, and ZeroConditioningEvent cannot arise here.
-    trail: list[Fraction] = []
-    guilty = heard_mass = Fraction(0)
-    for k in range(2 * count.steps, -1, -2):
-        guilty += masses[k]
-        heard_mass += masses[k] + masses[k + 1]
-        trail.append(guilty / heard_mass)
+    tail_num, tail_den = 1, 2  # i_0 = 1/2
+    for k, (t_num, t_den) in enumerate(targets[1:], 1):
+        num, den = t_den - t_num, t_num << (k + 1)  # i_k
+        masses += (Fraction(1, 2 << k), Fraction(tail_num * den - num * tail_den, tail_den * den))
+        tail_num, tail_den = num, den
+    masses += (Fraction(1, 2 << steps), Fraction(tail_num, tail_den))
     return RatioBoundedPrior(
         catalog=catalog,
         config=config,
-        charge=charge,
-        posteriors=tuple(reversed(trail)),
+        charge=Charge(heard_prefix_algebra(catalog, steps), tuple(masses)),
+        posteriors=tuple(Fraction(n, d) for n, d in targets),
     )
+
+
+def _ratio_bounded_targets(config: RateBoundConfig, most: int) -> list[tuple[int, int]] | None:
+    """The targets t_0..t_m as (numerator, denominator) pairs; None if m > ``most``.
+
+    t_0 = 1/2 and t_k = min((1/2)(1+gamma)^k, theta), where m is the least
+    k with (1/2)(1+gamma)^k >= theta, so only t_m (for m >= 1) is capped,
+    and at theta.  Each power is one product of integers away from the last.
+    """
+    g_num, g_den = config.gamma.as_integer_ratio()
+    g_num += g_den  # 1 + gamma, still in lowest terms
+    theta_num, theta_den = config.theta.as_integer_ratio()
+    targets = [(1, 2)]
+    num, den = 1, 2
+    while num * theta_den < den * theta_num:  # the last target is below theta
+        if len(targets) > most:
+            return None
+        num, den = num * g_num, den * g_den
+        targets.append((num, den))
+    if len(targets) > 1:
+        targets[-1] = (theta_num, theta_den)
+    return targets

@@ -135,9 +135,16 @@ class Charge:
 
         The algebra's ``cover`` names the atoms inside the event, whose
         masses are summed, and the atoms it cuts: any such atom raises
-        NotExpressible.
+        NotExpressible.  A coded charge (see ``_from_codes``) counts the
+        codes of the atoms inside and sums each value they name once,
+        times its count.
         """
-        return fraction_sum(map(self.masses.__getitem__, self._inside(event)))
+        inside = self._inside(event)
+        codes = self.codes
+        if type(codes) is range:  # a tuple-built charge: each mass is its own value
+            return fraction_sum(map(self.masses.__getitem__, inside))
+        tally = Counter(map(list(codes).__getitem__, inside))  # a list maps fastest
+        return fraction_sum(map(self.values.__getitem__, tally), tally.values())
 
     def _inside(self, event: AbstractSet) -> Iterable[int]:
         """The indices of the atoms inside an event; NotExpressible unless it is their union."""
@@ -376,14 +383,18 @@ def _reject_first_bad_mass(masses: Iterable[object]) -> None:
             raise ValueError(f"atom mass must be nonnegative, got {m}")
 
 
-def fraction_sum(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum of Fractions, building one Fraction at the end.
+def fraction_sum(values: Iterable[Fraction], counts: Iterable[int] | None = None) -> Fraction:
+    """Exact sum of Fractions, each times its count if ``counts`` is given.
 
-    Numerators are added per denominator as ints, and the distinct
-    denominators are merged on ints over their running lcm.
+    One Fraction is built, at the end: numerators are added per
+    denominator as ints, and the distinct denominators are merged on ints
+    over their running lcm.
     """
+    ratios = map(Fraction.as_integer_ratio, values)
+    if counts is not None:
+        ratios = [(n * count, d) for (n, d), count in zip(ratios, counts)]
     numerators: dict[int, int] = {}
-    for n, d in map(Fraction.as_integer_ratio, values):
+    for n, d in ratios:
         numerators[d] = numerators.get(d, 0) + n
     return _merge_numerators(numerators)
 

@@ -10,11 +10,12 @@ convicting transcript and 1-theta on every acquitting one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import eq
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .charges import Charge
 from .errors import AxiomViolation, ThetaOutOfRange, ZeroTranscriptMass
@@ -114,11 +115,24 @@ class RationalizationCertificate:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of an independent threshold-behaviour check."""
+    """Outcome of an independent threshold-behaviour check.
+
+    ``posteriors`` is read-only: a mapping given in any other form is
+    copied into a ``MappingProxyType``.  Results compare by all three
+    fields and hash by ``ok`` and ``witness``.
+    """
 
     ok: bool
     witness: Transcript | None
-    posteriors: dict[Transcript, Fraction]
+    posteriors: Mapping[Transcript, Fraction] = field(hash=False)
+
+    def __post_init__(self) -> None:
+        if type(self.posteriors) is not MappingProxyType:
+            object.__setattr__(self, "posteriors", MappingProxyType(dict(self.posteriors)))
+
+    def __reduce__(self) -> tuple:
+        # a mappingproxy cannot be pickled; its dict can
+        return type(self), (self.ok, self.witness, dict(self.posteriors))
 
     def __bool__(self) -> bool:
         return self.ok
@@ -248,7 +262,7 @@ def verify_rationalization(
         posteriors[transcript] = posterior
         if witness is None and convicts != (transcript in convicting):
             witness = transcript
-    return VerificationResult(witness is None, witness, posteriors)
+    return VerificationResult(witness is None, witness, MappingProxyType(posteriors))
 
 
 def is_open_door(prior: Charge) -> bool:

@@ -209,7 +209,7 @@ class TestimonyCatalog:
 
     def all_transcripts(self) -> Iterator[Transcript]:
         """All 2^n transcripts in canonical binary-counting order."""
-        return map(_transcript_of_mask, range(1 << len(self.labels)))
+        return iter(_transcript_space(len(self.labels)))
 
 
 def check_world_cap(cap: int) -> int:
@@ -238,6 +238,12 @@ def full_world_space(catalog: TestimonyCatalog) -> tuple[World, ...]:
 @lru_cache(maxsize=64)
 def _world_space(n: int) -> tuple[World, ...]:
     return tuple(map(_world_of_code, range(2 << n)))
+
+
+@lru_cache(maxsize=64)
+def _transcript_space(n: int) -> tuple[Transcript, ...]:
+    """All 2^n transcripts in canonical order; ``all_transcripts`` iterates it."""
+    return tuple(map(_transcript_of_mask, range(1 << n)))
 
 
 def world_set(catalog: TestimonyCatalog) -> frozenset[World]:

@@ -447,6 +447,10 @@ class TestRatioBoundedPrior:
         assert built.posteriors == oracle_ratio_bounded_trail(
             built.charge, chain, guilt_event(catalog)
         )
+        # every output is a Fraction in lowest terms
+        for value in built.charge.masses + built.posteriors:
+            assert type(value) is F and value.denominator > 0
+            assert math.gcd(value.numerator, value.denominator) == 1
         return built
 
     @pytest.mark.parametrize("gamma", [F(1, 10), F(1, 5), F(1, 2), F(1), F(3)])
@@ -541,18 +545,55 @@ class TestRatioBoundedPrior:
         assert chain == oracle_chain
         assert built.charge.algebra.atoms == oracle.charge.algebra.atoms
 
-    def test_closed_form_fails_like_the_extension_chain(self):
-        for n, config in (
-            (2, RateBoundConfig(F(1, 10), F(3, 4))),
-            (0, RateBoundConfig(F(1), F(3, 4))),
-            (12, RateBoundConfig(F(1, 10**6), F(3, 4))),
+    def test_build_does_no_fraction_arithmetic(self, monkeypatch):
+        """Masses and trail are worked out on integers: each output is one
+        ``Fraction(n, d)``, and no Fraction is added, subtracted,
+        multiplied or divided."""
+        calls: list[str] = []
+        for name in (
+            "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+            "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+            "__pow__", "__rpow__", "__neg__",
         ):
-            errors = []
+            method = getattr(F, name)
+            monkeypatch.setattr(
+                F,
+                name,
+                lambda *args, _name=name, _method=method: calls.append(_name) or _method(*args),
+            )
+        configs = [RateBoundConfig(gamma, F(3, 4)) for gamma in (F(1, 10), F(1, 20), F(1, 25))]
+        configs += [RateBoundConfig(F(1, 2), F(2, 3)), RateBoundConfig(F(1, 4), F(25, 32))]
+        for config in configs:
+            steps = oracle_min_convicting_steps(config)
+            assert calls
+            calls.clear()
+            built = build_ratio_bounded_convicting_prior(self.catalog(steps), config)
+            assert calls == []
+            # the counters do see Fraction arithmetic
+            assert built.within_bound() and built.convicts() and calls
+
+    def test_closed_form_fails_like_the_extension_chain(self):
+        # each message pinned; past the step cap, CapExceeded comes before
+        # CatalogTooSmall, and it is raised even where no step is needed
+        too_small = "need at least {} testimonies to reach 3/4 under the ratio bound; catalog has {}"
+        past_cap = "more than 4096 ratio-bounded steps needed to reach 3/4 at gamma = {}"
+        for n, gamma, theta, error, message in (
+            (2, F(1, 10), F(3, 4), CatalogTooSmall, too_small.format(5, 2)),
+            (0, F(1), F(3, 4), CatalogTooSmall, too_small.format(1, 0)),
+            # one testimony short on each configuration of the refine benchmark
+            (4, F(1, 10), F(3, 4), CatalogTooSmall, too_small.format(5, 4)),
+            (8, F(1, 20), F(3, 4), CatalogTooSmall, too_small.format(9, 8)),
+            (10, F(1, 25), F(3, 4), CatalogTooSmall, too_small.format(11, 10)),
+            (12, F(1, 10**6), F(3, 4), CapExceeded, past_cap.format("1/1000000")),
+            (0, F(1, 12288), F(3, 4), CapExceeded, past_cap.format("1/12288")),
+            (3, F(1, 10**400), F(1, 10**400), CapExceeded,
+             "the logarithmic bound ln(2*theta)/ln(1+gamma) is beyond the float range"),
+        ):
+            config = RateBoundConfig(gamma, theta)
             for build in (build_ratio_bounded_convicting_prior, oracle_ratio_bounded_prior):
                 with pytest.raises((CatalogTooSmall, CapExceeded)) as info:
                     build(self.catalog(n), config)
-                errors.append((info.type, str(info.value)))
-            assert errors[0] == errors[1]
+                assert (info.type, str(info.value)) == (error, message)
 
     def test_confession_needs_no_ratio_bound(self):
         # without the bound a single testimony can carry the verdict

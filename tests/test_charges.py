@@ -23,6 +23,7 @@ from jurybayes.errors import (
     ZeroConditioningEvent,
 )
 from jurybayes.analyses import build_spann_space
+from jurybayes.rationals import as_rational
 from jurybayes.worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -450,6 +451,54 @@ class TestCodedView:
                 assert outcome(coded.extend, event, coded.inner_outer(event)[0]) == outcome(
                     charge.extend, event, charge.inner_outer(event)[0]
                 )
+
+    def test_coded_measure_equals_the_tuple_twin(self, rng):
+        for n in range(0, 7):
+            cat = TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+            worlds = full_world_space(cat)
+            coarse = BooleanSubalgebra(worlds, random_partition(rng, worlds))
+            for algebra in (world_algebra(cat), coarse):
+                charge = random_charge(rng, algebra)
+                coded = recoded(rng, charge)
+                for _ in range(6):
+                    picks = [atom for atom in algebra.atoms if rng.random() < 0.5]
+                    event = frozenset().union(*picks)
+                    assert coded.measure(event) == charge.measure(event) == oracle_measure(charge, event)
+                    # an event that cuts an atom, or leaves the ground, raises alike
+                    for bad in (event ^ {worlds[0]}, event | {"foreign"}):
+                        assert outcome(coded.measure, bad) == outcome(charge.measure, bad)
+
+    @pytest.mark.parametrize("literals", [("1/8", "2/16", "0.125", "3/24"), ("1/8",) * 4])
+    def test_coded_measure_counts_equal_values_under_every_code(self, rng, literals):
+        # equal values parsed from different literals are distinct codes,
+        # each counted with its own atoms
+        cat = TestimonyCatalog(("t0", "t1"))
+        algebra = world_algebra(cat)
+        values = [as_rational(text) for text in literals]
+        codes = bytes(rng.randrange(4) for _ in algebra.atoms)
+        coded = Charge._from_codes(algebra, values, codes)
+        twin = Charge(algebra, tuple(F(1, 8) for _ in algebra.atoms))
+        worlds = full_world_space(cat)
+        for mask in range(1 << len(worlds)):
+            event = frozenset(w for w in worlds if mask >> w & 1)
+            assert coded.measure(event) == twin.measure(event) == F(len(event), 8)
+
+    def test_coded_measure_reads_each_value_once(self, monkeypatch):
+        cat = TestimonyCatalog(tuple(f"t{i}" for i in range(6)))
+        algebra = world_algebra(cat)
+        # guilty worlds (even codes) take 1/64 and 1/128 in turn, innocent ones 1/256
+        values = [F(1, 64), F(1, 128), F(1, 256)]
+        codes = bytes([0, 2, 1, 2] * 32)
+        coded = Charge._from_codes(algebra, values, codes)
+        twin = Charge(algebra, coded.masses)
+        read: list = []
+        as_integer_ratio = F.as_integer_ratio
+        monkeypatch.setattr(F, "as_integer_ratio", lambda self: read.append(self) or as_integer_ratio(self))
+        guilt = guilt_event(cat)
+        assert coded.measure(guilt) == twin.measure(guilt) == F(3, 4)
+        # the coded charge reads its two values, the tuple-built one each of its 64 masses
+        assert len(read) == 2 + 64
+
 
 class TestMix:
     def test_extreme_weights_return_the_parts(self):

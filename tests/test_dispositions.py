@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import operator
+import pickle
 import random
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from jurybayes import dispositions
 from jurybayes.charges import Charge
 from jurybayes.dispositions import (
     Disposition,
+    VerificationResult,
     always_convict_nonempty,
     check_poi,
     check_wtc,
@@ -350,6 +353,44 @@ class TestVerify:
             result = verify_rationalization(disposition, F(2, 3), charge)
             assert result.ok
             assert len(set(map(id, result.posteriors.values()))) == 2  # convict, acquit
+
+    def test_result_is_read_only_and_hashable(self):
+        cat = catalog(2)
+        disposition = Disposition(cat, [cat.transcript(["t1"])])
+        prior = rationalize(disposition, F(3, 4)).prior
+        result = verify_rationalization(disposition, F(3, 4), prior)
+        again = verify_rationalization(disposition, F(3, 4), prior)
+        assert result == again and hash(result) == hash(again)
+        with pytest.raises(TypeError):
+            result.posteriors[Transcript()] = F(0)
+        with pytest.raises(TypeError):
+            del result.posteriors[Transcript()]
+        assert result.ok and result.posteriors == again.posteriors
+        # built from a dict, a result compares as before and keeps a copy
+        table = dict(result.posteriors)
+        from_dict = VerificationResult(result.ok, result.witness, table)
+        assert from_dict == result and hash(from_dict) == hash(result)
+        table[Transcript()] = F(0)
+        assert from_dict == result and from_dict.posteriors != table
+        with pytest.raises(TypeError):
+            from_dict.posteriors[Transcript()] = F(0)
+        # a result with other posteriors is another result
+        assert VerificationResult(result.ok, result.witness, table) != result
+        assert len({result, again, from_dict}) == 1
+        copied = pickle.loads(pickle.dumps(result))
+        assert copied == result and type(copied.posteriors) is type(result.posteriors)
+
+    def test_transcripts_are_built_once_per_catalog_size(self):
+        cat, other = catalog(3), TestimonyCatalog(("a", "b", "c"))
+        first = list(cat.all_transcripts())
+        assert first == [Transcript(t.members) for t in first] == list(range(8))
+        assert all(map(type.__instancecheck__, [Transcript] * 8, first))
+        for transcripts in (cat.all_transcripts(), other.all_transcripts()):
+            assert next(transcripts) is first[0]  # an iterator over the one tuple
+            assert all(map(operator.is_, transcripts, first[1:]))
+        disposition = Disposition(cat, first[3:])
+        result = verify_rationalization(disposition, F(3, 4), rationalize(disposition, F(3, 4)).prior)
+        assert all(map(operator.is_, result.posteriors, first))
 
     @pytest.mark.parametrize("theta", [F(2), F(-1), F(0), F(1)])
     def test_theta_outside_the_open_unit_interval_is_refused_first(self, theta):
