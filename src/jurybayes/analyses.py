@@ -19,9 +19,12 @@ from .errors import (
     DegeneratePrior,
     EmptyMatchWithMatchingDefendant,
     NonpositiveRatio,
+    OutOfRange,
     UndefinedRatio,
 )
-from .rationals import RationalLike, as_rational, as_rational_fields, exact_decimal, format_rational
+from .rationals import (
+    RationalLike, _theta_in, as_rational, as_rational_fields, exact_decimal, format_rational
+)
 
 # The odds and rate-bound analyses need no world machinery, so the two
 # builders that do import charges and worlds where they run.
@@ -46,7 +49,10 @@ class Odds:
     def __post_init__(self) -> None:
         as_rational_fields(self)
         if self.in_favor <= 0 or self.against <= 0:
-            raise ValueError("odds components must be strictly positive")
+            raise NonpositiveRatio(
+                "odds components must be strictly positive, got "
+                f"{format_rational(self.in_favor)}:{format_rational(self.against)}"
+            )
 
     @property
     def probability(self) -> Fraction:
@@ -248,9 +254,8 @@ class RateBoundConfig:
     def __post_init__(self) -> None:
         as_rational_fields(self)
         if self.gamma <= 0:
-            raise ValueError("gamma must be strictly positive")
-        if not 0 < self.theta < 1:
-            raise ValueError("theta must lie strictly between 0 and 1")
+            raise OutOfRange(f"gamma must be strictly positive, got {format_rational(self.gamma)}")
+        _theta_in(self.theta, "theta must lie strictly between 0 and 1", 0)
 
 
 @dataclass(frozen=True)
@@ -261,8 +266,10 @@ class TestimonyCountBound:
     (1/2)(1+gamma)^m >= theta, ties convicting.  ``log_bound`` is the
     strict-inequality logarithmic form, reported for comparison only
     (float, display precision; past the float range of gamma or theta it
-    is computed from the rationals).  ``poi_violated`` flags theta <= 1/2,
-    where the prior alone already meets the threshold.
+    is computed from the rationals, and one beyond every float raises
+    CapExceeded, so ``rate`` exits 10; the library build never reads it).
+    ``poi_violated`` flags theta <= 1/2, where the prior alone already
+    meets the threshold.
     """
 
     steps: int
@@ -402,18 +409,13 @@ def build_ratio_bounded_convicting_prior(
     from .worlds import heard_prefix_algebra
 
     targets = _ratio_bounded_targets(config, len(catalog))
-    if targets is None or len(targets) == 1:
-        # Either the catalog is too short for the chain, or no step is
-        # needed.  Either way the step count raises what it always has
-        # first: CapExceeded past RATE_STEP_CAP, or for a logarithmic
-        # bound beyond the float range.
+    if targets is None:  # the catalog is too short; past RATE_STEP_CAP the count raises first
         count = min_convicting_testimony_count(config)
-        if targets is None:
-            raise CatalogTooSmall(
-                f"need at least {count.steps} testimonies to reach "
-                f"{format_rational(config.theta)} under the ratio bound; "
-                f"catalog has {len(catalog)}"
-            )
+        raise CatalogTooSmall(
+            f"need at least {count.steps} testimonies to reach "
+            f"{format_rational(config.theta)} under the ratio bound; "
+            f"catalog has {len(catalog)}"
+        )
     steps = len(targets) - 1
     # The prior is what the chain of
     #     charge.extend_conditional(guilt, H_k, t_k, strict=False)

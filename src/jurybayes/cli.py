@@ -19,7 +19,7 @@ from typing import Any, NoReturn, Sequence
 
 # Only what every command needs is imported here: each handler imports
 # the modules it runs, so a process loads no more than its command uses.
-from .errors import JuryBayesError, NonpositiveRatio, OutOfRange, ParseError, ThetaOutOfRange
+from .errors import JuryBayesError, ParseError
 from .rationals import approx_decimal, as_rational, format_rational
 
 WORLD_CAP_ENV = "JURYBAYES_WORLD_CAP"
@@ -221,10 +221,7 @@ def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
     from .scoring import ScoreWeights, UtilityQuadruple, verdict_threshold
 
     if args.weights is not None:
-        reward, penalty = args.weights
-        if reward <= 0 or penalty <= 0:
-            raise OutOfRange(f"--weights {reward} {penalty} must both be strictly positive")
-        weights = ScoreWeights(reward, penalty)
+        weights = ScoreWeights(*args.weights)
         return {
             "kind": "belief-weights",
             "reward": format_rational(weights.reward),
@@ -253,10 +250,7 @@ def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
     left, sep, right = args.prior.partition(":")
     if not sep:
         raise ParseError(f"--prior must look like 'a:b', got {args.prior!r}")
-    in_favor, against = map(partial(rational, "--prior"), (left, right))
-    if in_favor <= 0 or against <= 0:
-        raise NonpositiveRatio(f"--prior {args.prior} must have two strictly positive parts")
-    prior = Odds(in_favor, against)
+    prior = Odds(*map(partial(rational, "--prior"), (left, right)))
     posterior = posterior_odds(prior, args.lr)
     return {
         "prior": prior.display(),
@@ -269,10 +263,6 @@ def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
     from .analyses import RateBoundConfig, min_convicting_testimony_count
 
-    if args.gamma <= 0:
-        raise OutOfRange(f"--gamma {args.gamma} must be strictly positive")
-    if not 0 < args.theta < 1:
-        raise ThetaOutOfRange(f"--theta {args.theta} must lie strictly between 0 and 1")
     config = RateBoundConfig(args.gamma, args.theta)
     bound = min_convicting_testimony_count(config)
     doc: dict[str, Any] = {
@@ -354,32 +344,29 @@ def scenario_two_witness(cap: int | None) -> dict[str, Any]:
 
 
 def scenario_posner(cap: int | None) -> dict[str, Any]:
-    from .dispositions import guilt_prior, posner_even_odds_prior, transcript_posteriors
+    from .dispositions import (
+        always_convict_nonempty,
+        guilt_prior,
+        posner_even_odds_prior,
+        verify_rationalization,
+    )
     from .worlds import TestimonyCatalog
 
     catalog = TestimonyCatalog(("t1", "t2"), world_cap=cap)
     theta = Fraction(3, 4)
     prior = posner_even_odds_prior(catalog, theta)
-    rows = []
-    worst: Fraction | None = None
-    for transcript, transcript_mass, guilty_mass in transcript_posteriors(prior, catalog):
-        if len(transcript) == 0:
-            continue
-        posterior = guilty_mass / transcript_mass
-        worst = posterior if worst is None else min(worst, posterior)
-        rows.append(
-            {
-                "transcript": list(catalog.transcript_labels(transcript)),
-                "posterior": format_rational(posterior),
-            }
-        )
+    posteriors = verify_rationalization(always_convict_nonempty(catalog), theta, prior).posteriors
+    nonempty = {t: p for t, p in posteriors.items() if len(t)}
     return {
         "scenario": "posner",
         "catalog": list(catalog.labels),
         "theta": format_rational(theta),
         "guilt_prior": format_rational(guilt_prior(prior, catalog)),
-        "min_nonempty_posterior": format_rational(worst if worst is not None else Fraction(0)),
-        "nonempty_posteriors": rows,
+        "min_nonempty_posterior": format_rational(min(nonempty.values())),
+        "nonempty_posteriors": [
+            {"transcript": list(catalog.transcript_labels(t)), "posterior": format_rational(p)}
+            for t, p in nonempty.items()
+        ],
     }
 
 

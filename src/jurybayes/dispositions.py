@@ -18,8 +18,8 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .charges import Charge
-from .errors import AxiomViolation, ThetaOutOfRange, ZeroTranscriptMass
-from .rationals import RationalLike, as_rational, format_rational
+from .errors import AxiomViolation, ZeroTranscriptMass
+from .rationals import RationalLike, _theta_in
 from .worlds import (
     EMPTY_TRANSCRIPT,
     TestimonyCatalog,
@@ -209,14 +209,6 @@ def transcript_posteriors(
 def verification_theta(theta: RationalLike) -> Fraction:
     """theta as an exact rational; ThetaOutOfRange unless 0 < theta < 1."""
     return _theta_in(theta, "verification threshold must satisfy 0 < theta < 1", 0)
-
-
-def _theta_in(theta: RationalLike, rule: str, low: Fraction | int) -> Fraction:
-    """theta as an exact rational; ThetaOutOfRange stating ``rule`` unless low < theta < 1."""
-    theta = as_rational(theta, name="theta")
-    if not low < theta < 1:
-        raise ThetaOutOfRange(f"{rule}, got {format_rational(theta)}")
-    return theta
 
 
 def verify_rationalization(

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all jurybayes modules.
 
 Each class declares the exit code the command line ends with when it is
-raised; README's exit-code table documents the same values.
+raised; README's exit-code table documents the same values.  The three
+range errors a value object raises are also ``ValueError``s, so a caller
+that catches the builtin class keeps catching them.
 """
 
 
@@ -41,7 +43,7 @@ class AlgebraMismatch(JuryBayesError):
     exit_code = 14
 
 
-class OutOfRange(JuryBayesError):
+class OutOfRange(JuryBayesError, ValueError):
     """A target value lies outside its admissible interval."""
 
     exit_code = 15
@@ -66,7 +68,7 @@ class AxiomViolation(JuryBayesError):
     exit_code = 2
 
 
-class ThetaOutOfRange(JuryBayesError):
+class ThetaOutOfRange(JuryBayesError, ValueError):
     """The conviction threshold lies outside the admissible interval."""
 
     exit_code = 17
@@ -84,7 +86,7 @@ class DegenerateUtilities(JuryBayesError):
     exit_code = 19
 
 
-class NonpositiveRatio(JuryBayesError):
+class NonpositiveRatio(JuryBayesError, ValueError):
     """A likelihood ratio must be strictly positive."""
 
     exit_code = 20

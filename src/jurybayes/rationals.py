@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ThetaOutOfRange
 
 RationalLike = int | str | Fraction
 
@@ -59,6 +59,14 @@ def as_rational_fields(value: object) -> None:
     """
     for name in value.__dataclass_fields__:  # type: ignore[attr-defined]
         object.__setattr__(value, name, as_rational(getattr(value, name), name=name))
+
+
+def _theta_in(theta: RationalLike, rule: str, low: Fraction | int) -> Fraction:
+    """theta as an exact rational; ThetaOutOfRange stating ``rule`` unless low < theta < 1."""
+    theta = as_rational(theta, name="theta")
+    if not low < theta < 1:
+        raise ThetaOutOfRange(f"{rule}, got {format_rational(theta)}")
+    return theta
 
 
 def _check_literal_size(text: str, name: str) -> None:

@@ -92,7 +92,10 @@ class ScoreWeights:
     def __post_init__(self) -> None:
         as_rational_fields(self)
         if self.reward <= 0 or self.penalty <= 0:
-            raise ValueError("reward and penalty must both be strictly positive")
+            raise OutOfRange(
+                "reward and penalty must both be strictly positive, got "
+                f"{format_rational(self.reward)} and {format_rational(self.penalty)}"
+            )
 
     @property
     def belief_threshold(self) -> Fraction:

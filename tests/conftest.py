@@ -20,7 +20,6 @@ from jurybayes.analyses import (
     RATE_STEP_CAP,
     RateBoundConfig,
     RatioBoundedPrior,
-    min_convicting_testimony_count,
 )
 from jurybayes.charges import ZERO, Charge, mix
 from jurybayes.dispositions import Disposition, RationalizationCertificate
@@ -387,10 +386,10 @@ def oracle_ratio_bounded_prior(
     """The ratio-bounded convicting prior built step by step: one
     ``extend_conditional`` per nested heard-event.  Returned with the
     chain of those heard-events, each found by ``heard_event``."""
-    count = min_convicting_testimony_count(config)
-    if len(catalog) < count.steps:
+    steps = oracle_min_convicting_steps(config)
+    if len(catalog) < steps:
         raise CatalogTooSmall(
-            f"need at least {count.steps} testimonies to reach "
+            f"need at least {steps} testimonies to reach "
             f"{format_rational(config.theta)} under the ratio bound; "
             f"catalog has {len(catalog)}"
         )
@@ -404,7 +403,7 @@ def oracle_ratio_bounded_prior(
     growth = 1 + config.gamma
     chain: list[frozenset] = []
     target = HALF
-    for step in range(1, count.steps + 1):
+    for step in range(1, steps + 1):
         target = min(target * growth, config.theta)
         heard = heard_event(catalog, Transcript(range(step)))
         chain.append(heard)

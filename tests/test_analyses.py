@@ -574,7 +574,7 @@ class TestRatioBoundedPrior:
 
     def test_closed_form_fails_like_the_extension_chain(self):
         # each message pinned; past the step cap, CapExceeded comes before
-        # CatalogTooSmall, and it is raised even where no step is needed
+        # CatalogTooSmall
         too_small = "need at least {} testimonies to reach 3/4 under the ratio bound; catalog has {}"
         past_cap = "more than 4096 ratio-bounded steps needed to reach 3/4 at gamma = {}"
         for n, gamma, theta, error, message in (
@@ -586,14 +586,25 @@ class TestRatioBoundedPrior:
             (10, F(1, 25), F(3, 4), CatalogTooSmall, too_small.format(11, 10)),
             (12, F(1, 10**6), F(3, 4), CapExceeded, past_cap.format("1/1000000")),
             (0, F(1, 12288), F(3, 4), CapExceeded, past_cap.format("1/12288")),
-            (3, F(1, 10**400), F(1, 10**400), CapExceeded,
-             "the logarithmic bound ln(2*theta)/ln(1+gamma) is beyond the float range"),
         ):
             config = RateBoundConfig(gamma, theta)
             for build in (build_ratio_bounded_convicting_prior, oracle_ratio_bounded_prior):
                 with pytest.raises((CatalogTooSmall, CapExceeded)) as info:
                     build(self.catalog(n), config)
                 assert (info.type, str(info.value)) == (error, message)
+
+    def test_zero_step_prior_needs_no_float_log_bound(self):
+        # ln(2*theta)/ln(1+gamma) is below every float here, so the count refuses;
+        # the build needs no step and no logarithm
+        config = RateBoundConfig(F(1, 10**400), F(1, 10**400))
+        with pytest.raises(CapExceeded, match="beyond the float range"):
+            min_convicting_testimony_count(config)
+        built = build_ratio_bounded_convicting_prior(self.catalog(3), config)
+        oracle, oracle_chain = oracle_ratio_bounded_prior(self.catalog(3), config)
+        for prior in (built, oracle):
+            assert (prior.charge.masses, prior.posteriors) == ((HALF, HALF), (HALF,))
+        assert built.chain == oracle_chain == ()
+        assert built.within_bound() and built.convicts()
 
     def test_confession_needs_no_ratio_bound(self):
         # without the bound a single testimony can carry the verdict

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jurybayes import cli, errors, worlds
+from jurybayes.analyses import Odds, RateBoundConfig
 from jurybayes.cli import main
 from jurybayes.rationals import as_rational
+from jurybayes.scoring import ScoreWeights
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -338,28 +340,42 @@ class TestExitCodes:
         assert err.startswith("error[ThetaOutOfRange]: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "argv,code,error,message",
+        "argv,code,error,flag,message",
         [
-            (("rate", "--gamma", "1/2", "--theta", "2"), 17, "ThetaOutOfRange",
-             "--theta 2 must lie strictly between 0 and 1"),
-            (("rate", "--gamma", "1/2", "--theta", "0"), 17, "ThetaOutOfRange",
-             "--theta 0 must lie strictly between 0 and 1"),
-            (("rate", "--gamma", "0", "--theta", "3/4"), 15, "OutOfRange",
-             "--gamma 0 must be strictly positive"),
-            (("rate", "--gamma=-1/2", "--theta", "2"), 15, "OutOfRange",
-             "--gamma -1/2 must be strictly positive"),
-            (("threshold", "--weights", "0", "1"), 15, "OutOfRange",
-             "--weights 0 1 must both be strictly positive"),
-            (("threshold", "--weights", "1", "-2"), 15, "OutOfRange",
-             "--weights 1 -2 must both be strictly positive"),
-            (("odds", "--prior", "0:1", "--lr", "2"), 20, "NonpositiveRatio",
-             "--prior 0:1 must have two strictly positive parts"),
-            (("odds", "--prior", "1:-2", "--lr", "2"), 20, "NonpositiveRatio",
-             "--prior 1:-2 must have two strictly positive parts"),
+            (("rate", "--gamma", "1/2", "--theta", "2"), 17, "ThetaOutOfRange", "--theta",
+             "theta must lie strictly between 0 and 1, got 2"),
+            (("rate", "--gamma", "1/2", "--theta", "0"), 17, "ThetaOutOfRange", "--theta",
+             "theta must lie strictly between 0 and 1, got 0"),
+            (("rate", "--gamma", "0", "--theta", "3/4"), 15, "OutOfRange", "--gamma",
+             "gamma must be strictly positive, got 0"),
+            (("rate", "--gamma=-1/2", "--theta", "2"), 15, "OutOfRange", "--gamma",
+             "gamma must be strictly positive, got -1/2"),
+            (("threshold", "--weights", "0", "1"), 15, "OutOfRange", "--weights",
+             "reward and penalty must both be strictly positive, got 0 and 1"),
+            (("threshold", "--weights", "1", "-2"), 15, "OutOfRange", "--weights",
+             "reward and penalty must both be strictly positive, got 1 and -2"),
+            (("odds", "--prior", "0:1", "--lr", "2"), 20, "NonpositiveRatio", "--prior",
+             "odds components must be strictly positive, got 0:1"),
+            (("odds", "--prior", "1:-2", "--lr", "2"), 20, "NonpositiveRatio", "--prior",
+             "odds components must be strictly positive, got 1:-2"),
         ],
     )
-    def test_range_errors_have_their_own_exit_codes(self, capsys, argv, code, error, message):
-        assert run_cli(capsys, *argv) == (code, "", f"error[{error}]: {message}\n")
+    def test_range_errors_have_their_own_exit_codes(
+        self, capsys, argv, code, error, flag, message
+    ):
+        line = f"error[{error}]: {message}\n"
+        assert run_cli(capsys, *argv) == (code, "", line)
+        # the line is main's rendering of what the flag's value object raises
+        args = cli.build_parser().parse_args(argv)
+        build = {
+            "--theta": lambda: RateBoundConfig(args.gamma, args.theta),
+            "--gamma": lambda: RateBoundConfig(args.gamma, args.theta),
+            "--weights": lambda: ScoreWeights(*args.weights),
+            "--prior": lambda: Odds(*map(as_rational, args.prior.split(":"))),
+        }[flag]
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert f"error[{type(caught.value).__name__}]: {caught.value}\n" == line
 
     @pytest.mark.parametrize(
         "argv",
@@ -641,10 +657,10 @@ class TestUsageErrors:
 
     def test_negative_rationals_follow_their_flag_after_a_space(self, capsys):
         assert run_cli(capsys, "rate", "--gamma", "-1/2", "--theta", "3/4") == (
-            15, "", "error[OutOfRange]: --gamma -1/2 must be strictly positive\n"
+            15, "", "error[OutOfRange]: gamma must be strictly positive, got -1/2\n"
         )
         assert run_cli(capsys, "rate", "--gamma", "-1e-3", "--theta", "-.5") == (
-            15, "", "error[OutOfRange]: --gamma -1/1000 must be strictly positive\n"
+            15, "", "error[OutOfRange]: gamma must be strictly positive, got -1/1000\n"
         )
         code, out, err = run_cli(capsys, "threshold", "--quadruple", "1", "-9/2", "0", "0")
         assert (code, err) == (0, "")
@@ -654,7 +670,14 @@ class TestUsageErrors:
 
     def test_range_messages_print_the_parsed_value(self, capsys):
         assert run_cli(capsys, "rate", "--gamma", "1/2", "--theta", "2.0") == (
-            17, "", "error[ThetaOutOfRange]: --theta 2 must lie strictly between 0 and 1\n"
+            17, "", "error[ThetaOutOfRange]: theta must lie strictly between 0 and 1, got 2\n"
+        )
+        assert run_cli(capsys, "threshold", "--weights", "0.0", "2/2") == (
+            15, "", "error[OutOfRange]: reward and penalty must both be strictly positive, "
+            "got 0 and 1\n"
+        )
+        assert run_cli(capsys, "odds", "--prior", "2/2:-2.0", "--lr", "2") == (
+            20, "", "error[NonpositiveRatio]: odds components must be strictly positive, got 1:-2\n"
         )
 
     def test_a_newline_in_an_argument_prints_escaped(self, capsys):

@@ -83,3 +83,11 @@ def test_no_assert_in_package_source():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_the_value_objects_range_errors_are_value_errors():
+    """``Odds``, ``RateBoundConfig`` and ``ScoreWeights`` raise these, so a
+    library caller that catches ``ValueError`` keeps catching them."""
+    assert {cls.__name__ for cls in error_classes() if issubclass(cls, ValueError)} == {
+        "NonpositiveRatio", "OutOfRange", "ThetaOutOfRange"
+    }

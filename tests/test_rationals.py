@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from jurybayes.analyses import Odds, RateBoundConfig
+from jurybayes.errors import NonpositiveRatio, OutOfRange, ThetaOutOfRange
 from jurybayes.rationals import APPROX_PLACES, approx_decimal, as_rational, exact_decimal
 from jurybayes.scoring import ScoreWeights, UtilityQuadruple
 
@@ -98,27 +99,29 @@ class TestDecimalsAgainstDecimal:
 
 
 # Each value object's fields, in order, a valid value for each, and the
-# range errors its constructor raises (arguments, message).
+# range errors its constructor raises (arguments, error class, message).
 VALUE_OBJECTS = {
     Odds: (
         ("in_favor", "against"),
         (F(3), F(3, 4)),
-        [((0, 1), "odds components must be strictly positive"),
-         ((1, F(-1, 2)), "odds components must be strictly positive")],
+        [((0, 1), NonpositiveRatio, "odds components must be strictly positive, got 0:1"),
+         ((1, F(-1, 2)), NonpositiveRatio,
+          "odds components must be strictly positive, got 1:-1/2")],
     ),
     RateBoundConfig: (
         ("gamma", "theta"),
         (F(2), F(3, 4)),
-        [((0, F(3, 4)), "gamma must be strictly positive"),
-         ((0, 1), "gamma must be strictly positive"),
-         ((F(1, 2), 1), "theta must lie strictly between 0 and 1"),
-         ((F(1, 2), 0), "theta must lie strictly between 0 and 1")],
+        [((0, F(3, 4)), OutOfRange, "gamma must be strictly positive, got 0"),
+         ((0, 1), OutOfRange, "gamma must be strictly positive, got 0"),
+         ((F(1, 2), 1), ThetaOutOfRange, "theta must lie strictly between 0 and 1, got 1"),
+         ((F(1, 2), 0), ThetaOutOfRange, "theta must lie strictly between 0 and 1, got 0")],
     ),
     ScoreWeights: (
         ("reward", "penalty"),
         (F(1), F(3, 4)),
-        [((0, 1), "reward and penalty must both be strictly positive"),
-         ((1, F(-3, 4)), "reward and penalty must both be strictly positive")],
+        [((0, 1), OutOfRange, "reward and penalty must both be strictly positive, got 0 and 1"),
+         ((1, F(-3, 4)), OutOfRange,
+          "reward and penalty must both be strictly positive, got 1 and -3/4")],
     ),
     UtilityQuadruple: (
         ("convict_guilty", "convict_innocent", "acquit_guilty", "acquit_innocent"),
@@ -179,10 +182,11 @@ class TestRationalFields:
 
     def test_range_errors_keep_their_messages(self, cls):
         fields, _, ranges = VALUE_OBJECTS[cls]
-        for args, message in ranges:
+        for args, error, message in ranges:
             with pytest.raises(ValueError) as caught:
                 cls(*args)
-            assert str(caught.value) == message
+            # the library class that names the rule, and still a ValueError
+            assert (type(caught.value), str(caught.value)) == (error, message)
             # every field is converted before any range is checked
             with pytest.raises(TypeError) as caught:
                 cls(*args[:-1], 0.5)
