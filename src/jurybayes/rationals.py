@@ -4,6 +4,9 @@ All probabilities, thresholds, weights and utilities in this package are
 `fractions.Fraction` values.  Floats are rejected at every entry point:
 the quantities the package certifies (posteriors, conditional targets,
 thresholds) are exact equalities that float arithmetic cannot witness.
+The open threshold interval is checked here too, by ``_theta_in``, so
+that the value objects and the dispositions share one check without
+loading any world machinery.
 """
 
 from __future__ import annotations
