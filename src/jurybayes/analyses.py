@@ -262,14 +262,14 @@ class RateBoundConfig:
 class TestimonyCountBound:
     """How many ratio-bounded testimonies reach the threshold.
 
-    ``steps`` is the exact-powering count: the least m with
-    (1/2)(1+gamma)^m >= theta, ties convicting.  ``log_bound`` is the
-    strict-inequality logarithmic form, reported for comparison only
-    (float, display precision; past the float range of gamma or theta it
-    is computed from the rationals, and one beyond every float raises
-    CapExceeded, so ``rate`` exits 10; the library build never reads it).
-    ``poi_violated`` flags theta <= 1/2, where the prior alone already
-    meets the threshold.
+    ``steps`` is the least m with (1/2)(1+gamma)^m >= theta, ties
+    convicting, confirmed by exact powering; the ratio-bounded build takes
+    its m from the same search.  ``log_bound`` is the strict-inequality
+    logarithmic form, reported for comparison only (float, display
+    precision; past the float range of gamma or theta it is computed from
+    the rationals, and one beyond every float raises CapExceeded, so
+    ``rate`` exits 10; the build never computes it).  ``poi_violated``
+    flags theta <= 1/2, where the prior alone already meets the threshold.
     """
 
     steps: int
@@ -284,20 +284,18 @@ RATE_STEP_CAP = 4096
 
 
 def min_convicting_testimony_count(config: RateBoundConfig) -> TestimonyCountBound:
-    """Least m such that (1/2)(1+gamma)^m reaches theta, by exact powering."""
-    growth = 1 + config.gamma
-    steps = _least_reaching_power(growth, 2 * config.theta)
-    if steps is None:
-        raise CapExceeded(
-            f"more than {RATE_STEP_CAP} ratio-bounded steps needed to reach "
-            f"{format_rational(config.theta)} at gamma = "
-            f"{format_rational(config.gamma)}"
-        )
+    """Least m such that (1/2)(1+gamma)^m reaches theta, by the exact
+    search the build shares, with the display-only ``log_bound``."""
+    steps = _least_steps(config)
     try:
-        log_bound = math.log(2 * float(config.theta)) / math.log(float(growth))
+        log_bound = math.log(2 * float(config.theta)) / math.log(float(1 + config.gamma))
     except (ArithmeticError, ValueError):  # a float overflowed, or rounded to 0 or 1
+        gamma, theta = config.gamma, config.theta
         try:
-            log_bound = float(_ln(2 * config.theta) / _ln(growth))
+            log_bound = float(
+                Fraction(_ln(2 * theta.numerator, theta.denominator))
+                / Fraction(_ln(gamma.numerator + gamma.denominator, gamma.denominator))
+            )
         except OverflowError:
             raise CapExceeded(
                 "the logarithmic bound ln(2*theta)/ln(1+gamma) is beyond the float range"
@@ -309,51 +307,59 @@ def min_convicting_testimony_count(config: RateBoundConfig) -> TestimonyCountBou
     )
 
 
-def _least_reaching_power(growth: Fraction, target: Fraction) -> int | None:
-    """Least m with growth^m >= target, for growth > 1; None past RATE_STEP_CAP.
+def _least_steps(config: RateBoundConfig) -> int:
+    """The least m with (1/2)(1+gamma)^m >= theta, ties convicting; CapExceeded
+    past RATE_STEP_CAP.  The one search behind both ``rate`` and the build.
 
-    m is estimated from logarithms and then confirmed exactly on the
-    integers of growth^m: one power near the estimate, then a
-    multiplication (or exact division) per step to the least m.  A long
-    gamma thus costs one power instead of m Fraction multiplications,
-    each with a gcd on ever longer numbers.
+    It works on the integers of 1+gamma = g_num/g_den and 2*theta =
+    t_num/t_den.  m is estimated from logarithms and then confirmed
+    exactly on the integers of (1+gamma)^m: one power near the estimate,
+    then a multiplication (or exact division) per step to the least m.
+    A long gamma thus costs one power instead of m Fraction
+    multiplications, each with a gcd on ever longer numbers.
     """
-    if target <= 1:
+    gamma, theta = config.gamma, config.theta
+    g_num, g_den = gamma.numerator + gamma.denominator, gamma.denominator
+    t_num, t_den = 2 * theta.numerator, theta.denominator
+    if t_num <= t_den:
         return 0
     # (1+gamma)^m <= e^(m*gamma) and ln(2*theta) >= (2*theta-1)/(2*theta), so
     # when the cap times gamma falls short of the latter, no m within the cap
-    # reaches theta: refuse at once
-    if RATE_STEP_CAP * (growth - 1) < (target - 1) / target:
-        return None
+    # reaches theta: refuse at once.  Past that refusal gamma >= 2^-73 whenever
+    # 2*theta - 1 >= 2^-60, so the estimate divides by no float zero; it is
     # ln(2*theta)/ln(1+gamma) to float precision, so within a step of m
-    estimate = float(_ln(target) / _ln(growth))
-    if estimate > RATE_STEP_CAP + 1:
-        return None
-    g_num, g_den = growth.numerator, growth.denominator
-    t_num, t_den = target.numerator, target.denominator
-    steps = min(max(math.ceil(estimate) - 1, 0), RATE_STEP_CAP)
-    num, den = g_num**steps, g_den**steps  # growth^steps
-    while steps > 0 and num * t_den >= den * t_num:
-        steps -= 1
-        num //= g_num
-        den //= g_den
-    while num * t_den < den * t_num:
-        if steps == RATE_STEP_CAP:
-            return None
-        steps += 1
-        num *= g_num
-        den *= g_den
-    return steps
+    if (
+        RATE_STEP_CAP * gamma.numerator * t_num >= g_den * (t_num - t_den)
+        and (estimate := _ln(t_num, t_den) / _ln(g_num, g_den)) <= RATE_STEP_CAP + 1
+    ):
+        steps = max(math.ceil(estimate) - 1, 0)
+        num, den = g_num**steps, g_den**steps  # (1+gamma)^steps
+        while steps > 0 and num * t_den >= den * t_num:
+            steps -= 1
+            num //= g_num
+            den //= g_den
+        while num * t_den < den * t_num and steps < RATE_STEP_CAP:
+            steps += 1
+            num *= g_num
+            den *= g_den
+        if num * t_den >= den * t_num:
+            return steps
+    raise CapExceeded(
+        f"more than {RATE_STEP_CAP} ratio-bounded steps needed to reach "
+        f"{format_rational(theta)} at gamma = {format_rational(gamma)}"
+    )
 
 
-def _ln(q: Fraction) -> Fraction:
-    """ln q for a positive rational q, to float precision, even where float(q) is 0, 1 or inf."""
-    x = q - 1
-    if abs(x) < Fraction(1, 2**60):
-        return x  # ln(1+x) = x(1 - x/2 + ...), which is x to float precision
-    if abs(x) < HALF:
-        return Fraction(math.log1p(x))
-    return Fraction(math.log(q.numerator) - math.log(q.denominator))
+def _ln(num: int, den: int) -> float | Fraction:
+    """ln(num/den) for positive integers, to float precision, even where
+    num/den is no float; within 2^-60 of 1 it is the exact x of
+    num/den = 1 + x, a Fraction, since ln(1+x) = x(1 - x/2 + ...)."""
+    diff = num - den
+    if abs(diff) << 60 < den:
+        return Fraction(diff, den)
+    if 2 * abs(diff) < den:
+        return math.log1p(diff / den)
+    return math.log(num) - math.log(den)
 
 
 @dataclass(frozen=True)
@@ -408,15 +414,23 @@ def build_ratio_bounded_convicting_prior(
     from .charges import Charge
     from .worlds import heard_prefix_algebra
 
-    targets = _ratio_bounded_targets(config, len(catalog))
-    if targets is None:  # the catalog is too short; past RATE_STEP_CAP the count raises first
-        count = min_convicting_testimony_count(config)
+    steps = _least_steps(config)  # past RATE_STEP_CAP this raises before the catalog is read
+    if steps > len(catalog):
         raise CatalogTooSmall(
-            f"need at least {count.steps} testimonies to reach "
+            f"need at least {steps} testimonies to reach "
             f"{format_rational(config.theta)} under the ratio bound; "
             f"catalog has {len(catalog)}"
         )
-    steps = len(targets) - 1
+    # the targets t_0..t_m as (numerator, denominator) pairs: t_k = (1/2)(1+gamma)^k
+    # below theta for k < m, one product of integers from the last, and t_m = theta
+    g_den = config.gamma.denominator
+    g_num = config.gamma.numerator + g_den
+    targets = [(1, 2)]
+    for _ in range(1, steps):
+        num, den = targets[-1]
+        targets.append((num * g_num, den * g_den))
+    if steps:
+        targets.append(config.theta.as_integer_ratio())
     # The prior is what the chain of
     #     charge.extend_conditional(guilt, H_k, t_k, strict=False)
     # for k = 1..m builds from the even-odds guilt algebra, written in
@@ -454,24 +468,3 @@ def build_ratio_bounded_convicting_prior(
         posteriors=tuple(Fraction(n, d) for n, d in targets),
     )
 
-
-def _ratio_bounded_targets(config: RateBoundConfig, most: int) -> list[tuple[int, int]] | None:
-    """The targets t_0..t_m as (numerator, denominator) pairs; None if m > ``most``.
-
-    t_0 = 1/2 and t_k = min((1/2)(1+gamma)^k, theta), where m is the least
-    k with (1/2)(1+gamma)^k >= theta, so only t_m (for m >= 1) is capped,
-    and at theta.  Each power is one product of integers away from the last.
-    """
-    g_num, g_den = config.gamma.as_integer_ratio()
-    g_num += g_den  # 1 + gamma, still in lowest terms
-    theta_num, theta_den = config.theta.as_integer_ratio()
-    targets = [(1, 2)]
-    num, den = 1, 2
-    while num * theta_den < den * theta_num:  # the last target is below theta
-        if len(targets) > most:
-            return None
-        num, den = num * g_num, den * g_den
-        targets.append((num, den))
-    if len(targets) > 1:
-        targets[-1] = (theta_num, theta_den)
-    return targets

@@ -213,8 +213,10 @@ class TestimonyCatalog:
 
 
 def check_world_cap(cap: int) -> int:
-    """Validate a world cap: ValueError if negative, CapExceeded above the ceiling."""
-    cap = int(cap)
+    """Validate a world cap: TypeError unless an int (a bool is not one),
+    ValueError if negative, CapExceeded above the ceiling."""
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise TypeError(f"the world cap must be an int, got {cap!r}")
     if cap < 0:
         raise ValueError(f"the world cap must be a nonnegative integer, got {cap}")
     if cap > WORLD_CAP_CEILING:

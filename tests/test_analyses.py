@@ -33,6 +33,7 @@ from jurybayes.errors import (
     NonpositiveRatio,
     UndefinedRatio,
 )
+from jurybayes.rationals import format_rational
 from jurybayes.worlds import (
     TestimonyCatalog,
     atoms_of_generated_algebra,
@@ -242,6 +243,51 @@ class TestLikelihoodRatio:
         assert likelihood_ratio(tilted, splitter, hyp).relevant
 
 
+def step_loop_configs(rng) -> list[RateBoundConfig]:
+    """Rates and thresholds on which the count is checked against the step
+    loop: the goldens' and the cap's, exact hits and random ones."""
+    configs = [
+        ("1/12288", "3/4"),  # the step loop runs the whole cap and refuses
+        ("1/2", "3/4"),  # rate_half_threequarters.json
+        ("1/10", "3/4"),  # rate_build_tenth.json
+        ("1/4096", "3/4"),
+        ("1/5000", "3/4"),
+        ("1/2", "99/100"),
+    ]
+    # thresholds hit exactly by (1/2)(1+gamma)^m, and just either side
+    for gamma, m in ((F(1, 2), 1), (F(1, 4), 2), (F(1, 10), 3), (F(1, 100), 50)):
+        level = HALF * (1 + gamma) ** m
+        for theta in (level, level - F(1, 10**60), level + F(1, 10**60)):
+            configs.append((gamma, theta))
+    # at the cap's edge: (1/2)(1+1/10000)^m is 0.753017 at m = 4095,
+    # 0.753092 at m = 4096 = RATE_STEP_CAP, and 0.753167 at m = 4097
+    configs += [("1/10000", "0.75305"), ("1/10000", "0.75313")]
+    for _ in range(200):
+        gamma = F(rng.randrange(1, 200), rng.randrange(1, 3000))
+        theta = F(rng.randrange(1, 1000), 1000)
+        configs.append((gamma, theta))
+    return [RateBoundConfig(gamma, theta) for gamma, theta in configs]
+
+
+def count_outcome(count, config):
+    """What ``count(config)`` returns, or the class and message of the
+    CapExceeded it raises."""
+    try:
+        return count(config)
+    except CapExceeded as exc:
+        return CapExceeded, str(exc)
+
+
+def build_outcome(catalog, config):
+    """The masses and trail of the built prior, or the class and message of
+    the error the build raises."""
+    try:
+        built = build_ratio_bounded_convicting_prior(catalog, config)
+    except (CapExceeded, CatalogTooSmall) as exc:
+        return type(exc), str(exc)
+    return built.charge.masses, built.posteriors
+
+
 class TestTestimonyCountBound:
     def test_quoted_configurations(self):
         assert min_convicting_testimony_count(RateBoundConfig(F(1, 2), F(3, 4))).steps == 1
@@ -324,39 +370,11 @@ class TestTestimonyCountBound:
             # above the edge the test admits the input, and the loop decides it
             assert min_convicting_testimony_count(RateBoundConfig(edge * 2, theta)).steps
 
-    @staticmethod
-    def count_outcome(count, config):
-        try:
-            return count(config)
-        except CapExceeded as exc:
-            return CapExceeded, str(exc)
-
     def test_matches_the_step_loop_oracle(self, rng):
-        configs = [
-            ("1/12288", "3/4"),  # the step loop runs the whole cap and refuses
-            ("1/2", "3/4"),  # rate_half_threequarters.json
-            ("1/10", "3/4"),  # rate_build_tenth.json
-            ("1/4096", "3/4"),
-            ("1/5000", "3/4"),
-            ("1/2", "99/100"),
-        ]
-        # thresholds hit exactly by (1/2)(1+gamma)^m, and just either side
-        for gamma, m in ((F(1, 2), 1), (F(1, 4), 2), (F(1, 10), 3), (F(1, 100), 50)):
-            level = HALF * (1 + gamma) ** m
-            for theta in (level, level - F(1, 10**60), level + F(1, 10**60)):
-                configs.append((gamma, theta))
-        # at the cap's edge: (1/2)(1+1/10000)^m is 0.753017 at m = 4095,
-        # 0.753092 at m = 4096 = RATE_STEP_CAP, and 0.753167 at m = 4097
-        configs += [("1/10000", "0.75305"), ("1/10000", "0.75313")]
-        for _ in range(200):
-            gamma = F(rng.randrange(1, 200), rng.randrange(1, 3000))
-            theta = F(rng.randrange(1, 1000), 1000)
-            configs.append((gamma, theta))
         outcomes = set()
-        for gamma, theta in configs:
-            config = RateBoundConfig(gamma, theta)
-            got = self.count_outcome(lambda c: min_convicting_testimony_count(c).steps, config)
-            assert got == self.count_outcome(oracle_min_convicting_steps, config), (gamma, theta)
+        for config in step_loop_configs(rng):
+            got = count_outcome(lambda c: min_convicting_testimony_count(c).steps, config)
+            assert got == count_outcome(oracle_min_convicting_steps, config), config
             outcomes.add(got[0] if isinstance(got, tuple) else min(got, 2))
         assert outcomes == {CapExceeded, 0, 1, 2}
         at_cap = RateBoundConfig("1/10000", "0.75305")
@@ -364,16 +382,79 @@ class TestTestimonyCountBound:
 
     @pytest.mark.parametrize("skew", [F(1, 2), F(9, 10), F(11, 10), F(3, 2)])
     def test_the_estimate_only_sets_where_the_exact_search_starts(self, monkeypatch, skew):
+        # a skewed ln(2*theta) moves the estimate by up to half of m; the count
+        # and the build share the search, and both still land on the least m
         exact_ln = analyses._ln
         for gamma, theta in ((F(1, 100), F(3, 4)), (F(1, 10), F(9, 10)), (F(1, 2), F(3, 4))):
-            target = 2 * theta
-            monkeypatch.setattr(
-                analyses, "_ln", lambda q: exact_ln(q) * skew if q == target else exact_ln(q)
-            )
             config = RateBoundConfig(gamma, theta)
-            assert min_convicting_testimony_count(config).steps == oracle_min_convicting_steps(
-                config
-            )
+            steps = oracle_min_convicting_steps(config)  # 41, 7 and 1
+            catalog = TestimonyCatalog(tuple(f"t{i}" for i in range(min(steps, 12))))
+            unskewed = build_outcome(catalog, config)
+            target = (2 * theta.numerator, theta.denominator)  # 3/4 reads as 6/4, not 1 + gamma
+            skewed: list = []
+
+            def skewed_ln(num, den, target=target, skewed=skewed):
+                if (num, den) != target:
+                    return exact_ln(num, den)
+                skewed.append(target)
+                return exact_ln(num, den) * skew
+
+            with monkeypatch.context() as patch:
+                patch.setattr(analyses, "_ln", skewed_ln)
+                assert min_convicting_testimony_count(config).steps == steps
+                assert skewed == [target]
+                assert build_outcome(catalog, config) == unskewed
+                assert skewed == [target] * 2
+            if steps > 12:
+                assert unskewed[0] is CatalogTooSmall
+                assert unskewed[1].startswith(f"need at least {steps} testimonies")
+
+    def test_ln_at_the_edges_of_its_three_forms(self):
+        def ln(num, den):
+            value = analyses._ln(num, den)
+            return type(value), value
+
+        # |x| = 1/2 takes the two logarithms; just inside it takes log1p
+        assert ln(3, 2) == (float, math.log(3) - math.log(2))
+        assert ln(1, 2) == (float, -math.log(2))
+        assert ln(3 * 2**60 - 1, 2**61) == (float, math.log1p((2**60 - 1) / 2**61))
+        assert ln(2**60 + 1, 2**61) == (float, math.log1p(-(2**60 - 1) / 2**61))
+        # |x| = 2^-60 takes log1p; just below it, x itself, exactly
+        for sign in (1, -1):
+            assert ln(2**60 + sign, 2**60) == (float, math.log1p(sign * 2.0**-60))
+            assert ln(2**61 + sign, 2**61) == (F, F(sign, 2**61))
+            assert ln(2**90 + sign * (2**30 - 1), 2**90) == (F, F(sign * (2**30 - 1), 2**90))
+        assert ln(10**400 + 1, 10**400) == (F, F(1, 10**400))
+
+    def test_matches_the_step_loop_oracle_at_the_edges_of_the_integer_ln(self, monkeypatch):
+        edge = F(1, 2**60)
+        configs = [(HALF, F(3, 4)), (HALF, F(1, 4))]  # 1 + gamma = 3/2, 2*theta = 6/4 and 1/2
+        for x in (edge - F(1, 2**90), edge, edge + F(1, 2**90)):
+            # 1 + gamma at the edge, and 2*theta too at one step
+            for m in (1, 3):
+                level = HALF * (1 + x) ** m
+                configs += [(x, level), (x, level - F(1, 10**60)), (x, level + F(1, 10**60))]
+            # 2*theta = 1 + x, reached in about 1, 2 and 5 steps
+            configs += [(gamma, (1 + x) / 2) for gamma in (x, x / 2 + F(1, 2**125), x / 5)]
+        # an unreduced 2*theta: 3/4 is read as 6/4
+        configs += [(gamma, F(3, 4)) for gamma in (F(1, 3), F(1, 10), F(1, 1000), F(5, 7))]
+        # gamma just below 2^-60 with theta within 2^-49 of 1/2: ln(1+gamma) is
+        # exact and ln(2*theta) a float; 1/2 + 2^-49 is refused at once
+        gamma = edge - F(1, 2**100)
+        for offset in (F(1, 2**49), F(1, 2**50), F(1, 2**55), F(1, 2**61), -F(1, 2**49)):
+            configs.append((gamma, HALF + offset))
+        configs.append((F(1, 10**400), HALF + F(1, 10**401)))
+        calls: list = []
+        ln = analyses._ln
+        monkeypatch.setattr(analyses, "_ln", lambda num, den: calls.append((num, den)) or ln(num, den))
+        outcomes = set()
+        for gamma, theta in configs:
+            config = RateBoundConfig(gamma, theta)
+            got = count_outcome(lambda c: min_convicting_testimony_count(c).steps, config)
+            assert got == count_outcome(oracle_min_convicting_steps, config), (gamma, theta)
+            outcomes.add(got[0] if isinstance(got, tuple) else min(got, 2))
+        assert outcomes == {CapExceeded, 0, 1, 2}
+        assert calls[:2] == [(6, 4), (3, 2)]  # 2*theta and 1 + gamma of the first config
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -398,8 +479,37 @@ def count_heard_events(patch: pytest.MonkeyPatch) -> list:
 
 
 class TestRatioBoundedPrior:
+    @pytest.fixture(autouse=True)
+    def build_reads_no_count(self, monkeypatch):
+        """The build takes m from the search it shares with the count,
+        never from ``min_convicting_testimony_count`` itself."""
+
+        def refuse(config):
+            raise AssertionError("the build called min_convicting_testimony_count")
+
+        monkeypatch.setattr(analyses, "min_convicting_testimony_count", refuse)
+
     def catalog(self, n: int) -> TestimonyCatalog:
         return TestimonyCatalog(tuple(f"t{i}" for i in range(n)))
+
+    def test_build_and_count_agree_on_the_step_count(self, rng):
+        # m testimonies build, m - 1 are too few, and the error names m
+        built = 0
+        for config in step_loop_configs(rng):
+            steps = count_outcome(lambda c: min_convicting_testimony_count(c).steps, config)
+            if isinstance(steps, tuple) or steps > 12:
+                continue
+            prior = build_ratio_bounded_convicting_prior(self.catalog(steps), config)
+            assert len(prior.posteriors) == steps + 1 and prior.convicts()
+            if steps:
+                with pytest.raises(CatalogTooSmall) as info:
+                    build_ratio_bounded_convicting_prior(self.catalog(steps - 1), config)
+                assert str(info.value) == (
+                    f"need at least {steps} testimonies to reach {format_rational(config.theta)} "
+                    f"under the ratio bound; catalog has {steps - 1}"
+                )
+            built += 1
+        assert built > 100
 
     def test_one_step_chain(self):
         built = build_ratio_bounded_convicting_prior(

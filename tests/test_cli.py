@@ -563,6 +563,7 @@ class TestWorldCap:
         cases = [
             (("--world-cap", "-1"), None, 3, "ParseError"),
             ((), "-1", 3, "ParseError"),
+            (("--world-cap", "1.5"), None, 3, "ParseError"),  # int() refuses it; no TypeError
             (("--world-cap", str(worlds.WORLD_CAP_CEILING + 1)), None, 10, "CapExceeded"),
             ((), "1000000", 10, "CapExceeded"),
         ]

@@ -3,6 +3,7 @@
 import itertools
 import operator
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from jurybayes.worlds import (
     World,
     atom_names,
     atoms_of_generated_algebra,
+    check_world_cap,
     event_of_transcript,
     full_world_space,
     guilt_event,
@@ -138,6 +140,15 @@ class TestWorldSpace:
             with pytest.raises(CapExceeded, match="ceiling"):
                 TestimonyCatalog(("t0",), world_cap=cap)
         assert TestimonyCatalog(("t0",), world_cap=WORLD_CAP_CEILING).world_cap == WORLD_CAP_CEILING
+
+    def test_caps_that_are_not_ints_are_refused_not_truncated(self):
+        # int(12.9) would be 12 and int(True) 1
+        for cap in (12.9, 12.0, True, False, "12", Fraction(12)):
+            with pytest.raises(TypeError, match="the world cap must be an int"):
+                TestimonyCatalog(("t0",), world_cap=cap)
+            with pytest.raises(TypeError, match="the world cap must be an int"):
+                check_world_cap(cap)
+        assert TestimonyCatalog(("t0",), world_cap=12).world_cap == 12
 
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError):
