@@ -119,7 +119,7 @@ class Charge:
     @classmethod
     def uniform_on_atoms(cls, algebra: BooleanSubalgebra) -> "Charge":
         """Equal mass on every atom."""
-        k = len(algebra.atoms)
+        k = algebra.atom_count
         return cls(algebra, tuple(Fraction(1, k) for _ in range(k)))
 
     @classmethod
@@ -357,8 +357,8 @@ def _check_masses(algebra, masses: tuple, named: Sequence, counts: Iterable[int]
     ``counts`` each distinct value once and how many atoms it weighs.
     Only a type or sign failure walks ``masses``, for the first bad one.
     """
-    if len(masses) != len(algebra.atoms):
-        raise ValueError(f"{len(masses)} masses for {len(algebra.atoms)} atoms")
+    if len(masses) != algebra.atom_count:
+        raise ValueError(f"{len(masses)} masses for {algebra.atom_count} atoms")
     if not all(map(isinstance, named, repeat(Fraction))):
         _reject_first_bad_mass(masses)
     ratios = map(Fraction.as_integer_ratio, named)

@@ -191,7 +191,7 @@ def charge_to_jsonable(catalog: TestimonyCatalog, charge: Charge) -> dict[str, A
     doc: dict[str, Any] = {"catalog": list(catalog.labels)}
     keys, atoms = atom_names(algebra, _key_table(catalog).keys)
     # the atoms partition the ground, so equal counts mean all singletons
-    if len(algebra.atoms) != len(algebra.ground):
+    if algebra.atom_count != len(algebra.ground):
         doc["atoms"] = atoms
     rendered = list(map(format_rational, charge.values))
     doc["masses"] = dict(zip(keys, map(rendered.__getitem__, charge.codes)))
@@ -242,7 +242,7 @@ def charge_from_jsonable(
     raw_masses = obj["masses"]
     if not isinstance(raw_masses, Mapping):
         raise ParseError('"masses" must be an object mapping atom keys to rationals')
-    values, code_of, codes = [ZERO], {}, [0] * len(algebra.atoms)
+    values, code_of, codes = [ZERO], {}, [0] * algebra.atom_count
     for key, raw_value in raw_masses.items():
         index = key_to_index.get(key)
         if index is None:

@@ -25,13 +25,14 @@ from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, NotExpressib
 DEFAULT_WORLD_CAP = 12
 
 #: Largest world cap any catalog may be given.  Library ``rationalize``
-#: followed by ``verify_rationalization`` peaks at about 0.56 kB per world
-#: (two-witness disposition, n=16: 70 MB for 131072 worlds on CPython
-#: 3.11), so this ceiling bounds that path at 2^21 worlds and about
-#: 1.2 GB.  The figure covers the library path only: the CLI's
-#: ``rationalize --out`` peaked at 976 MB already at n=18.  A cap above
-#: the ceiling is refused before any world is built.  Testimony indices
-#: stay below it, so no transcript outgrows every catalog.
+#: followed by ``verify_rationalization`` peaks at about 0.30 kB per world
+#: (two-witness disposition, n=16: 39 MB for 131072 worlds on CPython
+#: 3.11, as ``world_algebra`` builds no atom it is not asked for), so this
+#: ceiling bounds that path at 2^21 worlds and about 0.6 GB.  The figure
+#: covers the library path only: the CLI's ``rationalize --out`` peaked at
+#: 976 MB already at n=18.  A cap above the ceiling is refused before any
+#: world is built.  Testimony indices stay below it, so no transcript
+#: outgrows every catalog.
 WORLD_CAP_CEILING = 20
 
 
@@ -65,7 +66,11 @@ class Guilt(enum.Enum):
 # whose layers and tail hold every world exactly once (by the lowest clear
 # bit of its mask); and BooleanSubalgebra.split, the one pass that adjoins
 # a set, since splitting every block of a partition by one set leaves a
-# partition.  The public constructor always checks.
+# partition.  The public constructor always checks.  The first two store
+# only their atom count and the rule their atoms follow, and build the atom
+# frozensets on the first read of ``atoms``, once per algebra object.  On
+# the cached world tuple an element's position is its world code, so an
+# atom's sort key is its least world.
 
 
 class Transcript(int):
@@ -296,9 +301,15 @@ def heard_prefix_algebra(catalog: TestimonyCatalog, steps: int) -> "BooleanSubal
     and H_0 the world space.  The 2m + 2 atoms are each layer
     H_(j-1) - H_j split into its guilty and innocent part, j = 1..m, then
     the tail H_m split likewise, in canonical order, so H_k is the union
-    of atoms 2k onward.
+    of atoms 2k onward.  TypeError unless ``steps`` is an int (a bool is
+    not one), ValueError if it is negative, ForeignTestimony if it exceeds
+    the catalog.  The atoms are built on first read.
     """
-    catalog._check_transcript(Transcript(range(steps)))
+    if not isinstance(steps, int) or isinstance(steps, bool):
+        raise TypeError(f"steps must be an int, got {steps!r}")
+    if not 0 <= steps <= len(catalog):
+        error = ValueError if steps < 0 else ForeignTestimony
+        raise error(f"steps must lie in 0..{len(catalog)}, got {steps}")
     ws = full_world_space(catalog)
     # A world's code is 2*mask + g.  H_k holds the masks whose low k bits
     # are all set, i.e. the codes 2^(k+1) - 2 + g modulo 2^(k+1); layer
@@ -311,10 +322,10 @@ def heard_prefix_algebra(catalog: TestimonyCatalog, steps: int) -> "BooleanSubal
     # the world space (none is empty, as m <= n) and need no check.
     parts = [((1 << j) - 2, 2 << j) for j in range(1, steps + 1)]
     parts.append(((2 << steps) - 2, 2 << steps))
-    atoms = tuple(
-        frozenset(ws[first + g :: stride]) for first, stride in parts for g in (0, 1)
+    slices = tuple((first + g, stride) for first, stride in parts for g in (0, 1))
+    return BooleanSubalgebra._unchecked(
+        ws, world_set(catalog), atom_count=len(slices), _slices=slices
     )
-    return BooleanSubalgebra._unchecked(ws, world_set(catalog), atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +343,9 @@ class BooleanSubalgebra:
     ``ground`` is an ordered tuple; the order is the canonical element
     order used for deterministic atom ordering and serialization.  Both
     are kept as tuples, the atoms as frozensets, whatever they were built
-    from.
+    from.  ``atom_count`` is stored when the algebra is built, so it needs
+    no atoms; ``world_algebra`` and ``heard_prefix_algebra`` build
+    ``atoms`` from their rule on its first read (see ``_atoms_by_rule``).
     """
 
     ground: tuple[Hashable, ...]
@@ -345,7 +358,7 @@ class BooleanSubalgebra:
             raise ValueError("ground elements must be distinct")
         _check_partition(self.atoms, ground_set)
         atoms = tuple(map(frozenset, self.atoms))  # after the check, which refuses a str
-        vars(self).update(ground=ground, atoms=atoms, _ground_set=ground_set)
+        vars(self).update(ground=ground, atoms=atoms, atom_count=len(atoms), _ground_set=ground_set)
 
     @property
     def ground_set(self) -> frozenset:
@@ -360,24 +373,34 @@ class BooleanSubalgebra:
     is_world_powerset: ClassVar[bool] = False
 
     @cached_property
-    def _position(self) -> dict[Hashable, int]:
-        """Each ground element's index, built on first use."""
+    def _position(self) -> dict[Hashable, int] | None:
+        """Each ground element's index, built on first use; None on the cached
+        world tuple, where an element's index is its world code."""
+        if _world_tuple_size(self.ground) is not None:
+            return None
         return {e: i for i, e in enumerate(self.ground)}
 
     @classmethod
-    def _unchecked(cls, ground, ground_set, atoms, **cached) -> "BooleanSubalgebra":
-        """An algebra whose atoms partition ``ground_set`` by construction: no check runs."""
+    def _unchecked(cls, ground, ground_set, atoms=None, **cached) -> "BooleanSubalgebra":
+        """An algebra whose atoms partition ``ground_set`` by construction: no check runs.
+
+        Without ``atoms``, ``cached`` holds ``atom_count`` and the rule
+        ``_atoms_by_rule`` reads on the first read of ``atoms``.
+        """
         algebra = cls.__new__(cls)
-        vars(algebra).update(ground=ground, atoms=atoms, _ground_set=ground_set, **cached)
+        if atoms is not None:
+            cached.update(atoms=atoms, atom_count=len(atoms))
+        vars(algebra).update(ground=ground, _ground_set=ground_set, **cached)
         return algebra
 
     def atom_sort_key(self, atom: frozenset) -> int:
-        return min(map(self._position.__getitem__, atom))
+        position = self._position
+        return min(atom) if position is None else min(map(position.__getitem__, atom))
 
     @cached_property
     def _atom_keys(self) -> tuple[int, ...]:
         """Each atom's sort key, built on first use; ``split`` hands its children theirs."""
-        if len(self.atoms) == 1:  # the whole ground, which starts at position 0
+        if self.atom_count == 1:  # the whole ground, which starts at position 0
             return (0,)
         return tuple(map(self.atom_sort_key, self.atoms))
 
@@ -407,7 +430,7 @@ class BooleanSubalgebra:
 
     def members(self) -> Iterator[frozenset]:
         """All 2^k members.  Exponential; intended for small algebras."""
-        for r in range(len(self.atoms) + 1):
+        for r in range(self.atom_count + 1):
             for combo in itertools.combinations(self.atoms, r):
                 yield frozenset().union(*combo) if combo else frozenset()
 
@@ -451,6 +474,24 @@ class BooleanSubalgebra:
         return self.split(new_event)[0]
 
 
+def _atoms_by_rule(algebra: BooleanSubalgebra) -> tuple[frozenset, ...]:
+    """The atoms of an algebra built by rule: a world powerset's singletons,
+    else each ``(start, stride)`` slice of the ground in ``_slices``."""
+    ground = algebra.ground
+    if algebra.is_world_powerset:
+        return tuple(map(frozenset, zip(ground)))
+    return tuple(frozenset(ground[start::stride]) for start, stride in algebra._slices)
+
+
+# ``atoms`` is a dataclass field, so the hook that builds it on first read is
+# set on the class after it is made; an algebra that holds its atoms never
+# reaches it, and one built by rule keeps what it returns.  A hook, unlike a
+# ``__getattr__``, leaves every other attribute read on the fast path.  It
+# looks ``_atoms_by_rule`` up by name, so a test can count the builds.
+BooleanSubalgebra.atoms = cached_property(lambda algebra: _atoms_by_rule(algebra))
+BooleanSubalgebra.atoms.__set_name__(BooleanSubalgebra, "atoms")
+
+
 def _check_partition(atoms: tuple[frozenset, ...], ground_set: frozenset) -> None:
     """ValueError unless the atoms are nonempty blocks partitioning the ground set."""
     covered = 0
@@ -484,9 +525,17 @@ def world_algebra(catalog: TestimonyCatalog) -> BooleanSubalgebra:
 
 @lru_cache(maxsize=16)
 def _world_algebra(n: int) -> BooleanSubalgebra:
-    worlds = _world_space(n)
-    atoms = tuple(map(frozenset, zip(worlds)))  # one singleton per world, in order
-    return BooleanSubalgebra._unchecked(worlds, _world_set(n), atoms, is_world_powerset=True)
+    worlds = _world_space(n)  # one singleton atom per world, in order, built on first read
+    return BooleanSubalgebra._unchecked(
+        worlds, _world_set(n), atom_count=len(worlds), is_world_powerset=True
+    )
+
+
+def _world_tuple_size(ground: tuple) -> int | None:
+    """n if ``ground`` is the cached world tuple of n testimonies, else None."""
+    n = len(ground).bit_length() - 2
+    worlds_sized = 0 <= n <= WORLD_CAP_CEILING and type(ground[-1]) is World
+    return n if worlds_sized and ground is _world_space(n) else None
 
 
 def require_world_ground(algebra: BooleanSubalgebra, catalog: TestimonyCatalog) -> None:
@@ -586,7 +635,11 @@ def atoms_of_generated_algebra(
     elements share an atom iff every generator contains both or neither.
     """
     ground = tuple(ground)
-    whole = BooleanSubalgebra(ground, (frozenset(ground),) if ground else ())
+    n = _world_tuple_size(ground)
+    if n is not None:  # the whole world set is one block by construction
+        whole = BooleanSubalgebra._unchecked(ground, _world_set(n), (_world_set(n),))
+    else:
+        whole = BooleanSubalgebra(ground, (frozenset(ground),) if ground else ())
     return reduce(BooleanSubalgebra.adjoin, generators, whole)
 
 
@@ -611,6 +664,6 @@ def is_logically_independent(event: AbstractSet, algebra: BooleanSubalgebra) -> 
     algebra.
     """
     event = frozenset(event)
-    if len(algebra.atoms) <= 1:
+    if algebra.atom_count <= 1:
         return True
     return all(not atom.isdisjoint(event) for atom in algebra.atoms)

@@ -625,6 +625,23 @@ def assert_coded_view(charge: Charge) -> None:
     assert all(m is charge.values[c] for m, c in zip(charge.masses, charge.codes))
 
 
+def eager_world_algebra(catalog: TestimonyCatalog) -> BooleanSubalgebra:
+    """The world powerset with every singleton atom built up front, through
+    the checked constructor, so it takes the atom paths."""
+    worlds = full_world_space(catalog)
+    return BooleanSubalgebra(worlds, tuple(map(frozenset, zip(worlds))))
+
+
+def eager_heard_prefix_algebra(catalog: TestimonyCatalog, steps: int) -> BooleanSubalgebra:
+    """The heard-prefix algebra with its 2·steps + 2 stride slices built up
+    front, as frozensets made the same way, through the checked constructor."""
+    worlds = full_world_space(catalog)
+    parts = [((1 << j) - 2, 2 << j) for j in range(1, steps + 1)]
+    parts.append(((2 << steps) - 2, 2 << steps))
+    atoms = tuple(frozenset(worlds[first + g :: stride]) for first, stride in parts for g in (0, 1))
+    return BooleanSubalgebra(worlds, atoms)
+
+
 def random_masses(rng: random.Random, count: int) -> tuple[Fraction, ...]:
     """Random exact masses, nonnegative and summing to one."""
     weights = [rng.randrange(0, 9) for _ in range(count)]

@@ -275,6 +275,23 @@ class TestEvents:
         with pytest.raises(ForeignTestimony):
             heard_prefix_algebra(catalog(3), WORLD_CAP_CEILING + 1)
 
+    @pytest.mark.parametrize(
+        "steps, error, message",
+        [
+            (1.0, TypeError, "steps must be an int, got 1.0"),
+            (True, TypeError, "steps must be an int, got True"),
+            (False, TypeError, "steps must be an int, got False"),
+            ("2", TypeError, "steps must be an int, got '2'"),
+            (-1, ValueError, r"steps must lie in 0\.\.3, got -1"),
+            (-4, ValueError, r"steps must lie in 0\.\.3, got -4"),
+            (4, ForeignTestimony, r"steps must lie in 0\.\.3, got 4"),
+        ],
+    )
+    def test_heard_prefix_chain_refuses_bad_steps_when_built(self, steps, error, message):
+        # its atoms are built on first read, so the steps are checked up front
+        with pytest.raises(error, match=message):
+            heard_prefix_algebra(catalog(3), steps)
+
     def test_heard_event_is_upward_closure(self):
         cat = catalog(2)
         heard = heard_event(cat, cat.transcript(["t0"]))
