@@ -432,7 +432,9 @@ def mix(alpha: RationalLike, first: Charge, second: Charge) -> Charge:
     alpha = as_rational(alpha, name="alpha")
     if not 0 <= alpha <= 1:
         raise OutOfRange(f"mixture weight {format_rational(alpha)} not in [0, 1]")
-    if first.algebra != second.algebra:
+    # identity first: equality reads ``atoms``, which an algebra built by rule
+    # would build only to be compared
+    if first.algebra is not second.algebra and first.algebra != second.algebra:
         raise AlgebraMismatch("mixture requires both charges on the same algebra")
     masses = tuple(
         alpha * a + (1 - alpha) * b for a, b in zip(first.masses, second.masses)

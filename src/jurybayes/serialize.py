@@ -24,7 +24,6 @@ from .worlds import (
     TestimonyCatalog,
     Transcript,
     World,
-    _check_partition,
     atom_names,
     event_of_transcript,
     full_world_space,
@@ -32,7 +31,6 @@ from .worlds import (
     heard_event,
     require_world_ground,
     world_algebra,
-    world_set,
 )
 
 #: Labels must stay clear of the characters world keys and event specs use.
@@ -229,10 +227,9 @@ def charge_from_jsonable(
         # an empty atom has no first world; the partition check rejects it
         ordered = tuple(sorted(atoms, key=lambda atom: min(atom, default=-1)))
         try:
-            _check_partition(ordered, world_set(catalog))
+            algebra = BooleanSubalgebra(worlds, ordered)
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
-        algebra = BooleanSubalgebra._unchecked(worlds, world_set(catalog), ordered)
         names = atom_names(algebra, _key_table(catalog).keys)[0]
         key_to_index = {name: i for i, name in enumerate(names)}
     else:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from operator import attrgetter, or_
+from operator import attrgetter
 from typing import AbstractSet, ClassVar, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, NotExpressible
@@ -60,17 +60,21 @@ class Guilt(enum.Enum):
 # the world codes, its atom i being the world with code i:
 # BooleanSubalgebra.cover, transcript_masses and atom_names.
 #
-# Three builders skip the partition check, all through the one unchecked
+# Four builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
 # atoms are the cached world tuple's worlds one by one; heard_prefix_algebra,
 # whose layers and tail hold every world exactly once (by the lowest clear
-# bit of its mask); and BooleanSubalgebra.split, the one pass that adjoins
-# a set, since splitting every block of a partition by one set leaves a
-# partition.  The public constructor always checks.  The first two store
-# only their atom count and the rule their atoms follow, and build the atom
-# frozensets on the first read of ``atoms``, once per algebra object.  On
-# the cached world tuple an element's position is its world code, so an
-# atom's sort key is its least world.
+# bit of its mask); atoms_of_generated_algebra's start, whose one atom is
+# the whole ground set; and BooleanSubalgebra.split, the one pass that
+# adjoins a set, since splitting every block of a partition by one set
+# leaves a partition.  The public constructor always checks, and no other
+# module builds an algebra unchecked: serialize reads a coarse charge's
+# atoms through it.  The first two store only their atom count and the
+# rule their atoms follow, and build the atom frozensets on the first read
+# of ``atoms``, once per algebra object.  On the cached world tuple every
+# builder shares the cached world set as its ground set (_ground_set_of)
+# rather than copying it, and an element's position is its world code, so
+# an atom's sort key is its least world.
 
 
 class Transcript(int):
@@ -162,11 +166,11 @@ class TestimonyCatalog:
         object.__setattr__(self, "labels", tuple(labels))
         cap = DEFAULT_WORLD_CAP if world_cap is None else check_world_cap(world_cap)
         object.__setattr__(self, "world_cap", cap)
-        # each label's transcript bit; not a field, so equality stays on the labels
-        bits = {label: 1 << i for i, label in enumerate(self.labels)}
-        if len(bits) != len(self.labels):
+        # each label's position; not a field, so equality stays on the labels
+        positions = {label: i for i, label in enumerate(self.labels)}
+        if len(positions) != len(self.labels):
             raise ValueError(f"catalog labels must be distinct: {self.labels!r}")
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_positions", positions)
         if len(self.labels) > cap:
             raise CapExceeded(
                 f"catalog of {len(self.labels)} testimonies exceeds the world cap "
@@ -178,25 +182,20 @@ class TestimonyCatalog:
 
     def index(self, label: str) -> int:
         try:
-            return self._bits[label].bit_length() - 1
+            return self._positions[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ForeignTestimony(f"label {label!r} is not in the catalog") from None
 
     def transcript(self, labels: Iterable[str]) -> Transcript:
         """The transcript of the given labels, in any order, repeats allowed.
 
-        The label lookups run first in C, as one OR of the labels' bits;
-        only when one fails are the labels walked in order, so the first
-        label not in the catalog names the ForeignTestimony.
+        The labels are read once, in order, through ``index``, so the first
+        one not in the catalog (foreign, unhashable or not a string) names
+        the ForeignTestimony.
         """
-        if not isinstance(labels, (list, tuple)):
-            labels = tuple(labels)  # walked again on failure
-        try:
-            mask = reduce(or_, map(self._bits.__getitem__, labels), 0)
-        except (KeyError, TypeError):
-            for label in labels:
-                self.index(label)
-            raise
+        mask = 0
+        for label in labels:
+            mask |= 1 << self.index(label)
         return _transcript_of_mask(mask)
 
     def transcript_labels(self, transcript: Transcript) -> tuple[str, ...]:
@@ -343,9 +342,11 @@ class BooleanSubalgebra:
     ``ground`` is an ordered tuple; the order is the canonical element
     order used for deterministic atom ordering and serialization.  Both
     are kept as tuples, the atoms as frozensets, whatever they were built
-    from.  ``atom_count`` is stored when the algebra is built, so it needs
-    no atoms; ``world_algebra`` and ``heard_prefix_algebra`` build
-    ``atoms`` from their rule on its first read (see ``_atoms_by_rule``).
+    from.  On the cached world tuple the ground set is the cached world
+    set itself, not a copy.  ``atom_count`` is stored when the algebra is
+    built, so it needs no atoms; ``world_algebra`` and
+    ``heard_prefix_algebra`` build ``atoms`` from their rule on its first
+    read (see ``_atoms_by_rule``).
     """
 
     ground: tuple[Hashable, ...]
@@ -353,9 +354,7 @@ class BooleanSubalgebra:
 
     def __post_init__(self) -> None:
         ground = tuple(self.ground)
-        ground_set = frozenset(ground)
-        if len(ground_set) != len(ground):
-            raise ValueError("ground elements must be distinct")
+        ground_set = _ground_set_of(ground)
         _check_partition(self.atoms, ground_set)
         atoms = tuple(map(frozenset, self.atoms))  # after the check, which refuses a str
         vars(self).update(ground=ground, atoms=atoms, atom_count=len(atoms), _ground_set=ground_set)
@@ -538,11 +537,22 @@ def _world_tuple_size(ground: tuple) -> int | None:
     return n if worlds_sized and ground is _world_space(n) else None
 
 
+def _ground_set_of(ground: tuple) -> frozenset:
+    """The ground as a set: the cached world set on the cached world tuple,
+    else a new one.  ValueError if the ground repeats an element."""
+    n = _world_tuple_size(ground)
+    ground_set = frozenset(ground) if n is None else _world_set(n)
+    if len(ground_set) != len(ground):
+        raise ValueError("ground elements must be distinct")
+    return ground_set
+
+
 def require_world_ground(algebra: BooleanSubalgebra, catalog: TestimonyCatalog) -> None:
     """CatalogMismatch unless the algebra's ground is the catalog's world space.
 
-    ``world_algebra`` and ``heard_prefix_algebra`` build on the cached world
-    set and ``split`` children share their parent's, so identity settles most.
+    Every algebra built on the cached world tuple, by the public
+    constructor or any builder here, holds the cached world set, and
+    ``split`` children share their parent's, so identity settles most.
     """
     ground_set = algebra.ground_set
     if ground_set is world_set(catalog):
@@ -635,11 +645,9 @@ def atoms_of_generated_algebra(
     elements share an atom iff every generator contains both or neither.
     """
     ground = tuple(ground)
-    n = _world_tuple_size(ground)
-    if n is not None:  # the whole world set is one block by construction
-        whole = BooleanSubalgebra._unchecked(ground, _world_set(n), (_world_set(n),))
-    else:
-        whole = BooleanSubalgebra(ground, (frozenset(ground),) if ground else ())
+    ground_set = _ground_set_of(ground)
+    # the whole ground set is one block of a partition, so the start needs no check
+    whole = BooleanSubalgebra._unchecked(ground, ground_set, (ground_set,) if ground else ())
     return reduce(BooleanSubalgebra.adjoin, generators, whole)
 
 

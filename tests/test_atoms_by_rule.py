@@ -233,3 +233,20 @@ class TestAtomsOnFirstRead:
         assert world_algebra(cat).atoms == eager_world_algebra(cat).atoms
         assert rule_reads == [world_algebra(cat)]
 
+    def test_mixing_charges_on_one_algebra_makes_no_atom(self, rule_reads):
+        from jurybayes.charges import mix
+        from jurybayes.dispositions import always_convict_nonempty, rationalize
+
+        cat = catalog(5)
+        world_prior = rationalize(always_convict_nonempty(cat), F(3, 4)).prior
+        assert world_prior.algebra is world_algebra(cat)
+        for prior in (world_prior, ratio_bounded(cat).charge):
+            algebra = prior.algebra
+            point = Charge(algebra, (F(1),) + (F(0),) * (algebra.atom_count - 1))
+            for first, second in ((prior, prior), (prior, point)):
+                mixed = mix(F(1, 3), first, second)
+                assert mixed.algebra is algebra
+                assert mixed.masses == tuple(
+                    F(1, 3) * a + F(2, 3) * b for a, b in zip(first.masses, second.masses)
+                )
+            assert rule_reads == [] and "atoms" not in vars(algebra)

@@ -29,6 +29,7 @@ from jurybayes.worlds import (
     is_expressible,
     is_logically_independent,
     powerset_algebra,
+    require_world_ground,
     world_algebra,
     world_set,
     _check_partition,
@@ -111,6 +112,29 @@ class TestWorldSpace:
         assert world_set(cat) is world_set(catalog(3))
         assert world_set(cat) == algebra.ground_set
         assert guilt_event(cat) is guilt_event(catalog(3))
+
+    def test_checked_builds_on_the_world_tuple_share_the_cached_world_set(self):
+        for n in range(5):
+            cat = catalog(n)
+            worlds = full_world_space(cat)
+            halves = (frozenset(worlds[::2]), frozenset(worlds[1::2]))
+            built = (
+                powerset_algebra(worlds),
+                BooleanSubalgebra(worlds, halves),
+                atoms_of_generated_algebra(worlds, [halves[0]]),
+            )
+            for algebra in built:
+                assert algebra.ground_set is world_set(cat)
+                # accepted by identity: the element-wise check would fail on this ground
+                vars(algebra)["ground"] = None
+                require_world_ground(algebra, cat)
+            # a copied tuple gets a set of its own, equal to the cached one
+            copied = BooleanSubalgebra(tuple(list(worlds)), halves)
+            assert copied.ground_set == world_set(cat)
+            assert copied.ground_set is not world_set(cat)
+            require_world_ground(copied, cat)
+            with pytest.raises(ValueError, match="ground elements must be distinct"):
+                BooleanSubalgebra(worlds + worlds[:1], halves)
 
     def test_world_caches_are_shared_by_same_size_catalogs(self):
         first = TestimonyCatalog(("a", "b", "c"))
@@ -203,12 +227,18 @@ class TestEvents:
                 if rng.random() < 0.3:
                     labels.insert(rng.randrange(len(labels) + 1), rng.choice(foreign))
                 expected = outcome(oracle_transcript, cat, labels)
-                for given in (labels, tuple(labels), iter(labels)):
+                for given in (labels, tuple(labels), iter(labels), (x for x in labels)):
                     assert outcome(TestimonyCatalog.transcript, cat, given) == expected
                 for label in labels:
                     assert outcome(TestimonyCatalog.index, cat, label) == outcome(
                         lambda c, lbl: oracle_transcript(c, [lbl]).bit_length() - 1, cat, label
                     )
+        # a foreign, an unhashable and a non-string label after valid ones, read once
+        cat = catalog(4)
+        for labels in (["t0", "t2", "zz", "t1"], ["t3", "t1", ["t0"], "zz"], ["t2", "t2", 0, "zz"]):
+            expected = outcome(oracle_transcript, cat, labels)
+            assert expected[0] is ForeignTestimony
+            assert outcome(TestimonyCatalog.transcript, cat, (x for x in labels)) == expected
 
     def test_guilt_event_small(self):
         cat = catalog(1)
@@ -370,6 +400,8 @@ class TestGeneratedAlgebra:
     def test_ground_must_be_distinct_and_hold_every_atom_element(self):
         with pytest.raises(ValueError, match="ground elements must be distinct"):
             BooleanSubalgebra((1, 1, 2), (frozenset({1, 2}),))
+        with pytest.raises(ValueError, match="ground elements must be distinct"):
+            atoms_of_generated_algebra((1, 1, 2), [{1}])
         with pytest.raises(ValueError, match="outside the ground set"):
             BooleanSubalgebra((1, 2), (frozenset({1}), frozenset({2, 3})))
 
