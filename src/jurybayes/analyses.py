@@ -439,7 +439,9 @@ def build_ratio_bounded_convicting_prior(
     # are G and I intersected with each layer H_{j-1} - H_j (j < k), which
     # H_k misses, and the two tails G & H_{k-1} and I & H_{k-1}, with
     # masses g_{k-1} and i_{k-1}, which H_k cuts.  No atom lies inside H_k,
-    # so the forced masses in_e and in_c are 0 and _conditional_scale gives
+    # so the forced masses in_e and in_c are 0 and the per-side rule of
+    # extend_conditional gives s the midpoint of [0, min(g_{k-1} / t_k,
+    # i_{k-1} / (1 - t_k))], that is
     #     s = min(g_{k-1} / t_k, i_{k-1} / (1 - t_k)) / 2,
     # and greedy_fill gives H_k the tails g_k = t_k * s and
     # i_k = (1 - t_k) * s.  By induction P(G | H_{k-1}) = t_{k-1} <= t_k,

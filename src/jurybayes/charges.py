@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     ZeroConditioningEvent,
 )
-from .rationals import RationalLike, as_rational, format_rational
+from .rationals import RationalLike, _unit_in, as_rational, format_rational
 from .worlds import BooleanSubalgebra
 
 ZERO = Fraction(0)
@@ -241,13 +241,16 @@ class Charge:
         the target event: ``given ∩ event`` gets exactly theta*s and
         ``given − event`` (1−theta)*s, where s is the mass ``given``
         receives; the original charge is kept on every old member.  One
-        split of the atoms by ``given`` serves both sides.
+        split of the atoms by ``given`` serves both sides.  Each side
+        bounds s by one rule: a side of share w > 0 (theta or 1-theta)
+        needs w*s between its forced (inner) and reachable (outer) mass,
+        and a side of share 0 may carry no forced mass.  s is the
+        midpoint of the one interval both sides allow, which in the
+        strict case is min(P(A)/theta, (1-P(A))/(1-theta)) / 2.
         """
         event = frozenset(event)
         given = frozenset(given)
-        theta = as_rational(theta, name="theta")
-        if not 0 <= theta <= 1:
-            raise OutOfRange(f"conditional target {format_rational(theta)} not in [0, 1]")
+        theta = _unit_in(theta, "theta", "conditional target")
         if not given <= self.algebra.ground_set:
             raise ValueError("adjoined event contains elements outside the ground set")
         p_event = self.measure(event)  # raises NotExpressible if event is foreign
@@ -272,7 +275,30 @@ class Charge:
                 )
 
         def targets(in_c: Fraction, in_e: Fraction, out_c: Fraction, out_e: Fraction):
-            scale = self._conditional_scale(theta, in_e, out_e, in_c, out_c)
+            # s <= out_e + out_c <= 1 on a probability charge, so hi may start at 1
+            lo, hi = ZERO, ONE
+            sides = ((theta, in_e, out_e, "inside"), (1 - theta, in_c, out_c, "outside"))
+            for share, inner, outer, where in sides:
+                if share:
+                    lo, hi = max(lo, inner / share), min(hi, outer / share)
+                elif inner:
+                    raise OutOfRange(
+                        f"conditional target {format_rational(theta)} unattainable: the "
+                        f"adjoined event already carries forced mass {where} the target event"
+                    )
+            if lo > hi:
+                lo_bound = in_e / (in_e + out_c) if in_e + out_c > 0 else ONE
+                hi_bound = out_e / (out_e + in_c) if out_e + in_c > 0 else ZERO
+                raise OutOfRange(
+                    f"conditional target {format_rational(theta)} outside the feasible "
+                    f"interval [{format_rational(lo_bound)}, {format_rational(hi_bound)}]"
+                )
+            scale = (lo + hi) / 2
+            if scale == 0:
+                raise OutOfRange(
+                    "the adjoined event cannot receive positive mass, so no "
+                    "conditional value is defined on it"
+                )
             return (1 - theta) * scale - in_c, theta * scale - in_e
 
         return self._split_extend(algebra, parts, event, targets)
@@ -301,53 +327,6 @@ class Charge:
             else:
                 mass[id(inside or outside)] = m
         return Charge(algebra, tuple(mass[id(atom)] for atom in algebra.atoms))
-
-    @staticmethod
-    def _conditional_scale(
-        theta: Fraction,
-        in_e: Fraction,
-        out_e: Fraction,
-        in_c: Fraction,
-        out_c: Fraction,
-    ) -> Fraction:
-        """The mass the adjoined event receives, chosen mid-interval.
-
-        The event side must absorb theta*s within [in_e, out_e] and the
-        complement side (1-theta)*s within [in_c, out_c]; s is picked as
-        the midpoint of the feasible interval, which in the strict case
-        reduces to min(P(A)/theta, (1-P(A))/(1-theta)) / 2.
-        """
-        if theta == 0:
-            if in_e > 0:
-                raise OutOfRange(
-                    "conditional target 0 unattainable: the adjoined event "
-                    "already carries forced mass inside the target event"
-                )
-            lo, hi = in_c, out_c
-        elif theta == 1:
-            if in_c > 0:
-                raise OutOfRange(
-                    "conditional target 1 unattainable: the adjoined event "
-                    "already carries forced mass outside the target event"
-                )
-            lo, hi = in_e, out_e
-        else:
-            lo = max(in_e / theta, in_c / (1 - theta))
-            hi = min(out_e / theta, out_c / (1 - theta))
-        if lo > hi:
-            lo_bound = in_e / (in_e + out_c) if in_e + out_c > 0 else ONE
-            hi_bound = out_e / (out_e + in_c) if out_e + in_c > 0 else ZERO
-            raise OutOfRange(
-                f"conditional target {format_rational(theta)} outside the feasible "
-                f"interval [{format_rational(lo_bound)}, {format_rational(hi_bound)}]"
-            )
-        scale = (lo + hi) / 2
-        if scale == 0:
-            raise OutOfRange(
-                "the adjoined event cannot receive positive mass, so no "
-                "conditional value is defined on it"
-            )
-        return scale
 
 
 def _check_masses(algebra, masses: tuple, named: Sequence, counts: Iterable[int] = ()) -> None:
@@ -429,9 +408,7 @@ def greedy_fill(masses: Iterable[Fraction], target: Fraction) -> list[tuple[Frac
 
 def mix(alpha: RationalLike, first: Charge, second: Charge) -> Charge:
     """The convex combination alpha*first + (1-alpha)*second."""
-    alpha = as_rational(alpha, name="alpha")
-    if not 0 <= alpha <= 1:
-        raise OutOfRange(f"mixture weight {format_rational(alpha)} not in [0, 1]")
+    alpha = _unit_in(alpha, "alpha", "mixture weight")
     # identity first: equality reads ``atoms``, which an algebra built by rule
     # would build only to be compared
     if first.algebra is not second.algebra and first.algebra != second.algebra:

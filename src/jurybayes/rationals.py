@@ -4,16 +4,17 @@ All probabilities, thresholds, weights and utilities in this package are
 `fractions.Fraction` values.  Floats are rejected at every entry point:
 the quantities the package certifies (posteriors, conditional targets,
 thresholds) are exact equalities that float arithmetic cannot witness.
-The open threshold interval is checked here too, by ``_theta_in``, so
-that the value objects and the dispositions share one check without
-loading any world machinery.
+The open threshold interval is checked here too, by ``_theta_in``, and
+the closed unit interval by ``_unit_in``, so that the value objects,
+charges, scoring and dispositions share one check each without loading
+any world machinery.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CapExceeded, ThetaOutOfRange
+from .errors import CapExceeded, OutOfRange, ThetaOutOfRange
 
 RationalLike = int | str | Fraction
 
@@ -70,6 +71,14 @@ def _theta_in(theta: RationalLike, rule: str, low: Fraction | int) -> Fraction:
     if not low < theta < 1:
         raise ThetaOutOfRange(f"{rule}, got {format_rational(theta)}")
     return theta
+
+
+def _unit_in(value: RationalLike, name: str, what: str) -> Fraction:
+    """``value`` as an exact rational; OutOfRange naming it ``what`` unless 0 <= value <= 1."""
+    value = as_rational(value, name=name)
+    if not 0 <= value <= 1:
+        raise OutOfRange(f"{what} {format_rational(value)} not in [0, 1]")
+    return value
 
 
 def _check_literal_size(text: str, name: str) -> None:

@@ -22,7 +22,7 @@ from operator import getitem
 from typing import TYPE_CHECKING, AbstractSet, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, DegenerateUtilities, OutOfRange
-from .rationals import RationalLike, as_rational, as_rational_fields, format_rational
+from .rationals import RationalLike, _unit_in, as_rational_fields, format_rational
 
 if TYPE_CHECKING:
     from .charges import Charge
@@ -317,9 +317,7 @@ def expected_verdict_utilities(
     utilities: UtilityQuadruple, p_guilt: RationalLike
 ) -> tuple[Fraction, Fraction]:
     """(expected utility of convicting, of acquitting) at the given guilt probability."""
-    p = as_rational(p_guilt, name="p_guilt")
-    if not 0 <= p <= 1:
-        raise OutOfRange(f"guilt probability {format_rational(p)} not in [0, 1]")
+    p = _unit_in(p_guilt, "p_guilt", "guilt probability")
     convict = p * utilities.convict_guilty + (1 - p) * utilities.convict_innocent
     acquit = p * utilities.acquit_guilty + (1 - p) * utilities.acquit_innocent
     return convict, acquit

@@ -74,7 +74,9 @@ class Guilt(enum.Enum):
 # of ``atoms``, once per algebra object.  On the cached world tuple every
 # builder shares the cached world set as its ground set (_ground_set_of)
 # rather than copying it, and an element's position is its world code, so
-# an atom's sort key is its least world.
+# an atom's sort key is its least world.  The world tuple is recognised by
+# its length, 2^(n+1), and then by identity with the cached tuple of that
+# n, so a ground of any other size builds no world space.
 
 
 class Transcript(int):
@@ -531,10 +533,14 @@ def _world_algebra(n: int) -> BooleanSubalgebra:
 
 
 def _world_tuple_size(ground: tuple) -> int | None:
-    """n if ``ground`` is the cached world tuple of n testimonies, else None."""
+    """n if ``ground`` is the cached world tuple of n testimonies, else None.
+
+    Only a ground of 2^(n+1) worlds is compared with the cached tuple by
+    identity, so a ground of any other size builds no world space.
+    """
     n = len(ground).bit_length() - 2
-    worlds_sized = 0 <= n <= WORLD_CAP_CEILING and type(ground[-1]) is World
-    return n if worlds_sized and ground is _world_space(n) else None
+    sized = 0 <= n <= WORLD_CAP_CEILING and len(ground) == 2 << n
+    return n if sized and type(ground[-1]) is World and ground is _world_space(n) else None
 
 
 def _ground_set_of(ground: tuple) -> frozenset:

@@ -256,6 +256,46 @@ def oracle_extend(charge: Charge, subset: frozenset, value: RationalLike) -> Cha
     return Charge(new_algebra, tuple(part_mass[a] for a in new_algebra.atoms))
 
 
+def oracle_conditional_scale(
+    theta: Fraction, in_e: Fraction, out_e: Fraction, in_c: Fraction, out_c: Fraction
+) -> Fraction:
+    """The mass the adjoined event receives, case by case: at theta = 0 only
+    the complement side bounds it and the event side may carry no forced
+    mass, at theta = 1 the reverse, and inside (0, 1) both sides bound it.
+    It is the midpoint of the feasible interval."""
+    if theta == 0:
+        if in_e > 0:
+            raise OutOfRange(
+                "conditional target 0 unattainable: the adjoined event "
+                "already carries forced mass inside the target event"
+            )
+        lo, hi = in_c, out_c
+    elif theta == 1:
+        if in_c > 0:
+            raise OutOfRange(
+                "conditional target 1 unattainable: the adjoined event "
+                "already carries forced mass outside the target event"
+            )
+        lo, hi = in_e, out_e
+    else:
+        lo = max(in_e / theta, in_c / (1 - theta))
+        hi = min(out_e / theta, out_c / (1 - theta))
+    if lo > hi:
+        lo_bound = in_e / (in_e + out_c) if in_e + out_c > 0 else Fraction(1)
+        hi_bound = out_e / (out_e + in_c) if out_e + in_c > 0 else ZERO
+        raise OutOfRange(
+            f"conditional target {format_rational(theta)} outside the feasible "
+            f"interval [{format_rational(lo_bound)}, {format_rational(hi_bound)}]"
+        )
+    scale = (lo + hi) / 2
+    if scale == 0:
+        raise OutOfRange(
+            "the adjoined event cannot receive positive mass, so no "
+            "conditional value is defined on it"
+        )
+    return scale
+
+
 def oracle_extend_conditional_by_sides(
     charge: Charge,
     event: frozenset,
@@ -286,7 +326,7 @@ def oracle_extend_conditional_by_sides(
     inside, outside = given & event, given - event
     in_e, out_e = charge.inner_outer(inside)
     in_c, out_c = charge.inner_outer(outside)
-    scale = Charge._conditional_scale(theta, in_e, out_e, in_c, out_c)
+    scale = oracle_conditional_scale(theta, in_e, out_e, in_c, out_c)
     atom_masses = tuple(zip(charge.algebra.atoms, charge.masses))
     part_mass = {
         **oracle_greedy_split(atom_masses, inside, theta * scale - in_e),
@@ -336,7 +376,7 @@ def oracle_extend_conditional(
                 out_e += m
             else:
                 out_c += m
-    scale = Charge._conditional_scale(theta, in_e, out_e, in_c, out_c)
+    scale = oracle_conditional_scale(theta, in_e, out_e, in_c, out_c)
 
     def allocate_side(budget: Fraction, event_side: bool) -> dict[frozenset, Fraction]:
         side = [

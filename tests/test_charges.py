@@ -746,6 +746,27 @@ class TestExtendConditional:
         assert same.conditional(event, member).value == F(2, 3)
 
     def test_single_pass_matches_the_side_by_side_oracle(self, rng):
+        # non-strict inputs at the edges of each side's rule, on the atoms
+        # {1, 2} and {3, 4} at 1/2 each; the comment names what each reaches
+        halves = Charge.uniform_on_atoms(atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}]))
+        boundary = [
+            ({1, 2, 3}, F(0), "forced mass inside the target event"),
+            ({1, 3, 4}, F(1), "forced mass outside the target event"),
+            ({1, 2, 3}, F(1, 3), "outside the feasible interval [1/2, 1]"),
+            (set(), F(1, 2), "cannot receive positive mass"),
+            ({1, 3}, F(1, 4), None),  # the event side's outer/share is 2: a charge
+        ]
+        for given, theta, reaches in boundary:
+            got, expected = (
+                outcome(extend, halves, {1, 2}, given, theta, strict=False)
+                for extend in (Charge.extend_conditional, oracle_extend_conditional)
+            )
+            assert got == expected
+            if reaches is None:
+                assert isinstance(got, Charge)
+                assert got.conditional({1, 2}, given).value == theta
+            else:
+                assert got[0] is OutOfRange and reaches in got[1]
         seen = set()
         for _ in range(400):
             ground = tuple(range(rng.randrange(1, 8)))

@@ -136,6 +136,25 @@ class TestWorldSpace:
             with pytest.raises(ValueError, match="ground elements must be distinct"):
                 BooleanSubalgebra(worlds + worlds[:1], halves)
 
+    def test_a_ground_of_another_size_builds_no_world_space(self, monkeypatch):
+        # only 2^(n+1) worlds can be the cached tuple, so no other ground is
+        # compared with one
+        worlds = full_world_space(catalog(4))
+
+        def refuse(n):
+            raise AssertionError(f"built the world space of {n} testimonies")
+
+        monkeypatch.setattr(worlds_module, "_world_space", refuse)
+        for size in (5, 2**3 + 1, 2**4 + 1):
+            ground = worlds[:size]
+            for algebra in (
+                powerset_algebra(ground),
+                BooleanSubalgebra(ground, (frozenset(ground[::2]), frozenset(ground[1::2]))),
+                atoms_of_generated_algebra(ground, [frozenset(ground[::2])]),
+            ):
+                assert algebra.ground_set == frozenset(ground)
+                assert [algebra.atom_sort_key(atom) for atom in algebra.atoms[:2]] == [0, 1]
+
     def test_world_caches_are_shared_by_same_size_catalogs(self):
         first = TestimonyCatalog(("a", "b", "c"))
         second = TestimonyCatalog(("x", "y", "z"))
