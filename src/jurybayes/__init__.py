@@ -54,7 +54,6 @@ _EXPORTS: dict[str, str] = {
             "is_open_door",
             "posner_even_odds_prior",
             "rationalize",
-            "transcript_posteriors",
             "verify_rationalization",
         )),
         ("errors", (

@@ -104,25 +104,6 @@ class Charge:
         return charge
 
     @classmethod
-    def from_atom_masses(
-        cls,
-        algebra: BooleanSubalgebra,
-        masses: Mapping[frozenset, RationalLike],
-    ) -> "Charge":
-        """Build from a mapping atom -> mass; omitted atoms get mass 0."""
-        known = {atom: as_rational(m, name="atom mass") for atom, m in masses.items()}
-        unknown = set(known) - set(algebra.atoms)
-        if unknown:
-            raise ValueError(f"{len(unknown)} mass keys are not atoms of the algebra")
-        return cls(algebra, tuple(known.get(a, ZERO) for a in algebra.atoms))
-
-    @classmethod
-    def uniform_on_atoms(cls, algebra: BooleanSubalgebra) -> "Charge":
-        """Equal mass on every atom."""
-        k = algebra.atom_count
-        return cls(algebra, tuple(Fraction(1, k) for _ in range(k)))
-
-    @classmethod
     def uniform_on_points(cls, algebra: BooleanSubalgebra) -> "Charge":
         """Atom mass proportional to atom size (uniform over the ground set)."""
         n = len(algebra.ground)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import eq
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .charges import Charge
 from .errors import AxiomViolation, ZeroTranscriptMass
@@ -99,19 +99,6 @@ class RationalizationCertificate:
     prior: Charge
     guilt_prior: Fraction
 
-    @property
-    def posteriors(self) -> dict[Transcript, Fraction]:
-        """The construction's exact guilt posterior per transcript, in
-        canonical order: theta on convicting transcripts, 1-theta on
-        acquitting ones.  ``verify_rationalization`` recomputes them
-        independently from the prior."""
-        convicting, theta = self.disposition.convicting, self.theta
-        acquit_theta = 1 - theta
-        return {
-            t: theta if t in convicting else acquit_theta
-            for t in self.disposition.catalog.all_transcripts()
-        }
-
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -185,27 +172,6 @@ def rationalize(
     )
 
 
-def transcript_posteriors(
-    prior: Charge, catalog: TestimonyCatalog | None = None
-) -> Iterator[tuple[Transcript, Fraction, Fraction]]:
-    """Yield (T, P(E_T), P(E_T ∩ G)) for every transcript T.
-
-    The rows are read from ``worlds.transcript_masses`` and yielded
-    lazily, so an error surfaces at the transcript the per-event
-    ``measure`` path would have reached it.  With a catalog the prior
-    must live on its world space (CatalogMismatch otherwise) and
-    transcripts come in canonical order; without one every ground
-    element must be a World (TypeError otherwise) and transcripts come in
-    ground order.  NotExpressible is raised on reaching a transcript
-    whose event cuts through an atom, or, when that event has positive
-    mass, whose guilty and innocent worlds share an atom.  A zero-mass
-    transcript yields (T, 0, 0).
-    """
-    order, values, *columns = transcript_masses(prior.algebra, prior.values, prior.codes, catalog)
-    for transcript, guilty, innocent in zip(order, *(map(values.__getitem__, c) for c in columns)):
-        yield transcript, guilty + innocent, guilty
-
-
 def verification_theta(theta: RationalLike) -> Fraction:
     """theta as an exact rational; ThetaOutOfRange unless 0 < theta < 1."""
     return _theta_in(theta, "verification threshold must satisfy 0 < theta < 1", 0)
@@ -217,10 +183,10 @@ def verify_rationalization(
     """Check f(T) = convict iff P(guilt | transcript T) >= theta.
 
     Recomputes every conditional from the prior's atom masses; it never
-    trusts a certificate's posterior table.  Each transcript is decided
-    by an integer cross-multiplication, each distinct pair of guilty and
-    innocent masses is decided once, and the integers of each of the
-    prior's values are read once.  Returns the first failing transcript
+    trusts a certificate document's posterior rows.  Each transcript is
+    decided by an integer cross-multiplication, each distinct pair of
+    guilty and innocent masses is decided once, and the integers of each
+    of the prior's values are read once.  Returns the first failing transcript
     (canonical order) as witness.  Raises ThetaOutOfRange unless
     0 < theta < 1.
     """
@@ -264,7 +230,7 @@ def is_open_door(prior: Charge) -> bool:
     innocent masses is zero and the other is not.  Whether a mass is zero
     is asked once per distinct mass; the transcripts are then compared in
     C, in ground order, and the first pinned one answers, so
-    NotExpressible (see ``transcript_posteriors``) is raised only when a
+    NotExpressible (see ``worlds.transcript_masses``) is raised only when a
     transcript that cannot be read comes before every pinned one.
     """
     _, values, guilty, innocent = transcript_masses(prior.algebra, prior.values, prior.codes)

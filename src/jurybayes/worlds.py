@@ -29,10 +29,11 @@ DEFAULT_WORLD_CAP = 12
 #: (two-witness disposition, n=16: 39 MB for 131072 worlds on CPython
 #: 3.11, as ``world_algebra`` builds no atom it is not asked for), so this
 #: ceiling bounds that path at 2^21 worlds and about 0.6 GB.  The figure
-#: covers the library path only: the CLI's ``rationalize --out`` peaked at
-#: 976 MB already at n=18.  A cap above the ceiling is refused before any
-#: world is built.  Testimony indices stay below it, so no transcript
-#: outgrows every catalog.
+#: covers the library path only: at n=18 the CLI's ``rationalize --out``
+#: peaked at 828 MB and ``verify`` of its certificate at 592 MB (each
+#: process's own ``ru_maxrss``).  A cap above the ceiling is refused
+#: before any world is built.  Testimony indices stay below it, so no
+#: transcript outgrows every catalog.
 WORLD_CAP_CEILING = 20
 
 

@@ -22,7 +22,7 @@ from jurybayes.analyses import (
     RatioBoundedPrior,
 )
 from jurybayes.charges import ZERO, Charge, mix
-from jurybayes.dispositions import Disposition, RationalizationCertificate
+from jurybayes.dispositions import Disposition, RationalizationCertificate, Verdict
 from jurybayes.errors import (
     CapExceeded,
     CatalogMismatch,
@@ -154,6 +154,17 @@ def oracle_inner_outer(charge: Charge, subset: frozenset) -> tuple[Fraction, Fra
     below = [oracle_measure(charge, m) for m in charge.algebra.members() if m <= subset]
     above = [oracle_measure(charge, m) for m in charge.algebra.members() if subset <= m]
     return max(below), min(above)
+
+
+def uniform_charge(algebra: BooleanSubalgebra) -> Charge:
+    """Equal mass on every atom."""
+    k = algebra.atom_count
+    return Charge(algebra, (Fraction(1, k),) * k)
+
+
+def charge_by_atom(algebra: BooleanSubalgebra, by_atom: dict) -> Charge:
+    """The charge with mass ``by_atom[atom]`` on each atom; omitted atoms get 0."""
+    return Charge(algebra, tuple(by_atom.get(atom, ZERO) for atom in algebra.atoms))
 
 
 def oracle_transcript_posteriors(
@@ -415,8 +426,8 @@ def oracle_rationalize_prior(disposition: Disposition, theta: Fraction) -> Charg
             acquit_masses[atom] = guilty_share / n_acquit
     return mix(
         Fraction(1, 2),
-        Charge.from_atom_masses(algebra, convict_masses),
-        Charge.from_atom_masses(algebra, acquit_masses),
+        charge_by_atom(algebra, convict_masses),
+        charge_by_atom(algebra, acquit_masses),
     )
 
 
@@ -436,9 +447,7 @@ def oracle_ratio_bounded_prior(
     worlds = full_world_space(catalog)
     guilt = guilt_event(catalog)
     algebra = atoms_of_generated_algebra(worlds, [guilt])
-    charge = Charge.from_atom_masses(
-        algebra, {atom: HALF for atom in algebra.atoms}
-    )
+    charge = uniform_charge(algebra)
 
     growth = 1 + config.gamma
     chain: list[frozenset] = []
@@ -553,18 +562,20 @@ def oracle_disposition_to_jsonable(disposition: Disposition) -> dict:
 
 def oracle_certificate_to_jsonable(certificate: RationalizationCertificate) -> dict:
     """A certificate document with one ``verdict()`` call and one
-    ``format_rational`` call per row."""
+    ``format_rational`` call per row: theta on a convicting row, 1-theta
+    on an acquitting one."""
     disposition = certificate.disposition
     catalog = disposition.catalog
-    posteriors = certificate.posteriors
-    rows = [
-        {
+    theta = certificate.theta
+    rows = []
+    for t in catalog.all_transcripts():
+        verdict = disposition.verdict(t)
+        posterior = theta if verdict is Verdict.CONVICT else 1 - theta
+        rows.append({
             "transcript": list(catalog.transcript_labels(t)),
-            "verdict": disposition.verdict(t).value,
-            "posterior": format_rational(posteriors[t]),
-        }
-        for t in catalog.all_transcripts()
-    ]
+            "verdict": verdict.value,
+            "posterior": format_rational(posterior),
+        })
     return {
         "catalog": list(catalog.labels),
         "theta": format_rational(certificate.theta),

@@ -46,8 +46,10 @@ from conftest import (
     oracle_min_convicting_steps,
     oracle_ratio_bounded_prior,
     oracle_ratio_bounded_trail,
+    charge_by_atom,
     random_charge,
     random_partition,
+    uniform_charge,
 )
 
 
@@ -85,7 +87,7 @@ class TestOdds:
         algebra = powerset_algebra(ground)
         hypothesis = frozenset({"he", "hn"})
         evidence = frozenset({"he", "ce"})
-        charge = Charge.from_atom_masses(
+        charge = charge_by_atom(
             algebra,
             {
                 frozenset({"he"}): F(1, 3) * F(4, 5),
@@ -131,7 +133,7 @@ class TestSuspectPool:
 
     def test_fallible_witness_matches_conditioning_on_everything(self):
         algebra = powerset_algebra(tuple(range(5)))
-        uniform = Charge.uniform_on_atoms(algebra)
+        uniform = uniform_charge(algebra)
         assert uniform.condition(algebra.ground_set) == uniform
 
 
@@ -161,7 +163,7 @@ class TestLikelihoodRatio:
     def test_independent_evidence_is_irrelevant(self):
         ground = tuple(range(4))
         algebra = powerset_algebra(ground)
-        charge = Charge.from_atom_masses(
+        charge = charge_by_atom(
             algebra,
             {
                 frozenset({0}): F(1, 3) * F(1, 4),
@@ -231,7 +233,7 @@ class TestLikelihoodRatio:
         # adjoin a splitter with target equal to the prior: irrelevant;
         # with any other target: relevant
         algebra = atoms_of_generated_algebra(tuple(range(6)), [{0, 1, 2}])
-        charge = Charge.from_atom_masses(
+        charge = charge_by_atom(
             algebra,
             {frozenset({0, 1, 2}): F(1, 3), frozenset({3, 4, 5}): F(2, 3)},
         )

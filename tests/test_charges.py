@@ -40,6 +40,7 @@ from jurybayes.worlds import (
 
 from conftest import (
     assert_coded_view,
+    charge_by_atom,
     oracle_extend,
     oracle_extend_conditional,
     oracle_extend_conditional_by_sides,
@@ -53,6 +54,7 @@ from conftest import (
     random_rational,
     recoded,
     splitting_event,
+    uniform_charge,
 )
 
 
@@ -71,7 +73,7 @@ def four_block_algebra():
 
 
 def uniform4():
-    return Charge.uniform_on_atoms(four_block_algebra())
+    return uniform_charge(four_block_algebra())
 
 
 class TestMeasure:
@@ -109,8 +111,6 @@ class TestMeasure:
             Charge(algebra, (F(1, 2), F(1, 2), F(0), F(1, 2)))
         with pytest.raises(ValueError, match="3 masses for 4 atoms"):
             Charge(algebra, (F(1, 2), F(1, 4), F(1, 4)))
-        with pytest.raises(ValueError, match="not atoms of the algebra"):
-            Charge.from_atom_masses(algebra, {frozenset({0}): F(1)})
 
     def test_int_ground_powerset_matches_singleton_generated_algebra(self, rng):
         ground = tuple(range(7))
@@ -119,7 +119,7 @@ class TestMeasure:
         assert not fine.is_world_powerset
         masses = random_masses(rng, 7)
         powerset = Charge(fine, masses)
-        generated = Charge.from_atom_masses(
+        generated = charge_by_atom(
             atoms_of_generated_algebra(ground, [{x} for x in ground]),
             {frozenset({i}): m for i, m in enumerate(masses)},
         )
@@ -197,7 +197,7 @@ class TestCondition:
         algebra = atoms_of_generated_algebra(
             (1, 2, 3, 4), [{1}, {2}, {3}]
         )  # singleton atoms 1,2,3,4
-        charge = Charge.uniform_on_atoms(algebra)
+        charge = uniform_charge(algebra)
         conditioned = charge.condition({1, 2})
         by_atom = dict(zip(conditioned.algebra.atoms, conditioned.masses))
         assert by_atom[frozenset({1})] == F(1, 2)
@@ -235,7 +235,7 @@ class TestCondition:
 
     def test_zero_conditioning_event_rejected(self):
         algebra = four_block_algebra()
-        charge = Charge.from_atom_masses(algebra, {algebra.atoms[0]: F(1)})
+        charge = charge_by_atom(algebra, {algebra.atoms[0]: F(1)})
         with pytest.raises(ZeroConditioningEvent):
             charge.condition(frozenset({4, 5}))
 
@@ -511,10 +511,10 @@ class TestMix:
     def test_even_mixture_of_complementary_values(self):
         algebra = atoms_of_generated_algebra((1, 2), [{1}])
         theta = F(7, 9)
-        first = Charge.from_atom_masses(
+        first = charge_by_atom(
             algebra, {frozenset({1}): theta, frozenset({2}): 1 - theta}
         )
-        second = Charge.from_atom_masses(
+        second = charge_by_atom(
             algebra, {frozenset({1}): 1 - theta, frozenset({2}): theta}
         )
         assert mix(F(1, 2), first, second).measure({1}) == F(1, 2)
@@ -538,7 +538,7 @@ class TestInnerOuter:
 
     def test_strict_subset_of_one_atom(self):
         algebra = atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}])
-        charge = Charge.from_atom_masses(
+        charge = charge_by_atom(
             algebra, {frozenset({1, 2}): F(1, 3), frozenset({3, 4}): F(2, 3)}
         )
         assert charge.inner_outer({1}) == (F(0), F(1, 3))
@@ -568,7 +568,7 @@ class TestExtend:
 
     def test_single_atom_split_to_one_third(self):
         algebra = atoms_of_generated_algebra((1, 2), [])
-        charge = Charge.from_atom_masses(algebra, {frozenset({1, 2}): F(1)})
+        charge = charge_by_atom(algebra, {frozenset({1, 2}): F(1)})
         extended = charge.extend({1}, F(1, 3))
         assert extended.measure({1}) == F(1, 3)
         assert extended.measure({2}) == F(2, 3)
@@ -587,7 +587,7 @@ class TestExtend:
 
     def test_succeeds_exactly_on_the_admissible_interval(self):
         algebra = atoms_of_generated_algebra((1, 2, 3, 4, 5, 6), [{1, 2}, {3, 4}])
-        charge = Charge.from_atom_masses(
+        charge = charge_by_atom(
             algebra,
             {
                 frozenset({1, 2}): F(1, 4),
@@ -697,7 +697,7 @@ class TestExtendConditional:
 
     def test_non_splitting_event_rejected_in_strict_mode(self):
         algebra = atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}])
-        charge = Charge.uniform_on_atoms(algebra)
+        charge = uniform_charge(algebra)
         with pytest.raises(NotIndependent):
             charge.extend_conditional({1, 2}, {1, 2}, F(1, 2))
         with pytest.raises(NotIndependent):
@@ -705,7 +705,7 @@ class TestExtendConditional:
 
     def test_degenerate_prior_rejected_in_strict_mode(self):
         algebra = atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}])
-        charge = Charge.from_atom_masses(algebra, {frozenset({1, 2}): F(1)})
+        charge = charge_by_atom(algebra, {frozenset({1, 2}): F(1)})
         with pytest.raises(DegeneratePrior):
             charge.extend_conditional({1, 2}, {1, 3}, F(1, 2))
 
@@ -720,7 +720,7 @@ class TestExtendConditional:
 
     def test_nested_refinement_needs_relaxed_mode(self):
         algebra = atoms_of_generated_algebra(tuple(range(8)), [set(range(4))])
-        charge = Charge.uniform_on_atoms(algebra)
+        charge = uniform_charge(algebra)
         event = frozenset(range(4))
         outer_evt = frozenset({0, 1, 4, 5})
         inner_evt = frozenset({0, 4})
@@ -734,7 +734,7 @@ class TestExtendConditional:
 
     def test_relaxed_mode_reports_feasible_interval(self):
         algebra = atoms_of_generated_algebra(tuple(range(8)), [set(range(4))])
-        charge = Charge.uniform_on_atoms(algebra)
+        charge = uniform_charge(algebra)
         event = frozenset(range(4))
         already = charge.extend_conditional(event, frozenset({0, 1, 4, 5}), F(2, 3))
         # the adjoined event is itself a member now: only its current
@@ -748,7 +748,7 @@ class TestExtendConditional:
     def test_single_pass_matches_the_side_by_side_oracle(self, rng):
         # non-strict inputs at the edges of each side's rule, on the atoms
         # {1, 2} and {3, 4} at 1/2 each; the comment names what each reaches
-        halves = Charge.uniform_on_atoms(atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}]))
+        halves = uniform_charge(atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}]))
         boundary = [
             ({1, 2, 3}, F(0), "forced mass inside the target event"),
             ({1, 3, 4}, F(1), "forced mass outside the target event"),
@@ -922,7 +922,7 @@ class TestSplitExtensionsMatchTheParentOracles:
                 (False, ValueError)} <= seen
 
     def test_checks_run_in_the_parents_order(self):
-        charge = Charge.uniform_on_atoms(atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}]))
+        charge = uniform_charge(atoms_of_generated_algebra((1, 2, 3, 4), [{1, 2}]))
         calls = [  # each input also breaks every later check
             ({1}, {1, 99}, F(3, 2), True),  # theta, given, event, strictness
             ({1}, {1, 99}, F(1, 2), True),  # given, event, strictness

@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
         "Disposition", "RationalizationCertificate", "VerificationResult", "Verdict",
         "always_convict_nonempty", "check_poi", "check_wtc", "guilt_prior",
         "is_open_door", "posner_even_odds_prior", "rationalize",
-        "transcript_posteriors", "verify_rationalization",
+        "verify_rationalization",
     ),
     "errors": (
         "AlgebraMismatch", "AxiomViolation", "CapExceeded", "CatalogMismatch",
@@ -64,7 +64,7 @@ def fresh_interpreter(code: str) -> object:
 
 
 def test_exports_are_the_public_names():
-    assert len(DEFINED_IN) == 81
+    assert len(DEFINED_IN) == 80
     assert set(jurybayes.__all__) == set(DEFINED_IN)
     assert len(jurybayes.__all__) == len(DEFINED_IN)
 

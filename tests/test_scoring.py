@@ -31,7 +31,12 @@ from jurybayes.worlds import (
     powerset_algebra,
 )
 
-from conftest import oracle_brute_force_optimal, random_masses, random_rational
+from conftest import (
+    charge_by_atom,
+    oracle_brute_force_optimal,
+    random_masses,
+    random_rational,
+)
 
 
 def one_pair_setup(p: F):
@@ -150,7 +155,7 @@ class TestOptimalState:
             frozenset({(a, b)}): (p if a == 0 else 1 - p) * (q if b == 0 else 1 - q)
             for a, b in ground
         }
-        charge = Charge.from_atom_masses(algebra, masses)
+        charge = charge_by_atom(algebra, masses)
         pairs = (
             PropositionPair("first", {w for w in ground if w[0] == 0}, ground),
             PropositionPair("second", {w for w in ground if w[1] == 0}, ground),

@@ -44,6 +44,7 @@ from jurybayes.worlds import (
 
 from conftest import (
     assert_coded_view,
+    charge_by_atom,
     oracle_certificate_to_jsonable,
     oracle_charge_from_jsonable,
     oracle_charge_to_jsonable,
@@ -53,6 +54,7 @@ from conftest import (
     random_masses,
     random_partition,
     recoded,
+    uniform_charge,
 )
 
 
@@ -63,7 +65,7 @@ def cat():
 
 def written_keys(cat: TestimonyCatalog) -> list[str]:
     """The world keys the writers put in a document, in canonical world order."""
-    return list(charge_to_jsonable(cat, Charge.uniform_on_atoms(world_algebra(cat)))["masses"])
+    return list(charge_to_jsonable(cat, uniform_charge(world_algebra(cat)))["masses"])
 
 
 class TestWorldKeys:
@@ -91,12 +93,12 @@ class TestWorldKeys:
     def test_a_charge_from_another_catalog_is_refused(self):
         small = TestimonyCatalog(("a",))
         # four int elements equal to the catalog's world codes are not its worlds
-        charge = Charge.uniform_on_atoms(powerset_algebra(range(4)))
+        charge = uniform_charge(powerset_algebra(range(4)))
         with pytest.raises(CatalogMismatch, match="not defined on the world space"):
             charge_to_jsonable(small, charge)
         large = TestimonyCatalog(("a", "b"))
-        point = Charge.uniform_on_atoms(world_algebra(small))
-        coarse = Charge.uniform_on_atoms(
+        point = uniform_charge(world_algebra(small))
+        coarse = uniform_charge(
             atoms_of_generated_algebra(full_world_space(small), [guilt_event(small)])
         )
         for charge in (point, coarse):
@@ -131,7 +133,7 @@ class TestWorldKeys:
             with pytest.raises(ParseError):
                 parse_world_key(cat, bad)
             # also inside a coarse charge's atoms, whose keys are looked up in one table
-            doc = charge_to_jsonable(cat, Charge.uniform_on_atoms(coarse))
+            doc = charge_to_jsonable(cat, uniform_charge(coarse))
             doc["atoms"][1].insert(1, bad)
             with pytest.raises(ParseError) as got:
                 charge_from_jsonable(doc)
@@ -245,7 +247,7 @@ class TestDispositionFormat:
         disposition = Disposition(cat, [cat.transcript(["a,b"])])
         writers = [
             lambda: disposition_to_jsonable(disposition),
-            lambda: charge_to_jsonable(cat, Charge.uniform_on_atoms(world_algebra(cat))),
+            lambda: charge_to_jsonable(cat, uniform_charge(world_algebra(cat))),
             lambda: certificate_to_jsonable(rationalize(disposition, F(3, 4))),
         ]
         for write in writers:
@@ -336,7 +338,7 @@ class TestDispositionFormat:
 class TestChargeFormat:
     def test_powerset_round_trip(self, cat):
         algebra = powerset_algebra(full_world_space(cat))
-        charge = Charge.uniform_on_atoms(algebra)
+        charge = uniform_charge(algebra)
         doc = charge_to_jsonable(cat, charge)
         assert "atoms" not in doc
         assert set(doc["masses"].values()) == {"1/8"}
@@ -347,7 +349,7 @@ class TestChargeFormat:
     def test_coarse_round_trip(self, cat):
         worlds = full_world_space(cat)
         algebra = atoms_of_generated_algebra(worlds, [guilt_event(cat)])
-        charge = Charge.from_atom_masses(
+        charge = charge_by_atom(
             algebra, {atom: F(1, 2) for atom in algebra.atoms}
         )
         doc = charge_to_jsonable(cat, charge)
@@ -358,7 +360,7 @@ class TestChargeFormat:
     def test_every_atom_appears_in_masses(self, cat):
         # zero masses serialize explicitly so output is byte-stable
         algebra = powerset_algebra(full_world_space(cat))
-        charge = Charge.from_atom_masses(algebra, {algebra.atoms[0]: F(1)})
+        charge = charge_by_atom(algebra, {algebra.atoms[0]: F(1)})
         doc = charge_to_jsonable(cat, charge)
         assert len(doc["masses"]) == len(algebra.atoms)
 
