@@ -9,7 +9,6 @@ nothing here estimates real-world likelihoods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, AbstractSet
 
@@ -23,7 +22,7 @@ from .errors import (
     UndefinedRatio,
 )
 from .rationals import (
-    RationalLike, _theta_in, as_rational, as_rational_fields, exact_decimal, format_rational
+    Frozen, RationalLike, _theta_in, as_rational, as_rational_fields, exact_decimal, format_rational
 )
 
 # The odds and rate-bound analyses need no world machinery, so the two
@@ -39,15 +38,14 @@ HALF = Fraction(1, 2)
 # Odds-form updating.
 
 
-@dataclass(frozen=True)
-class Odds:
+class Odds(Frozen):
     """Odds "a to b" with strictly positive exact components."""
 
     in_favor: Fraction
     against: Fraction
 
-    def __post_init__(self) -> None:
-        as_rational_fields(self)
+    def __init__(self, in_favor: Fraction, against: Fraction) -> None:
+        as_rational_fields(self, in_favor, against)
         if self.in_favor <= 0 or self.against <= 0:
             raise NonpositiveRatio(
                 "odds components must be strictly positive, got "
@@ -86,8 +84,7 @@ def posterior_odds(prior: Odds, likelihood_ratio: RationalLike) -> Odds:
 # Uniform suspect-pool priors.
 
 
-@dataclass(frozen=True)
-class SuspectPool:
+class SuspectPool(Frozen):
     """A uniform prior of guilt over a pool, with a matching subgroup.
 
     ``matching_count`` is the number of pool members fitting the
@@ -99,7 +96,10 @@ class SuspectPool:
     matching_count: int
     defendant_matches: bool
 
-    def __post_init__(self) -> None:
+    def __init__(self, size: int, matching_count: int, defendant_matches: bool) -> None:
+        vars(self).update(
+            size=size, matching_count=matching_count, defendant_matches=defendant_matches
+        )
         if self.size < 1:
             raise ValueError("pool must have at least one member")
         if not 0 <= self.matching_count <= self.size:
@@ -126,14 +126,19 @@ def certain_witness_posterior(pool: SuspectPool) -> Fraction:
     return Fraction(1, pool.matching_count)
 
 
-@dataclass(frozen=True)
-class FallibleWitnessReport:
+class FallibleWitnessReport(Frozen):
     """A fallible description rules nobody out: the update is vacuous."""
 
     prior: Fraction
     posterior: Fraction
     event_size: int
     degenerate_update: bool
+
+    def __init__(
+        self, prior: Fraction, posterior: Fraction, event_size: int, degenerate_update: bool
+    ) -> None:
+        vars(self).update(prior=prior, posterior=posterior, event_size=event_size,
+                          degenerate_update=degenerate_update)
 
 
 def fallible_witness_event(pool: SuspectPool) -> FallibleWitnessReport:
@@ -151,8 +156,7 @@ def fallible_witness_event(pool: SuspectPool) -> FallibleWitnessReport:
 BLOOD_TYPES = ("A+", "A-", "AB+", "AB-", "B+", "B-", "O+", "O-")
 
 
-@dataclass(frozen=True)
-class SpannSpace:
+class SpannSpace(Frozen):
     """The 128-point (blood type, blood type, paternity) sample space.
 
     ``algebra`` is the coarse two-atom algebra generated by the paternity
@@ -166,6 +170,13 @@ class SpannSpace:
     charge: Charge
     paternity: frozenset
     alibi_example: frozenset
+
+    def __init__(
+        self, ground: tuple[tuple[str, str, bool], ...], algebra: BooleanSubalgebra,
+        charge: Charge, paternity: frozenset, alibi_example: frozenset,
+    ) -> None:
+        vars(self).update(ground=ground, algebra=algebra, charge=charge, paternity=paternity,
+                          alibi_example=alibi_example)
 
 
 def build_spann_space() -> SpannSpace:
@@ -196,8 +207,7 @@ def build_spann_space() -> SpannSpace:
 # Likelihood ratios and relevance.
 
 
-@dataclass(frozen=True)
-class LikelihoodRatios:
+class LikelihoodRatios(Frozen):
     """Both likelihood-ratio readings of a piece of evidence.
 
     ``standard`` is P(E|H)/P(E|not H); evidence is relevant iff it
@@ -210,6 +220,12 @@ class LikelihoodRatios:
     impact: Fraction
     relevant: bool
     impact_ceiling: Fraction
+
+    def __init__(
+        self, standard: Fraction, impact: Fraction, relevant: bool, impact_ceiling: Fraction
+    ) -> None:
+        vars(self).update(standard=standard, impact=impact, relevant=relevant,
+                          impact_ceiling=impact_ceiling)
 
 
 def likelihood_ratio(
@@ -244,22 +260,20 @@ def likelihood_ratio(
 # Ratio-bounded convergence to conviction.
 
 
-@dataclass(frozen=True)
-class RateBoundConfig:
+class RateBoundConfig(Frozen):
     """A per-testimony posterior-ratio bound 1+gamma and a verdict threshold."""
 
     gamma: Fraction
     theta: Fraction
 
-    def __post_init__(self) -> None:
-        as_rational_fields(self)
+    def __init__(self, gamma: Fraction, theta: Fraction) -> None:
+        as_rational_fields(self, gamma, theta)
         if self.gamma <= 0:
             raise OutOfRange(f"gamma must be strictly positive, got {format_rational(self.gamma)}")
         _theta_in(self.theta, "theta must lie strictly between 0 and 1", 0)
 
 
-@dataclass(frozen=True)
-class TestimonyCountBound:
+class TestimonyCountBound(Frozen):
     """How many ratio-bounded testimonies reach the threshold.
 
     ``steps`` is the least m with (1/2)(1+gamma)^m >= theta, ties
@@ -275,6 +289,9 @@ class TestimonyCountBound:
     steps: int
     log_bound: float
     poi_violated: bool
+
+    def __init__(self, steps: int, log_bound: float, poi_violated: bool) -> None:
+        vars(self).update(steps=steps, log_bound=log_bound, poi_violated=poi_violated)
 
 
 #: Exact powering grows denominators linearly with the step count; a
@@ -362,8 +379,7 @@ def _ln(num: int, den: int) -> float | Fraction:
     return math.log(num) - math.log(den)
 
 
-@dataclass(frozen=True)
-class RatioBoundedPrior:
+class RatioBoundedPrior(Frozen):
     """A convicting prior whose posterior chain respects the ratio bound.
 
     ``posteriors[k]`` is the guilt posterior after the first k
@@ -377,6 +393,12 @@ class RatioBoundedPrior:
     config: RateBoundConfig
     charge: Charge
     posteriors: tuple[Fraction, ...]
+
+    def __init__(
+        self, catalog: TestimonyCatalog, config: RateBoundConfig, charge: Charge,
+        posteriors: tuple[Fraction, ...],
+    ) -> None:
+        vars(self).update(catalog=catalog, config=config, charge=charge, posteriors=posteriors)
 
     @property
     def chain(self) -> tuple[frozenset, ...]:

@@ -11,7 +11,6 @@ stated equality holds as rational equality, never within a tolerance.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -28,30 +27,29 @@ from .errors import (
     OutOfRange,
     ZeroConditioningEvent,
 )
-from .rationals import RationalLike, _unit_in, as_rational, format_rational
+from .rationals import Frozen, RationalLike, _unit_in, as_rational, format_rational
 from .worlds import BooleanSubalgebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ConditionalResult:
+class ConditionalResult(Frozen):
     """A conditional probability together with the conditioning mass."""
 
     value: Fraction
     conditioning_mass: Fraction
 
-    def __post_init__(self) -> None:
-        if self.conditioning_mass <= 0:
+    def __init__(self, value: Fraction, conditioning_mass: Fraction) -> None:
+        vars(self).update(value=value, conditioning_mass=conditioning_mass)
+        if conditioning_mass <= 0:
             raise ZeroConditioningEvent(
                 "conditional probability undefined: conditioning event has mass "
-                f"{self.conditioning_mass}"
+                f"{conditioning_mass}"
             )
 
 
-@dataclass(frozen=True)
-class Charge:
+class Charge(Frozen):
     """An exact finitely additive probability charge on a subalgebra.
 
     ``masses`` is aligned with ``algebra.atoms`` and kept as a tuple.
@@ -73,11 +71,11 @@ class Charge:
     algebra: BooleanSubalgebra
     masses: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        masses = tuple(self.masses)  # the very tuple, when given one
-        if masses is not self.masses:  # a list would stay the caller's to change
-            object.__setattr__(self, "masses", masses)
-        _check_masses(self.algebra, masses, masses)
+    def __init__(self, algebra: BooleanSubalgebra, masses: tuple[Fraction, ...]) -> None:
+        # the very tuple, when given one; a list would stay the caller's to change
+        masses = tuple(masses)
+        vars(self).update(algebra=algebra, masses=masses)
+        _check_masses(algebra, masses, masses)
 
     # the masses the codes index, and each atom's code: for a tuple-built
     # charge its own masses and indices; ``_from_codes`` stores the builder's

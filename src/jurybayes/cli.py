@@ -387,11 +387,24 @@ def parse_world_cap(text: str) -> int:
 def load_json(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=partial(_unique_keys, path))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _unique_keys(path: str, pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object as a dict; ParseError naming the first key it repeats,
+    where ``json`` alone would keep the last copy without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"{path}: key {key!r} is repeated in one object")
+            seen.add(key)
+    return obj
 
 
 def rational(flag: str, text: str) -> Fraction:

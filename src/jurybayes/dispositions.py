@@ -10,7 +10,6 @@ convicting transcript and 1-theta on every acquitting one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import eq
@@ -19,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .charges import Charge
 from .errors import AxiomViolation, ZeroTranscriptMass
-from .rationals import RationalLike, _theta_in
+from .rationals import Frozen, RationalLike, _theta_in
 from .worlds import (
     EMPTY_TRANSCRIPT,
     TestimonyCatalog,
@@ -38,8 +37,7 @@ class Verdict(enum.Enum):
     ACQUIT = "acquit"
 
 
-@dataclass(frozen=True)
-class Disposition:
+class Disposition(Frozen):
     """A total map from transcripts to verdicts, stored sparsely.
 
     Only the convicting transcripts are listed; everything else acquits.
@@ -51,9 +49,8 @@ class Disposition:
     def __init__(
         self, catalog: TestimonyCatalog, convicting: Iterable[Transcript]
     ) -> None:
-        object.__setattr__(self, "catalog", catalog)
         members = frozenset(convicting)
-        object.__setattr__(self, "convicting", members)
+        vars(self).update(catalog=catalog, convicting=members)
         # one type pass and one range check in C; only when either fails are
         # the members walked, so the first bad one names the error as before
         if not all(map(isinstance, members, repeat(Transcript))) or (
@@ -90,8 +87,7 @@ def always_convict_nonempty(catalog: TestimonyCatalog) -> Disposition:
     )
 
 
-@dataclass(frozen=True)
-class RationalizationCertificate:
+class RationalizationCertificate(Frozen):
     """A prior certified to reproduce a disposition at threshold theta."""
 
     disposition: Disposition
@@ -99,9 +95,14 @@ class RationalizationCertificate:
     prior: Charge
     guilt_prior: Fraction
 
+    def __init__(
+        self, disposition: Disposition, theta: Fraction, prior: Charge, guilt_prior: Fraction
+    ) -> None:
+        vars(self).update(disposition=disposition, theta=theta, prior=prior,
+                          guilt_prior=guilt_prior)
 
-@dataclass(frozen=True)
-class VerificationResult:
+
+class VerificationResult(Frozen):
     """Outcome of an independent threshold-behaviour check.
 
     ``posteriors`` is read-only: a mapping given in any other form is
@@ -111,11 +112,17 @@ class VerificationResult:
 
     ok: bool
     witness: Transcript | None
-    posteriors: Mapping[Transcript, Fraction] = field(hash=False)
+    posteriors: Mapping[Transcript, Fraction]
 
-    def __post_init__(self) -> None:
-        if type(self.posteriors) is not MappingProxyType:
-            object.__setattr__(self, "posteriors", MappingProxyType(dict(self.posteriors)))
+    def __init__(
+        self, ok: bool, witness: Transcript | None, posteriors: Mapping[Transcript, Fraction]
+    ) -> None:
+        if type(posteriors) is not MappingProxyType:
+            posteriors = MappingProxyType(dict(posteriors))
+        vars(self).update(ok=ok, witness=witness, posteriors=posteriors)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.witness))
 
     def __reduce__(self) -> tuple:
         # a mappingproxy cannot be pickled; its dict can

@@ -7,12 +7,14 @@ thresholds) are exact equalities that float arithmetic cannot witness.
 The open threshold interval is checked here too, by ``_theta_in``, and
 the closed unit interval by ``_unit_in``, so that the value objects,
 charges, scoring and dispositions share one check each without loading
-any world machinery.
+any world machinery.  ``Frozen``, the base of every value object, lives
+here for the same reason.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import CapExceeded, OutOfRange, ThetaOutOfRange
 
@@ -54,15 +56,51 @@ def as_rational(value: RationalLike, *, name: str = "value") -> Fraction:
     raise TypeError(f"{name} must be int, str, or Fraction, got {type(value).__name__}")
 
 
-def as_rational_fields(value: object) -> None:
-    """Convert each field of a frozen dataclass in place, in field order, by ``as_rational``.
+class Frozen:
+    """The base of the package's immutable value objects.
 
-    The field's name names any error, so the first bad field in order
-    names it.  Fields are read from ``__dataclass_fields__``, which keeps
-    ``dataclasses`` (and the ``inspect`` it imports) out of this module.
+    A subclass's ``__init__`` writes its fields into ``__dict__`` once;
+    any later assignment or deletion raises AttributeError, while a
+    ``cached_property`` still stores its value on first read.  Instances
+    compare, hash and print by ``_fields``: the subclass's own, or else
+    the names it annotates, in order.  An instance equals only an
+    instance of its own class with equal fields, and prints as
+    ``Name(field=value, ...)``.  Plain classes keep ``dataclasses``, and
+    the ``inspect`` it imports, out of every command's start-up.
     """
-    for name in value.__dataclass_fields__:  # type: ignore[attr-defined]
-        object.__setattr__(value, name, as_rational(getattr(value, name), name=name))
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = vars(cls).get("_fields") or tuple(cls.__annotations__)
+        cls._key = attrgetter(*cls._fields)  # one field's value, or a tuple of them
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+def as_rational_fields(value: Frozen, *args: RationalLike) -> None:
+    """Write each of ``value``'s fields, in ``_fields`` order, as its argument made
+    exact by ``as_rational``.
+
+    The field's name names any error, so the first bad argument in order
+    names it.
+    """
+    vars(value).update((name, as_rational(arg, name=name)) for name, arg in zip(value._fields, args))
 
 
 def _theta_in(theta: RationalLike, rule: str, low: Fraction | int) -> Fraction:

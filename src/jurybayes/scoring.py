@@ -16,13 +16,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
 from typing import TYPE_CHECKING, AbstractSet, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, DegenerateUtilities, OutOfRange
-from .rationals import RationalLike, _unit_in, as_rational_fields, format_rational
+from .rationals import Frozen, RationalLike, _unit_in, as_rational_fields, format_rational
 
 if TYPE_CHECKING:
     from .charges import Charge
@@ -41,8 +40,7 @@ class Attitude(enum.Enum):
 ATTITUDE_ORDER = (Attitude.BELIEVE_POSITIVE, Attitude.BELIEVE_NEGATIVE, Attitude.SUSPEND)
 
 
-@dataclass(frozen=True)
-class PropositionPair:
+class PropositionPair(Frozen):
     """A proposition and its negation over a finite world set.
 
     Tautology/contradiction pairs (positive = ground or empty) are
@@ -61,9 +59,7 @@ class PropositionPair:
         *,
         allow_trivial: bool = False,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "positive", frozenset(positive))
-        object.__setattr__(self, "ground", frozenset(ground))
+        vars(self).update(name=name, positive=frozenset(positive), ground=frozenset(ground))
         if not self.positive <= self.ground:
             raise ValueError(f"pair {name!r}: proposition exceeds its world set")
         if not allow_trivial and self.positive in (frozenset(), self.ground):
@@ -82,15 +78,14 @@ class PropositionPair:
         return world in self.positive
 
 
-@dataclass(frozen=True)
-class ScoreWeights:
+class ScoreWeights(Frozen):
     """Strictly positive reward R for true beliefs, penalty W for false ones."""
 
     reward: Fraction
     penalty: Fraction
 
-    def __post_init__(self) -> None:
-        as_rational_fields(self)
+    def __init__(self, reward: Fraction, penalty: Fraction) -> None:
+        as_rational_fields(self, reward, penalty)
         if self.reward <= 0 or self.penalty <= 0:
             raise OutOfRange(
                 "reward and penalty must both be strictly positive, got "
@@ -103,8 +98,7 @@ class ScoreWeights:
         return self.penalty / (self.reward + self.penalty)
 
 
-@dataclass(frozen=True)
-class DoxasticState:
+class DoxasticState(Frozen):
     """A consistent attitude assignment over proposition pairs.
 
     Never believes both sides of a pair; a state with no suspensions is
@@ -114,8 +108,10 @@ class DoxasticState:
     pairs: tuple[PropositionPair, ...]
     attitudes: tuple[Attitude, ...]
 
-    def __post_init__(self) -> None:
-        vars(self).update(pairs=tuple(self.pairs), attitudes=tuple(self.attitudes))
+    def __init__(
+        self, pairs: tuple[PropositionPair, ...], attitudes: tuple[Attitude, ...]
+    ) -> None:
+        vars(self).update(pairs=tuple(pairs), attitudes=tuple(attitudes))
         if len(self.pairs) != len(self.attitudes):
             raise ValueError("one attitude per pair required")
         names = [p.name for p in self.pairs]
@@ -163,8 +159,7 @@ def expected_score(
     return total
 
 
-@dataclass(frozen=True)
-class OptimalStateChoice:
+class OptimalStateChoice(Frozen):
     """The chosen expected-score maximizer, with per-pair tie flags.
 
     ``tied_pairs`` lists pairs where at least two attitudes achieve the
@@ -174,6 +169,9 @@ class OptimalStateChoice:
 
     state: DoxasticState
     tied_pairs: tuple[str, ...]
+
+    def __init__(self, state: DoxasticState, tied_pairs: tuple[str, ...]) -> None:
+        vars(self).update(state=state, tied_pairs=tied_pairs)
 
 
 def optimal_doxastic_state(
@@ -264,8 +262,7 @@ def _require_same_ground(pairs: Iterable[PropositionPair], charge: Charge) -> No
 # Four-outcome verdict utilities.
 
 
-@dataclass(frozen=True)
-class UtilityQuadruple:
+class UtilityQuadruple(Frozen):
     """Utilities of the four verdict outcomes.
 
     Signs are unconstrained; a threshold strictly inside (0, 1) with the
@@ -279,8 +276,11 @@ class UtilityQuadruple:
     acquit_guilty: Fraction
     acquit_innocent: Fraction
 
-    def __post_init__(self) -> None:
-        as_rational_fields(self)
+    def __init__(
+        self, convict_guilty: Fraction, convict_innocent: Fraction, acquit_guilty: Fraction,
+        acquit_innocent: Fraction,
+    ) -> None:
+        as_rational_fields(self, convict_guilty, convict_innocent, acquit_guilty, acquit_innocent)
 
     @classmethod
     def from_belief_weights(cls, weights: ScoreWeights) -> "UtilityQuadruple":

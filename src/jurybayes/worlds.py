@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from operator import attrgetter
-from typing import AbstractSet, ClassVar, Hashable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, NotExpressible
+from .rationals import Frozen
 
 #: Default ceiling on catalog size.  The world space has 2^(n+1) elements
 #: and every construction in this package is exponential in n.
@@ -152,28 +152,27 @@ _transcript_of_mask = partial(int.__new__, Transcript)
 _world_of_code = partial(int.__new__, World)
 
 
-@dataclass(frozen=True)
-class TestimonyCatalog:
+class TestimonyCatalog(Frozen):
     """The finite ordered collection of possible testimonies.
 
     Labels are opaque identifiers; everything downstream indexes against
     their position.  Construction enforces distinctness and the world-cap
     (default 12, i.e. at most 8192 worlds); pass ``world_cap`` to relax
-    or tighten it, up to ``WORLD_CAP_CEILING``.
+    or tighten it, up to ``WORLD_CAP_CEILING``.  Catalogs compare, hash
+    and print by their labels alone.
     """
 
+    _fields = ("labels",)
     labels: tuple[str, ...]
-    world_cap: int = field(default=DEFAULT_WORLD_CAP, compare=False, repr=False)
+    world_cap: int
 
     def __init__(self, labels: Iterable[str], world_cap: int | None = None) -> None:
-        object.__setattr__(self, "labels", tuple(labels))
+        labels = tuple(labels)
         cap = DEFAULT_WORLD_CAP if world_cap is None else check_world_cap(world_cap)
-        object.__setattr__(self, "world_cap", cap)
-        # each label's position; not a field, so equality stays on the labels
-        positions = {label: i for i, label in enumerate(self.labels)}
+        positions = {label: i for i, label in enumerate(labels)}  # each label's position
+        vars(self).update(labels=labels, world_cap=cap, _positions=positions)
         if len(positions) != len(self.labels):
             raise ValueError(f"catalog labels must be distinct: {self.labels!r}")
-        object.__setattr__(self, "_positions", positions)
         if len(self.labels) > cap:
             raise CapExceeded(
                 f"catalog of {len(self.labels)} testimonies exceeds the world cap "
@@ -334,8 +333,7 @@ def heard_prefix_algebra(catalog: TestimonyCatalog, steps: int) -> "BooleanSubal
 # Boolean subalgebras, represented by their atom partitions.
 
 
-@dataclass(frozen=True)
-class BooleanSubalgebra:
+class BooleanSubalgebra(Frozen):
     """A Boolean algebra of subsets of a finite ground set.
 
     Represented by its atoms: a partition of the ground set into nonempty
@@ -352,15 +350,22 @@ class BooleanSubalgebra:
     read (see ``_atoms_by_rule``).
     """
 
+    _fields = ("ground", "atoms")
     ground: tuple[Hashable, ...]
-    atoms: tuple[frozenset, ...]
 
-    def __post_init__(self) -> None:
-        ground = tuple(self.ground)
+    def __init__(self, ground: tuple[Hashable, ...], atoms: tuple[frozenset, ...]) -> None:
+        ground = tuple(ground)
         ground_set = _ground_set_of(ground)
-        _check_partition(self.atoms, ground_set)
-        atoms = tuple(map(frozenset, self.atoms))  # after the check, which refuses a str
+        _check_partition(atoms, ground_set)
+        atoms = tuple(map(frozenset, atoms))  # after the check, which refuses a str
         vars(self).update(ground=ground, atoms=atoms, atom_count=len(atoms), _ground_set=ground_set)
+
+    @cached_property
+    def atoms(self) -> tuple[frozenset, ...]:
+        """Read only on an algebra built by rule; one built from its atoms holds
+        them.  It looks ``_atoms_by_rule`` up by name, so a test can count the
+        builds."""
+        return _atoms_by_rule(self)
 
     @property
     def ground_set(self) -> frozenset:
@@ -372,7 +377,7 @@ class BooleanSubalgebra:
     #: order, so atom i is the world with code i, and atoms 2k and 2k+1 are
     #: the guilty and innocent worlds of the k-th transcript.  Any other
     #: algebra reads False, whatever its shape, and takes the atom paths.
-    is_world_powerset: ClassVar[bool] = False
+    is_world_powerset = False
 
     @cached_property
     def _position(self) -> dict[Hashable, int] | None:
@@ -483,15 +488,6 @@ def _atoms_by_rule(algebra: BooleanSubalgebra) -> tuple[frozenset, ...]:
     if algebra.is_world_powerset:
         return tuple(map(frozenset, zip(ground)))
     return tuple(frozenset(ground[start::stride]) for start, stride in algebra._slices)
-
-
-# ``atoms`` is a dataclass field, so the hook that builds it on first read is
-# set on the class after it is made; an algebra that holds its atoms never
-# reaches it, and one built by rule keeps what it returns.  A hook, unlike a
-# ``__getattr__``, leaves every other attribute read on the fast path.  It
-# looks ``_atoms_by_rule`` up by name, so a test can count the builds.
-BooleanSubalgebra.atoms = cached_property(lambda algebra: _atoms_by_rule(algebra))
-BooleanSubalgebra.atoms.__set_name__(BooleanSubalgebra, "atoms")
 
 
 def _check_partition(atoms: tuple[frozenset, ...], ground_set: frozenset) -> None:

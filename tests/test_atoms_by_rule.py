@@ -8,14 +8,15 @@ and the serialize round trip.
 """
 
 import copy
-import dataclasses
 import pickle
 from fractions import Fraction as F
 
 import pytest
 
 from jurybayes import worlds
-from jurybayes.analyses import RateBoundConfig, build_ratio_bounded_convicting_prior
+from jurybayes.analyses import (
+    RateBoundConfig, RatioBoundedPrior, build_ratio_bounded_convicting_prior
+)
 from jurybayes.charges import Charge
 from jurybayes.serialize import charge_from_jsonable, charge_to_jsonable
 from jurybayes.worlds import (
@@ -61,7 +62,7 @@ def eager_ratio_bounded(cat: TestimonyCatalog):
     prior = ratio_bounded(cat)
     steps = len(prior.posteriors) - 1
     charge = Charge(eager_heard_prefix_algebra(cat, steps), prior.charge.masses)
-    return dataclasses.replace(prior, charge=charge)
+    return RatioBoundedPrior(prior.catalog, prior.config, charge, prior.posteriors)
 
 
 # each kind: a fresh object whose atoms no one has read, and its eager oracle

@@ -242,6 +242,37 @@ class TestExitCodes:
         assert code == 3
         assert "ParseError" in err
 
+    # Each document, read with the last copy of its repeated key, is accepted at
+    # exit 0 by a reader that keeps only that copy: the disposition as "convict
+    # on {a}", the charge's masses (the last copy keeps the sum at 1) and the
+    # certificate's prior.
+    @pytest.mark.parametrize(
+        "kind,text,key",
+        [
+            ("disposition",
+             '{"catalog":["a","b"],"convicting":[["a","b"]],"convicting":[["a"]]}',
+             "convicting"),
+            ("charge",
+             (DATA / "uniform_n2.json").read_text().replace(
+                 '"{t1,t2}|I": "1/8"', '"{t1,t2}|I": "0", "{t1,t2}|I": "1/8"'),
+             "{t1,t2}|I"),
+            ("certificate",
+             golden("rationalize_two_witness_n2.json").replace(
+                 '"prior": {', '"prior": {}, "prior": {'),
+             "prior"),
+        ],
+    )
+    def test_a_repeated_key_exits_3_naming_it(self, capsys, tmp_path, kind, text, key):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        if kind == "disposition":
+            argv = ("rationalize", str(path), "--theta", "3/4")
+        else:
+            argv = ("verify", str(DATA / "two_witness_n2.json"), str(path), "--theta", "3/4")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error[ParseError]: {path}: key {key!r} is repeated in one object\n"
+
     def test_json_the_decoder_cannot_hold_exits_3(self, capsys, tmp_path):
         uniform = str(DATA / "uniform_n2.json")
         documents = {
@@ -819,14 +850,19 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     assert err == b""
 
 
-#: Run ``cli.main`` on the arguments and print its exit code and the
-#: package modules it loaded.
+#: Run ``cli.main`` on the arguments and print its exit code, the package
+#: modules it loaded, and which of the standard modules that only
+#: ``dataclasses`` would bring in (with ``inspect``) it loaded.
 _MODULES_LOADED = """\
 import contextlib, io, json, sys
 from jurybayes.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("jurybayes."))]))
+print(json.dumps([
+    code,
+    sorted(m for m in sys.modules if m.startswith("jurybayes.")),
+    sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+]))
 """
 _WORLD_MACHINERY = {"worlds", "charges", "dispositions", "serialize"}
 
@@ -837,18 +873,28 @@ _WORLD_MACHINERY = {"worlds", "charges", "dispositions", "serialize"}
         (("odds", "--prior", "1:2", "--lr", "8"), _WORLD_MACHINERY),
         (("threshold", "--weights", "1", "3"), _WORLD_MACHINERY),
         (("rate", "--gamma", "1/2", "--theta", "3/4"), _WORLD_MACHINERY),
+        (("rate", "--gamma", "1/10", "--theta", "3/4", "--build"),
+         {"dispositions", "serialize", "scoring"}),
         (("rationalize", str(DATA / "two_witness_n2.json"), "--theta", "3/4"),
          {"analyses", "scoring"}),
         (("verify", str(DATA / "two_witness_n2.json"), str(DATA / "uniform_n2.json"),
           "--theta", "3/4"), {"analyses", "scoring"}),
+        (("extend", str(DATA / "guilt_coarse_n1.json"), "--event", "guilt",
+          "--given", "heard:t1", "--target", "9/10"), {"analyses", "scoring"}),
+        (("scenario", "spann"), {"dispositions", "serialize", "scoring"}),
+        (("scenario", "two-witness"), {"analyses", "serialize", "scoring"}),
+        (("scenario", "posner"), {"analyses", "serialize", "scoring"}),
     ],
 )
 def test_commands_import_only_what_they_run(argv, never):
+    """Every subcommand loads only its own modules, and never ``dataclasses``
+    or ``inspect``: the value objects are plain classes (see README, Start-up)."""
     env = {k: v for k, v in os.environ.items() if k != "JURYBAYES_WORLD_CAP"}
     result = subprocess.run(
         [sys.executable, "-c", _MODULES_LOADED, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    code, loaded = json.loads(result.stdout)
+    code, loaded, heavy = json.loads(result.stdout)
     assert code == 0
     assert never.isdisjoint(name.removeprefix("jurybayes.") for name in loaded)
+    assert heavy == []

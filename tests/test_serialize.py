@@ -2,7 +2,9 @@
 
 import gc
 import json
+import os
 import sys
+import tempfile
 import threading
 import tracemalloc
 from fractions import Fraction as F
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from jurybayes import serialize
 from jurybayes.charges import Charge
+from jurybayes.cli import load_json
 from jurybayes.dispositions import Disposition, RationalizationCertificate, rationalize
 from jurybayes.errors import CatalogMismatch, ForeignTestimony, JuryBayesError, ParseError
 from jurybayes.rationals import as_rational, exact_decimal, format_rational
@@ -820,3 +823,47 @@ def test_fuzz_disposition_documents(doc):
 def test_fuzz_event_specs(spec, n):
     cat = TestimonyCatalog(("a", "b", "t1")[:n])
     only_package_errors(event_from_spec, cat, spec)
+
+
+def objects_in(value) -> list[dict]:
+    """Every JSON object in ``value``, outermost first."""
+    if isinstance(value, dict):
+        return [value, *(d for v in value.values() for d in objects_in(v))]
+    if isinstance(value, list):
+        return [d for v in value for d in objects_in(v)]
+    return []
+
+
+def dumps_repeating(value, target) -> str:
+    """``json.dumps(value)``, except that the object ``target`` writes its last key twice."""
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {dumps_repeating(v, target)}" for k, v in value.items()]
+        if value is target:
+            items.append(items[-1])
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(dumps_repeating(v, target) for v in value) + "]"
+    return json.dumps(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=charge_docs | disposition_docs | json_values, data=st.data())
+def test_fuzz_a_repeated_key_is_refused_in_any_object(doc, data):
+    """The CLI's reader loads a document as ``json`` does, and refuses it
+    with a ParseError naming the key once any one object repeats a key."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        text = dumps_repeating(doc, None)
+        assert text == json.dumps(doc)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert json.dumps(load_json(path)) == text
+        objects = [obj for obj in objects_in(doc) if obj]
+        if objects:
+            target = data.draw(st.sampled_from(objects))
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(dumps_repeating(doc, target))
+            with pytest.raises(ParseError) as refused:
+                load_json(path)
+            key = list(target)[-1]
+            assert str(refused.value) == f"{path}: key {key!r} is repeated in one object"
