@@ -14,7 +14,7 @@ first time it is read.
 
 from __future__ import annotations
 
-from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -123,14 +123,20 @@ _SUBMODULES = frozenset(
 __all__ = list(_EXPORTS)
 
 
+def _load(module: str) -> ModuleType:
+    # __import__, not importlib.import_module, whose imports python -X importtime
+    # leaves out; importing a submodule also binds it in this module's globals
+    __import__(f"{__name__}.{module}")
+    return globals()[module]
+
+
 def __getattr__(name: str) -> object:
     if name in _SUBMODULES:
-        # importing a submodule also binds it in this module's globals
-        return import_module(f"{__name__}.{name}")
+        return _load(name)
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
+    value = getattr(_load(module), name)
     globals()[name] = value
     return value
 

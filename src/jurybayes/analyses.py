@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, AbstractSet
 
+import jurybayes as jb
+
 from .errors import (
     CapExceeded,
     CatalogTooSmall,
@@ -26,7 +28,8 @@ from .rationals import (
 )
 
 # The odds and rate-bound analyses need no world machinery, so the two
-# builders that do import charges and worlds where they run.
+# builders that do reach charges and worlds through the package, which
+# loads them on first use; these imports serve annotations only.
 if TYPE_CHECKING:
     from .charges import Charge
     from .worlds import BooleanSubalgebra, TestimonyCatalog
@@ -180,9 +183,6 @@ class SpannSpace(Frozen):
 
 
 def build_spann_space() -> SpannSpace:
-    from .charges import Charge
-    from .worlds import atoms_of_generated_algebra
-
     ground = tuple(
         (father, child, paternity)
         for father in BLOOD_TYPES
@@ -190,8 +190,9 @@ def build_spann_space() -> SpannSpace:
         for paternity in (True, False)
     )
     paternity = frozenset(point for point in ground if point[2])
-    algebra = atoms_of_generated_algebra(ground, [paternity])
-    charge = Charge.uniform_on_points(algebra)
+    algebra = jb.worlds.atoms_of_generated_algebra(ground, [paternity])
+    # each atom's mass is its share of the ground's points
+    charge = jb.charges.Charge(algebra, tuple(Fraction(len(a), len(ground)) for a in algebra.atoms))
     # any strict nonempty subset of the paternity cell works; fix one
     alibi = frozenset(p for p in paternity if BLOOD_TYPES.index(p[0]) < 4)
     return SpannSpace(
@@ -433,9 +434,6 @@ def build_ratio_bounded_convicting_prior(
     the guilt posterior at the largest bound-respecting value.  Every
     prescription and every preserved earlier value is exact.
     """
-    from .charges import Charge
-    from .worlds import heard_prefix_algebra
-
     steps = _least_steps(config)  # past RATE_STEP_CAP this raises before the catalog is read
     if steps > len(catalog):
         raise CatalogTooSmall(
@@ -488,7 +486,7 @@ def build_ratio_bounded_convicting_prior(
     return RatioBoundedPrior(
         catalog=catalog,
         config=config,
-        charge=Charge(heard_prefix_algebra(catalog, steps), tuple(masses)),
+        charge=jb.charges.Charge(jb.worlds.heard_prefix_algebra(catalog, steps), tuple(masses)),
         posteriors=tuple(Fraction(n, d) for n, d in targets),
     )
 

@@ -101,12 +101,6 @@ class Charge(Frozen):
         vars(charge).update(algebra=algebra, masses=masses, values=tuple(values), codes=codes)
         return charge
 
-    @classmethod
-    def uniform_on_points(cls, algebra: BooleanSubalgebra) -> "Charge":
-        """Atom mass proportional to atom size (uniform over the ground set)."""
-        n = len(algebra.ground)
-        return cls(algebra, tuple(Fraction(len(a), n) for a in algebra.atoms))
-
     # -- measurement ---------------------------------------------------
 
     def measure(self, event: AbstractSet) -> Fraction:

@@ -15,10 +15,10 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Any, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
-# Only what every command needs is imported here: each handler imports
-# the modules it runs, so a process loads no more than its command uses.
+import jurybayes as jb
+
 from .errors import JuryBayesError, ParseError
 from .rationals import approx_decimal, as_rational, format_rational
 
@@ -83,7 +83,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, handler: Callable[[argparse.Namespace], dict[str, Any]],
+                help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    def add_rational(p: Any, flag: str, **kwargs: Any) -> None:
+        p.add_argument(flag, type=partial(rational, flag), **kwargs)
+
+    p = command("rationalize", cmd_rationalize, "build a certificate prior for a disposition file")
+    p.add_argument("disposition_file")
+    add_rational(p, "--theta", required=True, help="threshold in (1/2, 1), e.g. 3/4")
+    p.add_argument("--out", help="also write the certificate JSON to this file")
+
+    p = command("verify", cmd_verify, "check a charge against a disposition's threshold behaviour")
+    p.add_argument("disposition_file")
+    p.add_argument("charge_file", help="a charge document or a certificate (its prior is used)")
+    add_rational(p, "--theta", required=True, help="threshold in (0, 1), e.g. 3/4")
+
+    p = command("extend", cmd_extend, "adjoin an event with a prescribed conditional value")
+    p.add_argument("charge_file")
+    p.add_argument("--event", required=True, help="existing event, e.g. 'guilt'")
+    p.add_argument("--given", required=True, help="event to adjoin, e.g. 'heard:t1' or a JSON world-key array")
+    add_rational(p, "--target", required=True, help="conditional value in [0, 1]")
+    p.add_argument("--out", help="also write the extended charge JSON to this file")
+
+    p = command("threshold", cmd_threshold, "belief or verdict-utility threshold")
+    group = p.add_mutually_exclusive_group(required=True)
+    add_rational(group, "--weights", nargs=2, metavar=("R", "W"),
+                 help="reward and penalty, threshold W/(R+W)")
+    add_rational(group, "--quadruple", nargs=4,
+                 metavar=("CONVICT_GUILTY", "CONVICT_INNOCENT", "ACQUIT_GUILTY", "ACQUIT_INNOCENT"),
+                 help="four-outcome utilities")
+
+    p = command("odds", cmd_odds, "posterior odds from prior odds and a likelihood ratio")
+    p.add_argument("--prior", required=True, help="odds a:b, e.g. 1:2")
+    add_rational(p, "--lr", required=True, help="likelihood ratio, e.g. 8")
+
+    p = command("rate", cmd_rate, "testimony count needed under a posterior-ratio bound")
+    add_rational(p, "--gamma", required=True, help="ratio slack, bound is 1+gamma")
+    add_rational(p, "--theta", required=True, help="verdict threshold in (0, 1)")
+    p.add_argument(
+        "--build", action="store_true",
+        help="construct the convicting prior and emit its exact posterior trail",
+    )
+
+    p = command("scenario", cmd_scenario, "regenerate a worked example")
+    p.add_argument("name", choices=("spann", "two-witness", "posner"))
+
+    # the options every command shares, after its own ones
+    for p in sub.choices.values():
         p.add_argument(
             "--format", choices=("json", "table"), default="json",
             help="output format (default json)",
@@ -93,63 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"override the world-space cap (also {WORLD_CAP_ENV})",
         )
 
-    def add_rational(p: Any, flag: str, **kwargs: Any) -> None:
-        p.add_argument(flag, type=partial(rational, flag), **kwargs)
-
-    p = sub.add_parser("rationalize", help="build a certificate prior for a disposition file")
-    p.add_argument("disposition_file")
-    add_rational(p, "--theta", required=True, help="threshold in (1/2, 1), e.g. 3/4")
-    p.add_argument("--out", help="also write the certificate JSON to this file")
-    add_common(p)
-    p.set_defaults(handler=cmd_rationalize)
-
-    p = sub.add_parser("verify", help="check a charge against a disposition's threshold behaviour")
-    p.add_argument("disposition_file")
-    p.add_argument("charge_file", help="a charge document or a certificate (its prior is used)")
-    add_rational(p, "--theta", required=True, help="threshold in (0, 1), e.g. 3/4")
-    add_common(p)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("extend", help="adjoin an event with a prescribed conditional value")
-    p.add_argument("charge_file")
-    p.add_argument("--event", required=True, help="existing event, e.g. 'guilt'")
-    p.add_argument("--given", required=True, help="event to adjoin, e.g. 'heard:t1' or a JSON world-key array")
-    add_rational(p, "--target", required=True, help="conditional value in [0, 1]")
-    p.add_argument("--out", help="also write the extended charge JSON to this file")
-    add_common(p)
-    p.set_defaults(handler=cmd_extend)
-
-    p = sub.add_parser("threshold", help="belief or verdict-utility threshold")
-    group = p.add_mutually_exclusive_group(required=True)
-    add_rational(group, "--weights", nargs=2, metavar=("R", "W"),
-                 help="reward and penalty, threshold W/(R+W)")
-    add_rational(group, "--quadruple", nargs=4,
-                 metavar=("CONVICT_GUILTY", "CONVICT_INNOCENT", "ACQUIT_GUILTY", "ACQUIT_INNOCENT"),
-                 help="four-outcome utilities")
-    add_common(p)
-    p.set_defaults(handler=cmd_threshold)
-
-    p = sub.add_parser("odds", help="posterior odds from prior odds and a likelihood ratio")
-    p.add_argument("--prior", required=True, help="odds a:b, e.g. 1:2")
-    add_rational(p, "--lr", required=True, help="likelihood ratio, e.g. 8")
-    add_common(p)
-    p.set_defaults(handler=cmd_odds)
-
-    p = sub.add_parser("rate", help="testimony count needed under a posterior-ratio bound")
-    add_rational(p, "--gamma", required=True, help="ratio slack, bound is 1+gamma")
-    add_rational(p, "--theta", required=True, help="verdict threshold in (0, 1)")
-    p.add_argument(
-        "--build", action="store_true",
-        help="construct the convicting prior and emit its exact posterior trail",
-    )
-    add_common(p)
-    p.set_defaults(handler=cmd_rate)
-
-    p = sub.add_parser("scenario", help="regenerate a worked example")
-    p.add_argument("name", choices=("spann", "two-witness", "posner"))
-    add_common(p)
-    p.set_defaults(handler=cmd_scenario)
-
     return parser
 
 
@@ -158,34 +151,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_rationalize(args: argparse.Namespace) -> dict[str, Any]:
-    from .dispositions import rationalize
-    from .serialize import certificate_to_jsonable, disposition_from_jsonable
-
-    disposition = disposition_from_jsonable(
+    disposition = jb.serialize.disposition_from_jsonable(
         load_json(args.disposition_file), world_cap=args.world_cap
     )
-    certificate = rationalize(disposition, args.theta)
-    return certificate_to_jsonable(certificate)
+    certificate = jb.dispositions.rationalize(disposition, args.theta)
+    return jb.serialize.certificate_to_jsonable(certificate)
 
 
 def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
-    from .dispositions import verification_theta, verify_rationalization
-    from .serialize import (
-        charge_document_from_jsonable,
-        disposition_from_jsonable,
-        require_same_catalog,
-    )
-
     # a bad threshold is refused before either file is read
-    theta = verification_theta(args.theta)
-    disposition = disposition_from_jsonable(
+    theta = jb.dispositions.verification_theta(args.theta)
+    disposition = jb.serialize.disposition_from_jsonable(
         load_json(args.disposition_file), world_cap=args.world_cap
     )
-    charge_catalog, charge = charge_document_from_jsonable(
+    charge_catalog, charge = jb.serialize.charge_document_from_jsonable(
         load_json(args.charge_file), world_cap=args.world_cap
     )
-    require_same_catalog(disposition.catalog, charge_catalog)
-    result = verify_rationalization(disposition, theta, charge)
+    jb.serialize.require_same_catalog(disposition.catalog, charge_catalog)
+    result = jb.dispositions.verify_rationalization(disposition, theta, charge)
     doc: dict[str, Any] = {
         "theta": format_rational(theta),
         "holds": result.ok,
@@ -198,13 +181,11 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_extend(args: argparse.Namespace) -> dict[str, Any]:
-    from .serialize import charge_document_from_jsonable, charge_to_jsonable, event_from_spec
-
-    catalog, charge = charge_document_from_jsonable(
+    catalog, charge = jb.serialize.charge_document_from_jsonable(
         load_json(args.charge_file), world_cap=args.world_cap
     )
-    event = event_from_spec(catalog, args.event)
-    given = event_from_spec(catalog, args.given)
+    event = jb.serialize.event_from_spec(catalog, args.event)
+    given = jb.serialize.event_from_spec(catalog, args.given)
     extended = charge.extend_conditional(event, given, args.target)
     achieved = extended.conditional(event, given)
     return {
@@ -213,23 +194,21 @@ def cmd_extend(args: argparse.Namespace) -> dict[str, Any]:
         "target": format_rational(args.target),
         "achieved": format_rational(achieved.value),
         "given_mass": format_rational(achieved.conditioning_mass),
-        "charge": charge_to_jsonable(catalog, extended),
+        "charge": jb.serialize.charge_to_jsonable(catalog, extended),
     }
 
 
 def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
-    from .scoring import ScoreWeights, UtilityQuadruple, verdict_threshold
-
     if args.weights is not None:
-        weights = ScoreWeights(*args.weights)
+        weights = jb.scoring.ScoreWeights(*args.weights)
         return {
             "kind": "belief-weights",
             "reward": format_rational(weights.reward),
             "penalty": format_rational(weights.penalty),
             "threshold": format_rational(weights.belief_threshold),
         }
-    quadruple = UtilityQuadruple(*args.quadruple)
-    threshold = verdict_threshold(quadruple)
+    quadruple = jb.scoring.UtilityQuadruple(*args.quadruple)
+    threshold = jb.scoring.verdict_threshold(quadruple)
     comparison = ">=" if quadruple.threshold_denominator > 0 else "<="
     return {
         "kind": "verdict-utilities",
@@ -245,13 +224,11 @@ def cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
-    from .analyses import Odds, posterior_odds
-
     left, sep, right = args.prior.partition(":")
     if not sep:
         raise ParseError(f"--prior must look like 'a:b', got {args.prior!r}")
-    prior = Odds(*map(partial(rational, "--prior"), (left, right)))
-    posterior = posterior_odds(prior, args.lr)
+    prior = jb.analyses.Odds(*map(partial(rational, "--prior"), (left, right)))
+    posterior = jb.analyses.posterior_odds(prior, args.lr)
     return {
         "prior": prior.display(),
         "likelihood_ratio": format_rational(args.lr),
@@ -261,10 +238,8 @@ def cmd_odds(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
-    from .analyses import RateBoundConfig, min_convicting_testimony_count
-
-    config = RateBoundConfig(args.gamma, args.theta)
-    bound = min_convicting_testimony_count(config)
+    config = jb.analyses.RateBoundConfig(args.gamma, args.theta)
+    bound = jb.analyses.min_convicting_testimony_count(config)
     doc: dict[str, Any] = {
         "gamma": format_rational(config.gamma),
         "theta": format_rational(config.theta),
@@ -273,13 +248,10 @@ def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
         "poi_violated": bound.poi_violated,
     }
     if args.build:
-        from .analyses import build_ratio_bounded_convicting_prior
-        from .worlds import TestimonyCatalog
-
-        cat = TestimonyCatalog(
+        cat = jb.worlds.TestimonyCatalog(
             tuple(f"t{i}" for i in range(bound.steps)), world_cap=args.world_cap
         )
-        built = build_ratio_bounded_convicting_prior(cat, config)
+        built = jb.analyses.build_ratio_bounded_convicting_prior(cat, config)
         doc["posterior_trail"] = [format_rational(p) for p in built.posteriors]
         doc["ratio_window"] = [
             format_rational(1 / (1 + config.gamma)),
@@ -299,69 +271,50 @@ def cmd_scenario(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def scenario_spann() -> dict[str, Any]:
-    from .analyses import build_spann_space
-    from .worlds import is_expressible
-
-    space = build_spann_space()
+    space = jb.analyses.build_spann_space()
     return {
         "scenario": "spann",
         "size": len(space.ground),
         "paternity_size": len(space.paternity),
         "paternity_prior": format_rational(space.charge.measure(space.paternity)),
         "alibi_size": len(space.alibi_example),
-        "alibi_expressible": is_expressible(space.alibi_example, space.algebra),
+        "alibi_expressible": jb.worlds.is_expressible(space.alibi_example, space.algebra),
     }
 
 
 def scenario_two_witness(cap: int | None) -> dict[str, Any]:
-    from .dispositions import (
-        Disposition,
-        guilt_prior,
-        is_open_door,
-        rationalize,
-        verify_rationalization,
-    )
-    from .worlds import TestimonyCatalog
-
-    catalog = TestimonyCatalog(("w1", "w2", "w3", "w4"), world_cap=cap)
-    disposition = Disposition(
+    catalog = jb.worlds.TestimonyCatalog(("w1", "w2", "w3", "w4"), world_cap=cap)
+    disposition = jb.dispositions.Disposition(
         catalog, (t for t in catalog.all_transcripts() if len(t) >= 2)
     )
     theta = Fraction(3, 4)
-    certificate = rationalize(disposition, theta)
-    verified = verify_rationalization(disposition, theta, certificate.prior)
+    certificate = jb.dispositions.rationalize(disposition, theta)
+    verified = jb.dispositions.verify_rationalization(disposition, theta, certificate.prior)
     return {
         "scenario": "two-witness",
         "catalog": list(catalog.labels),
         "rule": "convict iff at least two witnesses testify",
         "theta": format_rational(theta),
         "rationalizable": bool(verified),
-        "guilt_prior": format_rational(guilt_prior(certificate.prior, catalog)),
-        "open_door": is_open_door(certificate.prior),
+        "guilt_prior": format_rational(jb.dispositions.guilt_prior(certificate.prior, catalog)),
+        "open_door": jb.dispositions.is_open_door(certificate.prior),
         "convicting_posterior": format_rational(theta),
         "acquitting_posterior": format_rational(1 - theta),
     }
 
 
 def scenario_posner(cap: int | None) -> dict[str, Any]:
-    from .dispositions import (
-        always_convict_nonempty,
-        guilt_prior,
-        posner_even_odds_prior,
-        verify_rationalization,
-    )
-    from .worlds import TestimonyCatalog
-
-    catalog = TestimonyCatalog(("t1", "t2"), world_cap=cap)
+    catalog = jb.worlds.TestimonyCatalog(("t1", "t2"), world_cap=cap)
     theta = Fraction(3, 4)
-    prior = posner_even_odds_prior(catalog, theta)
-    posteriors = verify_rationalization(always_convict_nonempty(catalog), theta, prior).posteriors
+    prior = jb.dispositions.posner_even_odds_prior(catalog, theta)
+    convict = jb.dispositions.always_convict_nonempty(catalog)
+    posteriors = jb.dispositions.verify_rationalization(convict, theta, prior).posteriors
     nonempty = {t: p for t, p in posteriors.items() if len(t)}
     return {
         "scenario": "posner",
         "catalog": list(catalog.labels),
         "theta": format_rational(theta),
-        "guilt_prior": format_rational(guilt_prior(prior, catalog)),
+        "guilt_prior": format_rational(jb.dispositions.guilt_prior(prior, catalog)),
         "min_nonempty_posterior": format_rational(min(nonempty.values())),
         "nonempty_posteriors": [
             {"transcript": list(catalog.transcript_labels(t)), "posterior": format_rational(p)}
@@ -376,10 +329,8 @@ def scenario_posner(cap: int | None) -> dict[str, Any]:
 
 def parse_world_cap(text: str) -> int:
     """Convert --world-cap, or its JURYBAYES_WORLD_CAP default when the flag is absent."""
-    from .worlds import check_world_cap
-
     try:
-        return check_world_cap(int(text))
+        return jb.worlds.check_world_cap(int(text))
     except ValueError as exc:
         raise ParseError(f"the world cap must be a nonnegative integer, got {text!r}") from exc
 

@@ -56,10 +56,14 @@ class Guilt(enum.Enum):
 # the code is then a stride slice of the world tuple, which is how
 # heard_prefix_algebra reads the layers of a testimony prefix's
 # heard-events.  Only this module reads world_algebra's is_world_powerset
-# flag.  Outside it the layout is relied on only through
-# require_world_ground and three readers that answer a world powerset from
-# the world codes, its atom i being the world with code i:
-# BooleanSubalgebra.cover, transcript_masses and atom_names.
+# flag: require_world_ground and three readers answer a world powerset from
+# the world codes, its atom i being the world with code i
+# (BooleanSubalgebra.cover, transcript_masses and atom_names).  Two other
+# modules rely on the layout itself: dispositions.rationalize writes each
+# transcript's guilty and innocent codes at codes[0::2] and codes[1::2] of
+# world_algebra's atoms, and serialize's key table lists the world keys in
+# world-code order, by which charge_from_jsonable and parse_world_key index
+# world_algebra's atoms and the world tuple.
 #
 # Four builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
@@ -88,6 +92,7 @@ class Transcript(int):
     def __new__(cls, members: Iterable[int] = ()) -> "Transcript":
         mask = 0
         for index in members:
+            _require_int(index, "a testimony index")
             if not 0 <= index < WORLD_CAP_CEILING:
                 raise ForeignTestimony(
                     f"testimony index {index} is outside every catalog "
@@ -167,7 +172,7 @@ class TestimonyCatalog(Frozen):
     world_cap: int
 
     def __init__(self, labels: Iterable[str], world_cap: int | None = None) -> None:
-        labels = tuple(labels)
+        labels = tuple(_not_one_string(labels))
         cap = DEFAULT_WORLD_CAP if world_cap is None else check_world_cap(world_cap)
         positions = {label: i for i, label in enumerate(labels)}  # each label's position
         vars(self).update(labels=labels, world_cap=cap, _positions=positions)
@@ -193,10 +198,10 @@ class TestimonyCatalog(Frozen):
 
         The labels are read once, in order, through ``index``, so the first
         one not in the catalog (foreign, unhashable or not a string) names
-        the ForeignTestimony.
+        the ForeignTestimony.  One string is refused, not read as its letters.
         """
         mask = 0
-        for label in labels:
+        for label in _not_one_string(labels):
             mask |= 1 << self.index(label)
         return _transcript_of_mask(mask)
 
@@ -218,11 +223,23 @@ class TestimonyCatalog(Frozen):
         return iter(_transcript_space(len(self.labels)))
 
 
+def _require_int(value: object, name: str) -> None:
+    """TypeError naming the value unless it is an int; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _not_one_string(labels: Iterable[str]) -> Iterable[str]:
+    """The labels; TypeError if they are one string, which would iterate as its letters."""
+    if isinstance(labels, str):
+        raise TypeError(f"expected a collection of labels, got the string {labels!r}")
+    return labels
+
+
 def check_world_cap(cap: int) -> int:
     """Validate a world cap: TypeError unless an int (a bool is not one),
     ValueError if negative, CapExceeded above the ceiling."""
-    if not isinstance(cap, int) or isinstance(cap, bool):
-        raise TypeError(f"the world cap must be an int, got {cap!r}")
+    _require_int(cap, "the world cap")
     if cap < 0:
         raise ValueError(f"the world cap must be a nonnegative integer, got {cap}")
     if cap > WORLD_CAP_CEILING:
@@ -306,8 +323,7 @@ def heard_prefix_algebra(catalog: TestimonyCatalog, steps: int) -> "BooleanSubal
     not one), ValueError if it is negative, ForeignTestimony if it exceeds
     the catalog.  The atoms are built on first read.
     """
-    if not isinstance(steps, int) or isinstance(steps, bool):
-        raise TypeError(f"steps must be an int, got {steps!r}")
+    _require_int(steps, "steps")
     if not 0 <= steps <= len(catalog):
         error = ValueError if steps < 0 else ForeignTestimony
         raise error(f"steps must lie in 0..{len(catalog)}, got {steps}")

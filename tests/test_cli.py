@@ -1,5 +1,6 @@
 """Command-line behaviour: golden outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -640,6 +641,39 @@ class TestWorldCap:
             assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
         monkeypatch.setenv("JURYBAYES_WORLD_CAP", "4")
         assert run_cli(capsys, *argv)[0] == 0
+
+
+#: One valid argv per subcommand, none on a catalog of more than four testimonies.
+SUBCOMMAND_ARGVS = {
+    "rationalize": ("rationalize", str(DATA / "two_witness_n2.json"), "--theta", "3/4"),
+    "verify": ("verify", str(DATA / "two_witness_n2.json"), str(DATA / "uniform_n2.json"),
+               "--theta", "3/4"),
+    "extend": ("extend", str(DATA / "guilt_coarse_n1.json"), "--event", "guilt",
+               "--given", "heard:t1", "--target", "9/10"),
+    "threshold": ("threshold", "--quadruple", "1", "-9", "0", "0"),
+    "odds": ("odds", "--prior", "1:2", "--lr", "8"),
+    "rate": ("rate", "--gamma", "1/2", "--theta", "3/4", "--build"),
+    "scenario": ("scenario", "two-witness"),
+}
+
+
+def test_the_shared_option_cases_name_every_subcommand():
+    parser = cli.build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == set(SUBCOMMAND_ARGVS)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGVS))
+def test_every_subcommand_takes_the_shared_options(capsys, monkeypatch, command):
+    """--format and --world-cap are declared once for all subcommands; each one accepts them."""
+    monkeypatch.delenv("JURYBAYES_WORLD_CAP", raising=False)
+    argv = SUBCOMMAND_ARGVS[command]
+    code, report, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "--world-cap", "4") == (0, report, "")
+    code, table, err = run_cli(capsys, *argv, "--format", "table")
+    assert (code, err) == (0, "") and table != report
+    assert run_cli(capsys, *argv, "--world-cap", "4", "--format", "table") == (0, table, "")
 
 
 class TestUsageErrors:

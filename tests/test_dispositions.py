@@ -149,6 +149,16 @@ class TestMemberChecks:
             Disposition(cat, members)
         assert str(got.value) == expected[1]
 
+    def test_a_label_set_given_as_one_string_is_refused(self):
+        # ["ab"] convicted on {a, b}: the string was read as its letters
+        cat = TestimonyCatalog(("a", "b"))
+        with pytest.raises(TypeError, match="got the string 'ab'"):
+            Disposition.from_label_sets(cat, ["ab"])
+        with pytest.raises(TypeError, match="got the string 'a'"):
+            Disposition.from_label_sets(cat, "ab")
+        disposition = Disposition.from_label_sets(cat, [["a", "b"]])
+        assert disposition.convicting == {cat.transcript(["a", "b"])}
+
 
 class TestRationalize:
     def test_single_witness_masses_match_hand_computation(self):

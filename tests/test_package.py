@@ -1,5 +1,6 @@
 """The package's lazy exports: every public name, resolved on first use."""
 
+import ast
 import json
 import pkgutil
 import subprocess
@@ -108,9 +109,37 @@ def test_star_import_binds_every_name():
     assert unbound == []
 
 
+def test_lazy_loads_show_in_importtime():
+    """A submodule or a name loaded through the package is reported by
+    ``python -X importtime``, which CI greps to check what a command loads."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import jurybayes; jurybayes.scoring; jurybayes.Odds"],
+        capture_output=True, text=True, check=True,
+    )
+    reported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()}
+    assert {"jurybayes.scoring", "jurybayes.analyses"} <= reported
+
+
+def test_no_function_in_cli_or_analyses_imports():
+    """Both modules reach the library through the package's lazy loader
+    (``jb.<module>.<name>``), not through imports inside functions."""
+    package = Path(jurybayes.__file__).parent
+    nested = [
+        (name, node.name, inner.lineno)
+        for name in ("cli.py", "analyses.py")
+        for node in ast.walk(ast.parse((package / name).read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
 def test_only_worlds_reads_the_world_powerset_flag():
-    """The world-powerset layout (atom i is the world with code i) is known
-    to ``worlds`` alone: every other module asks its readers."""
+    """The flag marking a world powerset (atom i is the world with code i) is
+    read by ``worlds`` alone; see its header comment for the modules that
+    rely on the world-code layout itself."""
     package = Path(jurybayes.__file__).parent
     readers = sorted(
         path.name for path in package.glob("*.py") if "is_world_powerset" in path.read_text()

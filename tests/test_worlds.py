@@ -197,6 +197,26 @@ class TestWorldSpace:
         with pytest.raises(ValueError):
             TestimonyCatalog(("a", "a"))
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+    def test_a_testimony_index_must_be_an_int_not_a_bool(self, index):
+        # True was read as index 1 and False as index 0
+        with pytest.raises(TypeError, match=f"a testimony index must be an int, got {index!r}"):
+            Transcript([index])
+        with pytest.raises(TypeError):
+            Transcript([0, index])
+        assert Transcript([1]) == 2 and Transcript(range(3)) == 7
+
+    def test_one_string_is_not_a_collection_of_labels(self):
+        # a string iterates as its letters: "abc" was the catalog ('a', 'b', 'c')
+        with pytest.raises(TypeError, match="got the string 'abc'"):
+            TestimonyCatalog("abc")
+        cat = TestimonyCatalog(("a", "b", "ab"))
+        # "ab" was the transcript {a, b}, not the label "ab"
+        with pytest.raises(TypeError, match="got the string 'ab'"):
+            cat.transcript("ab")
+        assert cat.transcript(["ab"]) == Transcript({2})
+        assert cat.transcript(("a", "b")) == Transcript({0, 1})
+
 
 class TestEvents:
     def test_event_of_empty_transcript(self):
