@@ -24,7 +24,8 @@ from .errors import (
     UndefinedRatio,
 )
 from .rationals import (
-    Frozen, RationalLike, _theta_in, as_rational, as_rational_fields, exact_decimal, format_rational
+    HALF, Frozen, RationalLike, _theta_in, as_rational, as_rational_fields, exact_decimal,
+    format_rational,
 )
 
 # The odds and rate-bound analyses need no world machinery, so the two
@@ -33,8 +34,6 @@ from .rationals import (
 if TYPE_CHECKING:
     from .charges import Charge
     from .worlds import BooleanSubalgebra, TestimonyCatalog
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,8 @@ from .errors import (
     OutOfRange,
     ZeroConditioningEvent,
 )
-from .rationals import Frozen, RationalLike, _unit_in, as_rational, format_rational
+from .rationals import ONE, ZERO, Frozen, RationalLike, _unit_in, as_rational, format_rational
 from .worlds import BooleanSubalgebra
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ConditionalResult(Frozen):

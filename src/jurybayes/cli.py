@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("scenario", cmd_scenario, "regenerate a worked example")
-    p.add_argument("name", choices=("spann", "two-witness", "posner"))
+    p.add_argument("name", choices=SCENARIOS)
 
     # the options every command shares, after its own ones
     for p in sub.choices.values():
@@ -151,9 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_rationalize(args: argparse.Namespace) -> dict[str, Any]:
-    disposition = jb.serialize.disposition_from_jsonable(
-        load_json(args.disposition_file), world_cap=args.world_cap
-    )
+    disposition = read_document(jb.serialize.disposition_from_jsonable, args.disposition_file, args)
     certificate = jb.dispositions.rationalize(disposition, args.theta)
     return jb.serialize.certificate_to_jsonable(certificate)
 
@@ -161,13 +159,9 @@ def cmd_rationalize(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     # a bad threshold is refused before either file is read
     theta = jb.dispositions.verification_theta(args.theta)
-    disposition = jb.serialize.disposition_from_jsonable(
-        load_json(args.disposition_file), world_cap=args.world_cap
-    )
-    charge_catalog, charge = jb.serialize.charge_document_from_jsonable(
-        load_json(args.charge_file), world_cap=args.world_cap
-    )
-    jb.serialize.require_same_catalog(disposition.catalog, charge_catalog)
+    disposition = read_document(jb.serialize.disposition_from_jsonable, args.disposition_file, args)
+    catalog, charge = read_document(jb.serialize.charge_document_from_jsonable, args.charge_file, args)
+    jb.serialize.require_same_catalog(disposition.catalog, catalog)
     result = jb.dispositions.verify_rationalization(disposition, theta, charge)
     doc: dict[str, Any] = {
         "theta": format_rational(theta),
@@ -181,9 +175,7 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_extend(args: argparse.Namespace) -> dict[str, Any]:
-    catalog, charge = jb.serialize.charge_document_from_jsonable(
-        load_json(args.charge_file), world_cap=args.world_cap
-    )
+    catalog, charge = read_document(jb.serialize.charge_document_from_jsonable, args.charge_file, args)
     event = jb.serialize.event_from_spec(catalog, args.event)
     given = jb.serialize.event_from_spec(catalog, args.given)
     extended = charge.extend_conditional(event, given, args.target)
@@ -263,14 +255,11 @@ def cmd_rate(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_scenario(args: argparse.Namespace) -> dict[str, Any]:
-    if args.name == "spann":
-        return scenario_spann()
-    if args.name == "two-witness":
-        return scenario_two_witness(args.world_cap)
-    return scenario_posner(args.world_cap)
+    return SCENARIOS[args.name](args.world_cap)
 
 
-def scenario_spann() -> dict[str, Any]:
+def scenario_spann(cap: int | None) -> dict[str, Any]:
+    """The Spann sample space; it has no catalog, so the world cap does not apply."""
     space = jb.analyses.build_spann_space()
     return {
         "scenario": "spann",
@@ -323,6 +312,10 @@ def scenario_posner(cap: int | None) -> dict[str, Any]:
     }
 
 
+#: Each scenario's name and the function that builds its report from the world cap.
+SCENARIOS = {"spann": scenario_spann, "two-witness": scenario_two_witness, "posner": scenario_posner}
+
+
 # ---------------------------------------------------------------------------
 # Plumbing.
 
@@ -333,6 +326,11 @@ def parse_world_cap(text: str) -> int:
         return jb.worlds.check_world_cap(int(text))
     except ValueError as exc:
         raise ParseError(f"the world cap must be a nonnegative integer, got {text!r}") from exc
+
+
+def read_document(reader: Callable[..., Any], path: str, args: argparse.Namespace) -> Any:
+    """The JSON document at ``path`` as ``reader`` reads it under the command's world cap."""
+    return reader(load_json(path), world_cap=args.world_cap)
 
 
 def load_json(path: str) -> Any:

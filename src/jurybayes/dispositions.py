@@ -18,18 +18,17 @@ from typing import Iterable, Mapping
 
 from .charges import Charge
 from .errors import AxiomViolation, ZeroTranscriptMass
-from .rationals import Frozen, RationalLike, _theta_in
+from .rationals import HALF, Frozen, RationalLike, _theta_in
 from .worlds import (
     EMPTY_TRANSCRIPT,
     TestimonyCatalog,
     Transcript,
+    _not_one_string,
     guilt_event,
     require_world_ground,
     transcript_masses,
     world_algebra,
 )
-
-HALF = Fraction(1, 2)
 
 
 class Verdict(enum.Enum):
@@ -63,7 +62,7 @@ class Disposition(Frozen):
     def from_label_sets(
         cls, catalog: TestimonyCatalog, label_sets: Iterable[Iterable[str]]
     ) -> "Disposition":
-        return cls(catalog, map(catalog.transcript, label_sets))
+        return cls(catalog, map(catalog.transcript, _not_one_string(label_sets)))
 
     def verdict(self, transcript: Transcript) -> Verdict:
         self.catalog._check_transcript(transcript)

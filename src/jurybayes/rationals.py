@@ -28,6 +28,9 @@ MAX_LITERAL_DIGITS = 4300
 
 APPROX_PLACES = 6  #: places after the point in a rounded display decimal
 
+#: The exact constants the other modules share.
+ZERO, ONE, HALF = Fraction(0), Fraction(1), Fraction(1, 2)
+
 
 def as_rational(value: RationalLike, *, name: str = "value") -> Fraction:
     """Convert an int, Fraction, or exact string ("3/4", "0.9", "2") to Fraction.

@@ -14,10 +14,10 @@ from functools import cached_property
 from itertools import repeat
 from typing import Any, Iterable, Mapping
 
-from .charges import ZERO, Charge
+from .charges import Charge
 from .dispositions import Disposition, RationalizationCertificate, Verdict
 from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, ParseError
-from .rationals import as_rational, format_rational
+from .rationals import ZERO, as_rational, format_rational
 from .worlds import (
     BooleanSubalgebra,
     Guilt,
@@ -47,22 +47,34 @@ def _check_labels(labels: Iterable[str]) -> None:
 
 
 def parse_world_key(catalog: TestimonyCatalog, key: str) -> World:
+    """The world a key names, read label by label; canonical or not, such as '{b,a}|G'."""
     if not isinstance(key, str):
         raise ParseError(f"world key must be a string, got {key!r}")
-    index = _key_table(catalog).index.get(key)
-    if index is not None:
-        return full_world_space(catalog)[index]
-    # keys not in canonical form, such as '{b,a}|G', and malformed ones
     match = re.fullmatch(r"\{([^{}|]*)\}\|([GI])", key)
     if not match:
         raise ParseError(f"bad world key {key!r}; expected e.g. '{{t1,t2}}|G'")
     inner, guilt_letter = match.groups()
-    labels = [part for part in inner.split(",") if part] if inner else []
+    return World(_transcript_of_list(catalog, inner, ",", f"world key {key!r}"), Guilt(guilt_letter))
+
+
+def _transcript_of_list(catalog: TestimonyCatalog, text: str, sep: str, what: str) -> Transcript:
+    """The transcript of a ``sep``-separated label list, empty parts skipped;
+    ParseError headed ``what`` naming the first label not in the catalog."""
     try:
-        transcript = catalog.transcript(labels)
+        return catalog.transcript(filter(None, text.split(sep)))
     except ForeignTestimony as exc:
-        raise ParseError(f"world key {key!r}: {exc}") from exc
-    return World(transcript, Guilt(guilt_letter))
+        raise ParseError(f"{what}: {exc}") from exc
+
+
+def _worlds_of_keys(catalog: TestimonyCatalog, keys: list) -> frozenset:
+    """The worlds the keys name.  Canonical keys are looked up in the key
+    table; when any key is not, every key is read by ``parse_world_key`` in
+    order, so the first bad one names the error."""
+    worlds = full_world_space(catalog)
+    try:
+        return frozenset(map(worlds.__getitem__, map(_key_table(catalog).index.__getitem__, keys)))
+    except (KeyError, TypeError):  # TypeError: an unhashable key
+        return frozenset(parse_world_key(catalog, key) for key in keys)
 
 
 class _KeyTable:
@@ -215,15 +227,7 @@ def charge_from_jsonable(
             isinstance(a, list) for a in raw_atoms
         ):
             raise ParseError('"atoms" must be a list of world-key lists')
-        # canonical keys are looked up in one table; an atom holding any
-        # other key is parsed key by key, so the first bad one names the error
-        index = _key_table(catalog).index
-        atoms = []
-        for raw in raw_atoms:
-            try:
-                atoms.append(frozenset(map(worlds.__getitem__, map(index.__getitem__, raw))))
-            except (KeyError, TypeError):  # TypeError: an unhashable key
-                atoms.append(frozenset(parse_world_key(catalog, key) for key in raw))
+        atoms = [_worlds_of_keys(catalog, raw) for raw in raw_atoms]
         # an empty atom has no first world; the partition check rejects it
         ordered = tuple(sorted(atoms, key=lambda atom: min(atom, default=-1)))
         try:
@@ -313,11 +317,7 @@ def event_from_spec(catalog: TestimonyCatalog, spec: str) -> frozenset:
         return guilt_event(catalog)
     if spec.startswith("transcript:") or spec.startswith("heard:"):
         kind, _, rest = spec.partition(":")
-        labels = [part for part in rest.split("+") if part]
-        try:
-            transcript = catalog.transcript(labels)
-        except ForeignTestimony as exc:
-            raise ParseError(f"event spec {spec!r}: {exc}") from exc
+        transcript = _transcript_of_list(catalog, rest, "+", f"event spec {spec!r}")
         if kind == "transcript":
             return event_of_transcript(catalog, transcript)
         return heard_event(catalog, transcript)
@@ -328,7 +328,7 @@ def event_from_spec(catalog: TestimonyCatalog, spec: str) -> frozenset:
             raise ParseError(f"event spec is not valid JSON: {exc}") from exc
         if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
             raise ParseError("a JSON event spec must be an array of world keys")
-        return frozenset(parse_world_key(catalog, key) for key in keys)
+        return _worlds_of_keys(catalog, keys)
     raise ParseError(
         f"unrecognized event spec {spec!r}; use 'guilt', 'transcript:...', "
         "'heard:...', or a JSON array of world keys"

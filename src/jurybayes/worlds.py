@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from operator import attrgetter
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, NotExpressible
-from .rationals import Frozen
+from .rationals import ZERO, Frozen
 
 #: Default ceiling on catalog size.  The world space has 2^(n+1) elements
 #: and every construction in this package is exponential in n.
@@ -62,8 +61,9 @@ class Guilt(enum.Enum):
 # modules rely on the layout itself: dispositions.rationalize writes each
 # transcript's guilty and innocent codes at codes[0::2] and codes[1::2] of
 # world_algebra's atoms, and serialize's key table lists the world keys in
-# world-code order, by which charge_from_jsonable and parse_world_key index
-# world_algebra's atoms and the world tuple.
+# world-code order, by which charge_from_jsonable's masses index
+# world_algebra's atoms and serialize's one world-key reader,
+# _worlds_of_keys, indexes the world tuple.
 #
 # Four builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
@@ -160,8 +160,9 @@ _world_of_code = partial(int.__new__, World)
 class TestimonyCatalog(Frozen):
     """The finite ordered collection of possible testimonies.
 
-    Labels are opaque identifiers; everything downstream indexes against
-    their position.  Construction enforces distinctness and the world-cap
+    Labels are opaque strings; everything downstream indexes against
+    their position.  Construction refuses a label that is not a string
+    (TypeError naming the first), and enforces distinctness and the world-cap
     (default 12, i.e. at most 8192 worlds); pass ``world_cap`` to relax
     or tighten it, up to ``WORLD_CAP_CEILING``.  Catalogs compare, hash
     and print by their labels alone.
@@ -173,6 +174,9 @@ class TestimonyCatalog(Frozen):
 
     def __init__(self, labels: Iterable[str], world_cap: int | None = None) -> None:
         labels = tuple(_not_one_string(labels))
+        for label in labels:
+            if not isinstance(label, str):
+                raise TypeError(f"catalog labels must be strings, got {label!r}")
         cap = DEFAULT_WORLD_CAP if world_cap is None else check_world_cap(world_cap)
         positions = {label: i for i, label in enumerate(labels)}  # each label's position
         vars(self).update(labels=labels, world_cap=cap, _positions=positions)
@@ -581,9 +585,6 @@ def require_world_ground(algebra: BooleanSubalgebra, catalog: TestimonyCatalog) 
         raise CatalogMismatch("the charge is not defined on the world space of this catalog")
 
 
-_ZERO = Fraction(0)  # the mass of a transcript no atom holds a world of
-
-
 def transcript_masses(
     algebra: BooleanSubalgebra, values: Sequence, codes: Sequence,
     catalog: TestimonyCatalog | None = None,
@@ -637,7 +638,7 @@ def transcript_masses(
                 raise NotExpressible("event is not a union of atoms (it cuts through an atom)")
             yield side.get(transcript, len(values))
 
-    return order, [*values, _ZERO], column(guilty), column(innocent)
+    return order, [*values, ZERO], column(guilty), column(innocent)
 
 
 def atom_names(

@@ -676,6 +676,20 @@ def test_every_subcommand_takes_the_shared_options(capsys, monkeypatch, command)
     assert run_cli(capsys, *argv, "--world-cap", "4", "--format", "table") == (0, table, "")
 
 
+@pytest.mark.parametrize("name", ["spann", "two-witness", "posner"])
+def test_each_scenario_prints_its_golden_under_a_world_cap(capsys, monkeypatch, name):
+    monkeypatch.delenv("JURYBAYES_WORLD_CAP", raising=False)
+    expected = golden(f"scenario_{name.replace('-', '_')}.json")
+    assert run_cli(capsys, "scenario", name, "--world-cap", "4") == (0, expected, "")
+    # only spann builds no catalog, so no cap is too small for it
+    code, out, err = run_cli(capsys, "scenario", name, "--world-cap", "0")
+    if name == "spann":
+        assert (code, out, err) == (0, expected, "")
+    else:
+        assert (code, out) == (errors.CapExceeded.exit_code, "")
+        assert err.startswith("error[CapExceeded]: catalog of ")
+
+
 class TestUsageErrors:
     """The argument parser converts every value and ends every usage error as ParseError."""
 

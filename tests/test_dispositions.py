@@ -154,7 +154,7 @@ class TestMemberChecks:
         cat = TestimonyCatalog(("a", "b"))
         with pytest.raises(TypeError, match="got the string 'ab'"):
             Disposition.from_label_sets(cat, ["ab"])
-        with pytest.raises(TypeError, match="got the string 'a'"):
+        with pytest.raises(TypeError, match="got the string 'ab'"):
             Disposition.from_label_sets(cat, "ab")
         disposition = Disposition.from_label_sets(cat, [["a", "b"]])
         assert disposition.convicting == {cat.transcript(["a", "b"])}

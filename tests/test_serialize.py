@@ -130,6 +130,19 @@ class TestWorldKeys:
         assert parse_world_key(cat, "{b,a}|G") == World(cat.transcript(["a", "b"]), Guilt.GUILTY)
         assert parse_world_key(cat, "{a,a}|I") == World(cat.transcript(["a"]), Guilt.INNOCENT)
 
+    def test_parsing_a_key_builds_no_key_table(self, monkeypatch):
+        # at n=12 the table holds 8,192 keys; one key is read label by label
+        cat = TestimonyCatalog(tuple(f"t{i}" for i in range(12)))
+
+        def refuse(catalog):
+            raise AssertionError("a key table was built")
+
+        monkeypatch.setattr(serialize, "_key_table", refuse)
+        for key in ("{t0,t11}|G", "{}|I", "{t11,t0}|G", "{t3,,t3}|I"):
+            assert parse_world_key(cat, key) == oracle_parse_world_key(cat, key)
+        with pytest.raises(ParseError, match="label 'zz' is not in the catalog"):
+            parse_world_key(cat, "{t1,zz}|G")
+
     def test_non_string_keys_rejected(self, cat):
         coarse = atoms_of_generated_algebra(full_world_space(cat), [guilt_event(cat)])
         for bad in (1, None, ["{}|G"], {"{}|G": 1}):
@@ -701,6 +714,42 @@ class TestEventSpecs:
         for bad in ("nonsense", "transcript:zz", "[1, 2]", "[bad json"):
             with pytest.raises(ParseError):
                 event_from_spec(cat, bad)
+
+    def test_a_canonical_json_spec_parses_no_key(self, cat, monkeypatch):
+        keys = written_keys(cat)
+
+        def refuse(catalog, key):
+            raise AssertionError(f"parsed {key!r}")
+
+        monkeypatch.setattr(serialize, "parse_world_key", refuse)
+        assert event_from_spec(cat, json.dumps(keys)) == frozenset(full_world_space(cat))
+        assert event_from_spec(cat, json.dumps(keys[2:4])) == event_from_spec(cat, "transcript:t1")
+        assert event_from_spec(cat, "[]") == frozenset()
+
+    def test_keys_outside_canonical_form_give_the_labelled_events(self):
+        cat = TestimonyCatalog(("t1", "a", "b"))
+        same = [
+            ('["{t1,t1}|G", "{,t1}|I"]', "transcript:t1"),
+            ('["{b,a}|G", "{a,b}|I"]', "transcript:b+a"),
+            ('["{b,a,}|G", "{,a,b,a}|I"]', "transcript:+a++b+"),
+            ('["{,}|G", "{}|I"]', "transcript:"),
+            ('["{a}|G", "{a,a}|I", "{a,t1}|G", "{t1,a}|I", "{b,a}|G", "{a,b}|I",'
+             ' "{a,b,t1}|G", "{b,t1,a}|I"]', "heard:a"),
+            ('["{b,a}|G", "{a,b}|I", "{t1,a,b}|G", "{b,a,t1}|I"]', "heard:b+a+b"),
+        ]
+        for keys, labelled in same:
+            assert event_from_spec(cat, keys) == event_from_spec(cat, labelled), keys
+
+    def test_label_lists_name_their_form_in_errors(self, cat):
+        for spec, message in [
+            ("heard:t1+zz", "event spec 'heard:t1+zz': label 'zz' is not in the catalog"),
+            ("transcript:zz+", "event spec 'transcript:zz+': label 'zz' is not in the catalog"),
+            ('["{t1}|G", "{zz,t1}|I"]', "world key '{zz,t1}|I': label 'zz' is not in the catalog"),
+            ('["{t1}|G", "{t1}I"]', "bad world key '{t1}I'; expected e.g. '{t1,t2}|G'"),
+        ]:
+            with pytest.raises(ParseError) as got:
+                event_from_spec(cat, spec)
+            assert str(got.value) == message
 
     @pytest.mark.parametrize("spec", ["heard:c", '["{c}|G"]', "transcript:\x00"])
     def test_foreign_labels_are_parse_errors(self, cat, spec):

@@ -217,6 +217,13 @@ class TestWorldSpace:
         assert cat.transcript(["ab"]) == Transcript({2})
         assert cat.transcript(("a", "b")) == Transcript({0, 1})
 
+    def test_every_label_must_be_a_string(self):
+        # bytes iterate as ints: b"ab" was the catalog (97, 98)
+        for labels, bad in ((b"ab", 97), ((1, 2), 1), (("a", None), None), (["a", ["b"]], ["b"])):
+            with pytest.raises(TypeError) as got:
+                TestimonyCatalog(labels)
+            assert str(got.value) == f"catalog labels must be strings, got {bad!r}"
+
 
 class TestEvents:
     def test_event_of_empty_transcript(self):
