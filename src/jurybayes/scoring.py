@@ -189,19 +189,10 @@ def optimal_doxastic_state(
     _require_same_ground(pairs, charge)
     attitudes: list[Attitude] = []
     tied: list[str] = []
-    for pair in pairs:
-        p = charge.measure(pair.positive)
-        gains = {
-            Attitude.BELIEVE_POSITIVE: p * (weights.reward + weights.penalty)
-            - weights.penalty,
-            Attitude.BELIEVE_NEGATIVE: (1 - p) * (weights.reward + weights.penalty)
-            - weights.penalty,
-            Attitude.SUSPEND: Fraction(0),
-        }
-        best = max(gains.values())
-        winners = [a for a in ATTITUDE_ORDER if gains[a] == best]
-        attitudes.append(winners[0])
-        if len(winners) > 1:
+    for pair, row in zip(pairs, _valuations(charge, pairs, weights)):
+        best = max(row)
+        attitudes.append(ATTITUDE_ORDER[row.index(best)])
+        if row.count(best) > 1:
             tied.append(pair.name)
     return OptimalStateChoice(DoxasticState(pairs, tuple(attitudes)), tuple(tied))
 
@@ -211,8 +202,8 @@ def brute_force_optimal(
 ) -> tuple[DoxasticState, ...]:
     """All expected-score maximizers, by enumeration of every state.
 
-    Each side of each pair is measured once, and its expected score
-    p*R - (1-p)*W (suspension scores 0) is scaled to an integer over one
+    Each pair's positive side is measured once, and the pair's row of
+    expected scores (see ``_valuations``) is read as integers over one
     common denominator.  All 3^k consistent attitude assignments are then
     enumerated in deterministic order and each is valued by adding its
     pairs' integers.  It never uses the W/(R+W) threshold: it is the
@@ -227,15 +218,7 @@ def brute_force_optimal(
     _require_same_ground(pairs, charge)
     # duplicate names fail here, before any side is measured
     DoxasticState(pairs, ATTITUDE_ORDER[:1] * len(pairs))
-    values = []
-    for pair in pairs:
-        for side in (pair.positive, pair.negative):
-            p = charge.measure(side)
-            values.append(p * weights.reward - (1 - p) * weights.penalty)
-    common = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (common // v.denominator) for v in values]
-    # one row per pair, one column per attitude in ATTITUDE_ORDER
-    table = tuple(zip(scaled[0::2], scaled[1::2], itertools.repeat(0)))
+    table = _valuations(charge, pairs, weights)
     best_value: int | None = None
     best: list[tuple[int, ...]] = []
     for combo in itertools.product(range(len(ATTITUDE_ORDER)), repeat=len(pairs)):
@@ -248,6 +231,31 @@ def brute_force_optimal(
     return tuple(
         DoxasticState(pairs, tuple(ATTITUDE_ORDER[i] for i in combo)) for combo in best
     )
+
+
+def _valuations(
+    charge: Charge, pairs: tuple[PropositionPair, ...], weights: ScoreWeights
+) -> list[tuple[int, int, int]]:
+    """Each pair's expected score under each attitude, in ``ATTITUDE_ORDER``,
+    as integers over one common positive denominator.
+
+    A side of probability p is worth p*R - (1-p)*W, suspension 0.  The
+    positive side is measured once, a/b; the negative side is then exactly
+    (b-a)/b, as the caller has checked that every pair lives on the
+    charge's ground, whose masses sum to 1.  With R = r/rd and W = w/wd,
+    each row holds the exact scores times lcm(b...)*rd*wd, one positive
+    factor for all rows, so every order and every tie is kept.
+    """
+    r, rd = weights.reward.as_integer_ratio()
+    w, wd = weights.penalty.as_integer_ratio()
+    gain, loss = r * wd, w * rd  # R and W over the denominator rd*wd
+    sides = [charge.measure(pair.positive).as_integer_ratio() for pair in pairs]
+    common = math.lcm(*(b for _, b in sides))
+    rows = []
+    for a, b in sides:
+        scale = common // b
+        rows.append(((a * gain - (b - a) * loss) * scale, ((b - a) * gain - a * loss) * scale, 0))
+    return rows
 
 
 def _require_same_ground(pairs: Iterable[PropositionPair], charge: Charge) -> None:

@@ -66,19 +66,19 @@ def _transcript_of_list(catalog: TestimonyCatalog, text: str, sep: str, what: st
         raise ParseError(f"{what}: {exc}") from exc
 
 
-def _worlds_of_keys(catalog: TestimonyCatalog, keys: list) -> frozenset:
+def _worlds_of_keys(table: _KeyTable, keys: list) -> frozenset:
     """The worlds the keys name.  Canonical keys are looked up in the key
     table; when any key is not, every key is read by ``parse_world_key`` in
     order, so the first bad one names the error."""
-    worlds = full_world_space(catalog)
     try:
-        return frozenset(map(worlds.__getitem__, map(_key_table(catalog).index.__getitem__, keys)))
+        return frozenset(map(table.worlds.__getitem__, map(table.index.__getitem__, keys)))
     except (KeyError, TypeError):  # TypeError: an unhashable key
-        return frozenset(parse_world_key(catalog, key) for key in keys)
+        return frozenset(parse_world_key(table.catalog, key) for key in keys)
 
 
 class _KeyTable:
-    """A catalog's canonical label tuples and world keys; each field built on first use."""
+    """A catalog's canonical label tuples, world keys and world tuple; each
+    field built on first use."""
 
     def __init__(self, catalog: TestimonyCatalog) -> None:
         self.catalog = catalog
@@ -101,6 +101,11 @@ class _KeyTable:
     def keys(self) -> tuple[str, ...]:
         """Each world's key, in canonical order."""
         return tuple(f"{{{','.join(row)}}}|{guilt}" for row in self.transcripts for guilt in "GI")
+
+    @cached_property
+    def worlds(self) -> tuple[World, ...]:
+        """The world tuple, which ``index`` positions index."""
+        return full_world_space(self.catalog)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -219,7 +224,7 @@ def charge_from_jsonable(
     """
     _require_keys(obj, {"catalog", "masses"}, {"atoms"}, "charge")
     catalog = catalog_from_jsonable(obj["catalog"], world_cap=world_cap)
-    worlds = full_world_space(catalog)
+    table = _key_table(catalog)
 
     if "atoms" in obj:
         raw_atoms = obj["atoms"]
@@ -227,18 +232,18 @@ def charge_from_jsonable(
             isinstance(a, list) for a in raw_atoms
         ):
             raise ParseError('"atoms" must be a list of world-key lists')
-        atoms = [_worlds_of_keys(catalog, raw) for raw in raw_atoms]
+        atoms = [_worlds_of_keys(table, raw) for raw in raw_atoms]
         # an empty atom has no first world; the partition check rejects it
         ordered = tuple(sorted(atoms, key=lambda atom: min(atom, default=-1)))
         try:
-            algebra = BooleanSubalgebra(worlds, ordered)
+            algebra = BooleanSubalgebra(table.worlds, ordered)
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
-        names = atom_names(algebra, _key_table(catalog).keys)[0]
+        names = atom_names(algebra, table.keys)[0]
         key_to_index = {name: i for i, name in enumerate(names)}
     else:
         algebra = world_algebra(catalog)
-        key_to_index = _key_table(catalog).index
+        key_to_index = table.index
 
     raw_masses = obj["masses"]
     if not isinstance(raw_masses, Mapping):
@@ -328,7 +333,7 @@ def event_from_spec(catalog: TestimonyCatalog, spec: str) -> frozenset:
             raise ParseError(f"event spec is not valid JSON: {exc}") from exc
         if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
             raise ParseError("a JSON event spec must be an array of world keys")
-        return _worlds_of_keys(catalog, keys)
+        return _worlds_of_keys(_key_table(catalog), keys)
     raise ParseError(
         f"unrecognized event spec {spec!r}; use 'guilt', 'transcript:...', "
         "'heard:...', or a JSON array of world keys"

@@ -63,7 +63,7 @@ class Guilt(enum.Enum):
 # world_algebra's atoms, and serialize's key table lists the world keys in
 # world-code order, by which charge_from_jsonable's masses index
 # world_algebra's atoms and serialize's one world-key reader,
-# _worlds_of_keys, indexes the world tuple.
+# _worlds_of_keys, indexes the world tuple that the key table holds.
 #
 # Four builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton

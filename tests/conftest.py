@@ -40,7 +40,9 @@ from jurybayes.rationals import RationalLike, as_rational, format_rational
 from jurybayes.scoring import (
     ATTITUDE_ORDER,
     BRUTE_FORCE_PAIR_CAP,
+    Attitude,
     DoxasticState,
+    OptimalStateChoice,
     PropositionPair,
     ScoreWeights,
     _require_same_ground,
@@ -517,6 +519,33 @@ def oracle_brute_force_optimal(
         elif value == best_value:
             best_states.append(state)
     return tuple(best_states)
+
+
+def oracle_optimal_doxastic_state(
+    charge: Charge, pairs: Sequence[PropositionPair], weights: ScoreWeights
+) -> OptimalStateChoice:
+    """The closed form on Fractions: per pair, each side's p*(R+W) - W
+    against 0 for suspension, the first best in ``ATTITUDE_ORDER`` chosen
+    and a pair with several best attitudes flagged."""
+    pairs = tuple(pairs)
+    _require_same_ground(pairs, charge)
+    attitudes: list[Attitude] = []
+    tied: list[str] = []
+    for pair in pairs:
+        p = charge.measure(pair.positive)
+        gains = {
+            Attitude.BELIEVE_POSITIVE: p * (weights.reward + weights.penalty)
+            - weights.penalty,
+            Attitude.BELIEVE_NEGATIVE: (1 - p) * (weights.reward + weights.penalty)
+            - weights.penalty,
+            Attitude.SUSPEND: Fraction(0),
+        }
+        best = max(gains.values())
+        winners = [a for a in ATTITUDE_ORDER if gains[a] == best]
+        attitudes.append(winners[0])
+        if len(winners) > 1:
+            tied.append(pair.name)
+    return OptimalStateChoice(DoxasticState(pairs, tuple(attitudes)), tuple(tied))
 
 
 def oracle_mass_check(masses) -> tuple[type, str] | None:

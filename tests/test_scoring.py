@@ -9,11 +9,13 @@ import pytest
 from jurybayes.charges import Charge
 from jurybayes.errors import CapExceeded, DegenerateUtilities, NotExpressible, OutOfRange
 from jurybayes.scoring import (
+    ATTITUDE_ORDER,
     Attitude,
     DoxasticState,
     PropositionPair,
     ScoreWeights,
     UtilityQuadruple,
+    _valuations,
     brute_force_optimal,
     expected_score,
     expected_verdict_utilities,
@@ -34,6 +36,7 @@ from jurybayes.worlds import (
 from conftest import (
     charge_by_atom,
     oracle_brute_force_optimal,
+    oracle_optimal_doxastic_state,
     random_masses,
     random_rational,
 )
@@ -285,17 +288,38 @@ class TestBruteForceAgainstOracle:
         cut = PropositionPair("cut", {min(algebra.atoms[1])}, ground)
         elsewhere = PropositionPair("elsewhere", {0}, (0, 1))
         weights = ScoreWeights(2, 3)
-        for pairs, error in (
-            ((fine, cut), NotExpressible),
-            ((fine, cut, fine), ValueError),  # duplicate names win over the cut
-            ((fine, elsewhere), ValueError),
-            ((fine,) * 17, CapExceeded),
+        # brute force checks the cap and then the names before it measures;
+        # the closed form measures first and checks the names last
+        for pairs, error, closed_form_error in (
+            ((fine, cut), NotExpressible, NotExpressible),
+            ((fine, cut, fine), ValueError, NotExpressible),
+            ((fine, elsewhere), ValueError, ValueError),
+            ((fine,) * 17, CapExceeded, ValueError),
         ):
             got = outcome(brute_force_optimal, charge, pairs, weights)
             assert got == outcome(oracle_brute_force_optimal, charge, pairs, weights)
             assert got[0] is error
+            got = outcome(optimal_doxastic_state, charge, pairs, weights)
+            assert got == outcome(oracle_optimal_doxastic_state, charge, pairs, weights)
+            assert got[0] is closed_form_error
 
-    def test_each_side_is_measured_once(self, monkeypatch):
+    def test_rows_are_the_exact_scores_times_one_positive_factor(self):
+        rng = random.Random(14)
+        denominators = set()
+        for make_algebra in [coarse_algebra] * 60 + [powerset_case_algebra] * 30:
+            charge, pairs, weights = scoring_case(rng, make_algebra(rng))
+            factors = set()
+            for pair, row in zip(pairs, _valuations(charge, pairs, weights)):
+                for attitude, value in zip(ATTITUDE_ORDER, row):
+                    exact = expected_score(DoxasticState((pair,), (attitude,)), charge, weights)
+                    assert (value == 0) == (exact == 0)
+                    if exact:
+                        factors.add(value / exact)
+            assert len(factors) <= 1 and all(f > 0 for f in factors)
+            denominators.add(len({charge.measure(p.positive).denominator for p in pairs}))
+        assert max(denominators) > 1  # rows over different denominators were scaled
+
+    def test_each_pair_is_measured_once(self, monkeypatch):
         rng = random.Random(11)
         algebra = coarse_algebra(rng)
         while len(algebra.atoms) < 4:
@@ -310,11 +334,70 @@ class TestBruteForceAgainstOracle:
         monkeypatch.setattr(
             Charge, "measure", lambda self, event: calls.append(event) or measure(self, event)
         )
-        brute_force_optimal(charge, pairs, ScoreWeights(1, 3))
-        assert len(calls) == 2 * 5
-        calls.clear()
+        for fn in (brute_force_optimal, optimal_doxastic_state):
+            fn(charge, pairs, ScoreWeights(1, 3))
+            assert calls == [pair.positive for pair in pairs]
+            calls.clear()
         oracle_brute_force_optimal(charge, pairs, ScoreWeights(1, 3))
         assert len(calls) == 2 * 5 * 3**4  # each believed side of each state
+
+
+class TestClosedFormAgainstOracle:
+    """The closed form on integer rows against its Fraction body kept in conftest."""
+
+    def test_same_choice_and_ties(self):
+        rng = random.Random(12)
+        cases = [coarse_algebra] * 240 + [powerset_case_algebra] * 120
+        ties = 0
+        for make_algebra in cases:
+            charge, pairs, weights = scoring_case(rng, make_algebra(rng))
+            choice = optimal_doxastic_state(charge, pairs, weights)
+            assert choice == oracle_optimal_doxastic_state(charge, pairs, weights)
+            ties += bool(choice.tied_pairs)
+        assert ties >= 60
+
+    def test_coprime_weights_wide_masses_trivial_pairs_and_no_pairs(self):
+        rng = random.Random(13)
+        algebra = powerset_algebra(tuple(range(4)))
+        ground = algebra.ground_set
+        pairs = (
+            PropositionPair("a", {0, 1}, ground),
+            PropositionPair("b", {0, 2}, ground),
+            PropositionPair("ground", ground, ground, allow_trivial=True),
+            PropositionPair("empty", (), ground, allow_trivial=True),
+        )
+        weights = (
+            ScoreWeights(F(7, 9), F(5, 8)),  # threshold 45/101
+            ScoreWeights(F(5, 8), F(7, 9)),  # threshold 56/101
+            ScoreWeights(F(2**61 - 1, 3**37), F(5**25, 2**59 + 1)),
+        )
+        ties = 0
+        for i in range(120):
+            weight = weights[i % 3]
+            den = rng.getrandbits(60) | 1 << 59  # masses over ~60-bit denominators
+            if i % 2:
+                # the first pair's positive side {0, 1} where it ties: at the
+                # threshold, or at 1/2 when the threshold is below 1/2
+                t = max(weight.belief_threshold, F(1, 2))
+                u, v = F(rng.randrange(den + 1), den), F(rng.randrange(den + 1), den)
+                masses = [t * u, t * (1 - u), (1 - t) * v, (1 - t) * (1 - v)]
+            else:
+                cuts = sorted(rng.randrange(den + 1) for _ in range(3))
+                masses = [F(hi - lo, den) for lo, hi in zip([0] + cuts, cuts + [den])]
+            charge = Charge(algebra, tuple(masses))
+            chosen = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+            choice = optimal_doxastic_state(charge, chosen, weight)
+            assert choice == oracle_optimal_doxastic_state(charge, chosen, weight)
+            assert choice.state in brute_force_optimal(charge, chosen, weight)
+            assert brute_force_optimal(charge, chosen, weight) == oracle_brute_force_optimal(
+                charge, chosen, weight
+            )
+            ties += bool(choice.tied_pairs)
+        assert ties >= 20
+        empty = optimal_doxastic_state(charge, (), weights[0])
+        assert empty == oracle_optimal_doxastic_state(charge, (), weights[0])
+        assert empty.state.attitudes == () and empty.tied_pairs == ()
+        assert brute_force_optimal(charge, (), weights[0]) == (empty.state,)
 
 
 def test_a_state_built_from_lists_keeps_its_own_tuples():

@@ -40,6 +40,7 @@ from jurybayes.worlds import (
     atoms_of_generated_algebra,
     full_world_space,
     guilt_event,
+    heard_event,
     powerset_algebra,
     world_algebra,
     world_set,
@@ -372,6 +373,26 @@ class TestChargeFormat:
         assert len(doc["atoms"]) == 2
         restored_cat, restored = charge_from_jsonable(doc)
         assert restored == charge
+
+    def test_a_coarse_read_looks_up_the_world_tables_once(self, monkeypatch):
+        # the key table and the world tuple are looked up once per document,
+        # not once per atom
+        cat = TestimonyCatalog(("t1", "t2", "t3", "t4"))
+        worlds = full_world_space(cat)
+        calls = []
+        key_table, world_space = serialize._key_table, serialize.full_world_space
+        monkeypatch.setattr(serialize, "_key_table", lambda c: calls.append("table") or key_table(c))
+        monkeypatch.setattr(
+            serialize, "full_world_space", lambda c: calls.append("worlds") or world_space(c)
+        )
+        for steps in range(5):
+            generators = [heard_event(cat, Transcript({i})) for i in range(steps)]
+            charge = uniform_charge(atoms_of_generated_algebra(worlds, generators))
+            doc = charge_to_jsonable(cat, charge)
+            calls.clear()
+            assert charge_from_jsonable(doc)[1] == charge
+            assert len(doc["atoms"]) == 2**steps
+            assert calls.count("table") == 1 and calls.count("worlds") <= 1
 
     def test_every_atom_appears_in_masses(self, cat):
         # zero masses serialize explicitly so output is byte-stable
