@@ -20,7 +20,6 @@ from .charges import Charge
 from .errors import AxiomViolation, ZeroTranscriptMass
 from .rationals import HALF, Frozen, RationalLike, _theta_in
 from .worlds import (
-    EMPTY_TRANSCRIPT,
     TestimonyCatalog,
     Transcript,
     _not_one_string,
@@ -40,6 +39,9 @@ class Disposition(Frozen):
     """A total map from transcripts to verdicts, stored sparsely.
 
     Only the convicting transcripts are listed; everything else acquits.
+    ``flags`` is the same map read by transcript mask: a ``bytes`` of
+    2^n entries, 1 where the transcript convicts and 0 where it acquits.
+    It is not a field, so equality, hash and repr read ``convicting``.
     """
 
     catalog: TestimonyCatalog
@@ -49,12 +51,12 @@ class Disposition(Frozen):
         self, catalog: TestimonyCatalog, convicting: Iterable[Transcript]
     ) -> None:
         members = frozenset(convicting)
-        vars(self).update(catalog=catalog, convicting=members)
-        # one type pass and one range check in C; only when either fails are
-        # the members walked, so the first bad one names the error as before
-        if not all(map(isinstance, members, repeat(Transcript))) or (
-            members and (min(members) < 0 or max(members) >> len(catalog))
-        ):
+        flags = bytes(map(members.__contains__, range(1 << len(catalog))))
+        vars(self).update(catalog=catalog, convicting=members, flags=flags)
+        # one type pass and one range check in C (the flags count every
+        # member only when each is an int below 2^n); only when either fails
+        # are the members walked, so the first bad one names the error
+        if not all(map(isinstance, members, repeat(Transcript))) or flags.count(1) != len(members):
             for transcript in members:
                 catalog._check_transcript(transcript)
 
@@ -66,17 +68,17 @@ class Disposition(Frozen):
 
     def verdict(self, transcript: Transcript) -> Verdict:
         self.catalog._check_transcript(transcript)
-        return Verdict.CONVICT if transcript in self.convicting else Verdict.ACQUIT
+        return Verdict.CONVICT if self.flags[transcript] else Verdict.ACQUIT
 
 
 def check_poi(disposition: Disposition) -> bool:
     """Presumption of innocence: no conviction on the empty transcript."""
-    return EMPTY_TRANSCRIPT not in disposition.convicting
+    return not disposition.flags[0]
 
 
 def check_wtc(disposition: Disposition) -> bool:
     """Willingness to convict: some transcript convicts."""
-    return bool(disposition.convicting)
+    return 1 in disposition.flags
 
 
 def always_convict_nonempty(catalog: TestimonyCatalog) -> Disposition:
@@ -154,10 +156,9 @@ def rationalize(
     if not check_wtc(disposition):
         raise AxiomViolation("willingness to convict fails: no transcript convicts")
 
-    catalog = disposition.catalog
-    convicting = disposition.convicting
-    n_convict = len(convicting)
-    n_acquit = (1 << len(catalog)) - n_convict
+    flags = disposition.flags
+    n_convict = flags.count(1)
+    n_acquit = len(flags) - n_convict
     acquit_theta = 1 - theta
     # (guilty, innocent) world masses of a convicting, then of an acquitting, transcript
     values = (theta / (2 * n_convict), acquit_theta / (2 * n_convict))
@@ -165,11 +166,10 @@ def rationalize(
     # world_algebra's atoms come in canonical order: transcripts by mask,
     # each guilty world before its innocent one.  A transcript's flag is 1
     # if it convicts, and its two worlds' codes are (0, 1) then, else (2, 3).
-    flags = bytes(map(convicting.__contains__, range(1 << len(catalog))))
     codes = bytearray(2 * len(flags))
     codes[0::2] = flags.translate(bytes.maketrans(b"\0\1", b"\2\0"))
     codes[1::2] = flags.translate(bytes.maketrans(b"\0\1", b"\3\1"))
-    prior = Charge._from_codes(world_algebra(catalog), values, bytes(codes))
+    prior = Charge._from_codes(world_algebra(disposition.catalog), values, bytes(codes))
     return RationalizationCertificate(
         disposition=disposition,
         theta=theta,
@@ -198,7 +198,7 @@ def verify_rationalization(
     """
     theta = verification_theta(theta)
     catalog = disposition.catalog
-    convicting = disposition.convicting
+    flags = disposition.flags
     theta_num, theta_den = theta.numerator, theta.denominator
     # (posterior, convicts) per distinct (guilty, innocent) pair, keyed on
     # their integers: P(G | T) = gn*id / (gn*id + in*gd) = a/s, and with
@@ -224,7 +224,7 @@ def verify_rationalization(
             known = decided[key] = (Fraction(a, s), a * theta_den >= theta_num * s)
         posterior, convicts = known
         posteriors[transcript] = posterior
-        if witness is None and convicts != (transcript in convicting):
+        if witness is None and convicts != flags[transcript]:
             witness = transcript
     return VerificationResult(witness is None, witness, MappingProxyType(posteriors))
 

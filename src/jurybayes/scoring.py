@@ -28,6 +28,9 @@ if TYPE_CHECKING:
 
 #: Enumeration ceiling for the brute-force oracle (3^k states).
 BRUTE_FORCE_PAIR_CAP = 16
+#: Most maximizers the brute-force oracle holds and returns: all 3^10
+#: states of 10 tied pairs took 0.26 s and 45 MB on a 2-vCPU VM.
+BRUTE_FORCE_MAXIMIZER_CAP = 3**10
 
 
 class Attitude(enum.Enum):
@@ -207,7 +210,9 @@ def brute_force_optimal(
     common denominator.  All 3^k consistent attitude assignments are then
     enumerated in deterministic order and each is valued by adding its
     pairs' integers.  It never uses the W/(R+W) threshold: it is the
-    oracle against which the closed form is checked.
+    oracle against which the closed form is checked.  At most
+    BRUTE_FORCE_MAXIMIZER_CAP + 1 tied states are held, and CapExceeded
+    is raised when the final maximizers pass the cap.
     """
     pairs = tuple(pairs)
     if len(pairs) > BRUTE_FORCE_PAIR_CAP:
@@ -226,8 +231,14 @@ def brute_force_optimal(
         if best_value is None or value > best_value:
             best_value = value
             best = [combo]
-        elif value == best_value:
+        elif value == best_value and len(best) <= BRUTE_FORCE_MAXIMIZER_CAP:
             best.append(combo)
+    # checked after the loop: a value tied early may be beaten later
+    if len(best) > BRUTE_FORCE_MAXIMIZER_CAP:
+        raise CapExceeded(
+            f"brute force over {len(pairs)} pairs has more than "
+            f"{BRUTE_FORCE_MAXIMIZER_CAP} maximizers, the cap on what it returns"
+        )
     return tuple(
         DoxasticState(pairs, tuple(ATTITUDE_ORDER[i] for i in combo)) for combo in best
     )

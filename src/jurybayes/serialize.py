@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Any, Iterable, Mapping
 
 from .charges import Charge
@@ -162,7 +162,7 @@ def disposition_to_jsonable(disposition: Disposition) -> dict[str, Any]:
     labels = _key_table(catalog).transcripts  # indexed by transcript; checks the labels
     return {
         "catalog": list(catalog.labels),
-        "convicting": [list(labels[t]) for t in sorted(disposition.convicting)],
+        "convicting": list(map(list, compress(labels, disposition.flags))),
         "default": "acquit",
     }
 
@@ -286,15 +286,14 @@ def charge_document_from_jsonable(
 
 def certificate_to_jsonable(certificate: RationalizationCertificate) -> dict[str, Any]:
     catalog = certificate.disposition.catalog
-    convicting = certificate.disposition.convicting
     transcripts = _key_table(catalog).transcripts  # indexed by transcript; checks the labels
     # the certificate's posterior: theta where it convicts, 1-theta where it acquits
     theta = format_rational(certificate.theta)
     convict = (Verdict.CONVICT.value, theta)
     acquit = (Verdict.ACQUIT.value, format_rational(1 - certificate.theta))
     rows = []
-    for transcript, labels in enumerate(transcripts):
-        verdict, posterior = convict if transcript in convicting else acquit
+    for flag, labels in zip(certificate.disposition.flags, transcripts):
+        verdict, posterior = convict if flag else acquit
         rows.append({"transcript": list(labels), "verdict": verdict, "posterior": posterior})
     return {
         "catalog": list(catalog.labels),

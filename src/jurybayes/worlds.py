@@ -58,11 +58,11 @@ class Guilt(enum.Enum):
 # flag: require_world_ground and three readers answer a world powerset from
 # the world codes, its atom i being the world with code i
 # (BooleanSubalgebra.cover, transcript_masses and atom_names).  Two other
-# modules rely on the layout itself: dispositions.rationalize writes each
-# transcript's guilty and innocent codes at codes[0::2] and codes[1::2] of
-# world_algebra's atoms, and serialize's key table lists the world keys in
-# world-code order, by which charge_from_jsonable's masses index
-# world_algebra's atoms and serialize's one world-key reader,
+# modules rely on the layout itself: dispositions.rationalize translates
+# Disposition.flags, one byte per transcript mask, into the guilty and
+# innocent codes of world_algebra's atoms, and serialize's key table lists
+# the world keys in world-code order, by which charge_from_jsonable's
+# masses index world_algebra's atoms and serialize's one world-key reader,
 # _worlds_of_keys, indexes the world tuple that the key table holds.
 #
 # Four builders skip the partition check, all through the one unchecked
@@ -122,9 +122,6 @@ class Transcript(int):
     def __repr__(self) -> str:
         inner = ",".join(str(i) for i in sorted(self.members))
         return f"Transcript({{{inner}}})"
-
-
-EMPTY_TRANSCRIPT = Transcript()
 
 
 class World(int):

@@ -120,6 +120,24 @@ except Exception as exc:
 """
 
 
+# Members the flag count passes, each an int below 2^n whose mask no other
+# member has, so only the type pass catches them
+COUNTED_MEMBERS = [
+    ("[True]", "expected a Transcript, got bool"),
+    ("[Transcript({0}), 2]", "expected a Transcript, got int"),
+]
+
+_COUNTED_CHECK = """
+import json, sys
+from jurybayes.worlds import TestimonyCatalog, Transcript
+from jurybayes.dispositions import Disposition
+try:
+    Disposition(TestimonyCatalog(("t0", "t1")), eval(sys.argv[1]))
+except Exception as exc:
+    print(json.dumps([type(exc).__name__, str(exc), sys.flags.optimize]))
+"""
+
+
 class TestMemberChecks:
     @pytest.mark.parametrize("bad,error,message", BAD_MEMBERS)
     def test_one_bad_member_among_many(self, bad, error, message):
@@ -135,6 +153,18 @@ class TestMemberChecks:
             [sys.executable, "-O", "-c", _MEMBER_CHECK, bad], capture_output=True, text=True
         )
         assert json.loads(result.stdout) == [error.__name__, message, 1], result.stderr
+
+    @pytest.mark.parametrize("members,message", COUNTED_MEMBERS)
+    def test_a_member_the_flag_count_passes_is_refused_by_type(self, members, message):
+        counted = frozenset(eval(members))
+        assert bytes(map(counted.__contains__, range(4))).count(1) == len(counted)
+        with pytest.raises(TypeError) as got:
+            Disposition(catalog(2), counted)
+        assert str(got.value) == message
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", _COUNTED_CHECK, members], capture_output=True, text=True
+        )
+        assert json.loads(result.stdout) == ["TypeError", message, 1], result.stderr
 
     def test_of_several_bad_members_the_first_in_set_order_names_the_error(self):
         cat = catalog(8)
@@ -977,3 +1007,24 @@ def test_round_trip_property(data):
     assert is_open_door(certificate.prior)
     for t, posterior in result.posteriors.items():
         assert posterior == (theta if t in convicting else 1 - theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flags_read_the_convicting_set(data):
+    n = data.draw(st.integers(0, 8))
+    cat = catalog(n)
+    transcripts = list(cat.all_transcripts())
+    convicting = data.draw(
+        st.one_of(
+            st.just(frozenset()),
+            st.just(frozenset(transcripts)),
+            st.sets(st.sampled_from(transcripts)).map(frozenset),
+        )
+    )
+    disposition = Disposition(cat, convicting)
+    flags = disposition.flags
+    assert type(flags) is bytes and len(flags) == 2**n
+    assert [flags[t] for t in transcripts] == [int(t in convicting) for t in transcripts]
+    assert check_poi(disposition) == (Transcript() not in convicting)
+    assert check_wtc(disposition) == bool(convicting)

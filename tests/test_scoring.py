@@ -1,11 +1,13 @@
 """Belief scoring, the threshold optimizer and its oracle, verdict utilities."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from jurybayes import scoring
 from jurybayes.charges import Charge
 from jurybayes.errors import CapExceeded, DegenerateUtilities, NotExpressible, OutOfRange
 from jurybayes.scoring import (
@@ -203,6 +205,34 @@ class TestOptimalState:
         ]
         with pytest.raises(CapExceeded):
             brute_force_optimal(charge, pairs, ScoreWeights(1, 1))
+
+    def test_maximizer_cap_counts_the_final_ties(self, monkeypatch):
+        # the first pair strictly prefers suspension (p=1/2); each of three
+        # more ties believing its positive side with suspending (p=3/4,
+        # R=1, W=3).  The answer has 2^3 = 8 maximizers, but while the first
+        # pair is believed either way, the running list reaches 16
+        ground = tuple(itertools.product((0, 1), repeat=4))
+        chances = (F(1, 2), F(3, 4), F(3, 4), F(3, 4))
+        masses = {
+            frozenset({w}): math.prod(p if bit == 0 else 1 - p for p, bit in zip(chances, w))
+            for w in ground
+        }
+        charge = charge_by_atom(powerset_algebra(ground), masses)
+        pairs = [
+            PropositionPair(f"p{i}", {w for w in ground if w[i] == 0}, ground) for i in range(4)
+        ]
+        weights = ScoreWeights(1, 3)
+        monkeypatch.setattr(scoring, "BRUTE_FORCE_MAXIMIZER_CAP", 8)
+        maximizers = brute_force_optimal(charge, pairs, weights)
+        assert len(maximizers) == 8
+        assert all(s.attitudes[0] is Attitude.SUSPEND for s in maximizers)
+        assert maximizers == oracle_brute_force_optimal(charge, pairs, weights)
+        monkeypatch.setattr(scoring, "BRUTE_FORCE_MAXIMIZER_CAP", 7)
+        with pytest.raises(CapExceeded) as got:
+            brute_force_optimal(charge, pairs, weights)
+        assert str(got.value) == (
+            "brute force over 4 pairs has more than 7 maximizers, the cap on what it returns"
+        )
 
 
 def outcome(fn, *args):
