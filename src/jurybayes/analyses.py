@@ -24,8 +24,8 @@ from .errors import (
     UndefinedRatio,
 )
 from .rationals import (
-    HALF, Frozen, RationalLike, _theta_in, as_rational, as_rational_fields, exact_decimal,
-    format_rational,
+    HALF, Frozen, RationalLike, _require_int, _theta_in, as_rational, as_rational_fields,
+    exact_decimal, format_rational,
 )
 
 # The odds and rate-bound analyses need no world machinery, so the two
@@ -102,6 +102,8 @@ class SuspectPool(Frozen):
         vars(self).update(
             size=size, matching_count=matching_count, defendant_matches=defendant_matches
         )
+        _require_int(size, "size")
+        _require_int(matching_count, "matching_count")
         if self.size < 1:
             raise ValueError("pool must have at least one member")
         if not 0 <= self.matching_count <= self.size:

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from math import gcd
-from operator import attrgetter
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -52,17 +50,18 @@ class Charge(Frozen):
     ``masses`` is aligned with ``algebra.atoms`` and kept as a tuple.
     Atom masses may be zero; they must be Fractions, nonnegative, and sum
     to exactly one.  Both builders, the constructor and ``_from_codes``,
-    run the one check ``_check_masses``: first in C (one type pass), then
-    on integers (one pass that checks signs and tallies numerators per
-    denominator).  Only when one fails are the masses walked in order, so
-    the first bad mass names the error.
+    run the one check ``_check_masses``: in C, one type pass and one sign
+    test over the masses' integer pairs, and then the one integer sum that
+    ``fraction_sum`` also runs.  Only when the type or sign test fails are
+    the masses walked in order, so the first bad mass names the error.
 
     ``values`` and ``codes`` view the same masses coded, so that
-    ``masses[i] is values[codes[i]]``.  A charge built from a tuple is its
-    own view, at no cost: ``values`` is ``masses`` and atom i has code i.
-    ``_from_codes`` keeps a builder's few values and their codes, and
-    checks each value the codes name once, weighted by its count; readers
-    of the view then decide each of those values once.
+    ``masses[i] is values[codes[i]]``, and both builders write them with
+    the masses.  The constructor writes a charge's own masses as its
+    values and ``range(len(masses))`` as its codes.  ``_from_codes``
+    keeps a builder's few values and their codes, and checks each value
+    the codes name once, weighted by its count; readers of the view then
+    decide each of those values once.
     """
 
     algebra: BooleanSubalgebra
@@ -71,13 +70,8 @@ class Charge(Frozen):
     def __init__(self, algebra: BooleanSubalgebra, masses: tuple[Fraction, ...]) -> None:
         # the very tuple, when given one; a list would stay the caller's to change
         masses = tuple(masses)
-        vars(self).update(algebra=algebra, masses=masses)
+        vars(self).update(algebra=algebra, masses=masses, values=masses, codes=range(len(masses)))
         _check_masses(algebra, masses, masses)
-
-    # the masses the codes index, and each atom's code: for a tuple-built
-    # charge its own masses and indices; ``_from_codes`` stores the builder's
-    values = cached_property(attrgetter("masses"))
-    codes = cached_property(lambda self: range(len(self.masses)))
 
     # -- constructors -------------------------------------------------
 
@@ -299,26 +293,23 @@ class Charge(Frozen):
         return Charge(algebra, tuple(mass[id(atom)] for atom in algebra.atoms))
 
 
-def _check_masses(algebra, masses: tuple, named: Sequence, counts: Iterable[int] = ()) -> None:
+def _check_masses(algebra, masses: tuple, named: Sequence, counts: Iterable[int] | None = None) -> None:
     """TypeError or ValueError unless ``masses`` are a probability on the algebra's atoms.
 
     ``named`` holds the masses to check: all of ``masses``, or with
     ``counts`` each distinct value once and how many atoms it weighs.
-    Only a type or sign failure walks ``masses``, for the first bad one.
+    Each named value's integer pair is read once: one ``min`` over the
+    pairs tests the signs, and ``_ratio_sum`` totals them.  Only a type
+    or sign failure walks ``masses``, for the first bad one.
     """
     if len(masses) != algebra.atom_count:
         raise ValueError(f"{len(masses)} masses for {algebra.atom_count} atoms")
     if not all(map(isinstance, named, repeat(Fraction))):
         _reject_first_bad_mass(masses)
-    ratios = map(Fraction.as_integer_ratio, named)
-    if counts:
-        ratios = [(n * count, d) for (n, d), count in zip(ratios, counts)]
-    numerators: dict[int, int] = {}
-    for n, d in ratios:
-        if n < 0:
-            _reject_first_bad_mass(masses)
-        numerators[d] = numerators.get(d, 0) + n
-    total = _merge_numerators(numerators)
+    ratios = list(map(Fraction.as_integer_ratio, named))
+    if min(ratios, default=(0,))[0] < 0:  # the least numerator leads the least pair
+        _reject_first_bad_mass(masses)
+    total = _ratio_sum(ratios, counts)
     if total != 1:
         raise ValueError(f"atom masses must sum to 1, got {format_rational(total)}")
 
@@ -333,23 +324,22 @@ def _reject_first_bad_mass(masses: Iterable[object]) -> None:
 
 
 def fraction_sum(values: Iterable[Fraction], counts: Iterable[int] | None = None) -> Fraction:
-    """Exact sum of Fractions, each times its count if ``counts`` is given.
+    """Exact sum of Fractions, each times its count if ``counts`` is given."""
+    return _ratio_sum(map(Fraction.as_integer_ratio, values), counts)
+
+
+def _ratio_sum(ratios: Iterable[tuple[int, int]], counts: Iterable[int] | None = None) -> Fraction:
+    """The exact sum of n/d over the (n, d) pairs, each times its count if ``counts`` is given.
 
     One Fraction is built, at the end: numerators are added per
     denominator as ints, and the distinct denominators are merged on ints
     over their running lcm.
     """
-    ratios = map(Fraction.as_integer_ratio, values)
     if counts is not None:
         ratios = [(n * count, d) for (n, d), count in zip(ratios, counts)]
     numerators: dict[int, int] = {}
     for n, d in ratios:
         numerators[d] = numerators.get(d, 0) + n
-    return _merge_numerators(numerators)
-
-
-def _merge_numerators(numerators: Mapping[int, int]) -> Fraction:
-    """The sum of n/d over the (denominator d, numerator n) tallies, merged over the running lcm."""
     num, den = 0, 1
     for d, n in numerators.items():
         g = gcd(den, d)

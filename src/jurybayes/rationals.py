@@ -4,10 +4,11 @@ All probabilities, thresholds, weights and utilities in this package are
 `fractions.Fraction` values.  Floats are rejected at every entry point:
 the quantities the package certifies (posteriors, conditional targets,
 thresholds) are exact equalities that float arithmetic cannot witness.
-The open threshold interval is checked here too, by ``_theta_in``, and
-the closed unit interval by ``_unit_in``, so that the value objects,
-charges, scoring and dispositions share one check each without loading
-any world machinery.  ``Frozen``, the base of every value object, lives
+The open threshold interval is checked here too, by ``_theta_in``, the
+closed unit interval by ``_unit_in``, and an int argument by
+``_require_int``, so that the value objects, charges, scoring, analyses
+and dispositions share one check each without loading any world
+machinery.  ``Frozen``, the base of every value object, lives
 here for the same reason.
 """
 
@@ -104,6 +105,12 @@ def as_rational_fields(value: Frozen, *args: RationalLike) -> None:
     names it.
     """
     vars(value).update((name, as_rational(arg, name=name)) for name, arg in zip(value._fields, args))
+
+
+def _require_int(value: object, name: str) -> None:
+    """TypeError naming the value unless it is an int; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _theta_in(theta: RationalLike, rule: str, low: Fraction | int) -> Fraction:

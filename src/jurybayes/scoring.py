@@ -117,6 +117,10 @@ class DoxasticState(Frozen):
         vars(self).update(pairs=tuple(pairs), attitudes=tuple(attitudes))
         if len(self.pairs) != len(self.attitudes):
             raise ValueError("one attitude per pair required")
+        # one pass in C, so that the oracle's many states cost little; a walk only on failure
+        if not all(map(isinstance, self.attitudes, itertools.repeat(Attitude))):
+            bad = next(a for a in self.attitudes if not isinstance(a, Attitude))
+            raise TypeError(f"an attitude must be an Attitude, got {bad!r}")
         names = [p.name for p in self.pairs]
         if len(set(names)) != len(names):
             raise ValueError("pair names must be distinct")

@@ -71,14 +71,14 @@ def _worlds_of_keys(table: _KeyTable, keys: list) -> frozenset:
     table; when any key is not, every key is read by ``parse_world_key`` in
     order, so the first bad one names the error."""
     try:
-        return frozenset(map(table.worlds.__getitem__, map(table.index.__getitem__, keys)))
+        return frozenset(map(table.index.__getitem__, keys))
     except (KeyError, TypeError):  # TypeError: an unhashable key
         return frozenset(parse_world_key(table.catalog, key) for key in keys)
 
 
 class _KeyTable:
-    """A catalog's canonical label tuples, world keys and world tuple; each
-    field built on first use."""
+    """A catalog's canonical label tuples, world keys and key-to-world map;
+    each field built on first use."""
 
     def __init__(self, catalog: TestimonyCatalog) -> None:
         self.catalog = catalog
@@ -103,14 +103,10 @@ class _KeyTable:
         return tuple(f"{{{','.join(row)}}}|{guilt}" for row in self.transcripts for guilt in "GI")
 
     @cached_property
-    def worlds(self) -> tuple[World, ...]:
-        """The world tuple, which ``index`` positions index."""
-        return full_world_space(self.catalog)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """key -> position in the world order and in world_algebra's atoms."""
-        return {key: i for i, key in enumerate(self.keys)}
+    def index(self) -> dict[str, World]:
+        """key -> its world, whose value is its position in the world order
+        and in world_algebra's atoms."""
+        return dict(zip(self.keys, world_algebra(self.catalog).ground))
 
 
 #: The last-seen catalog's table for each size, like the world caches; never mutated.
@@ -236,7 +232,7 @@ def charge_from_jsonable(
         # an empty atom has no first world; the partition check rejects it
         ordered = tuple(sorted(atoms, key=lambda atom: min(atom, default=-1)))
         try:
-            algebra = BooleanSubalgebra(table.worlds, ordered)
+            algebra = BooleanSubalgebra(full_world_space(catalog), ordered)
         except ValueError as exc:
             raise ParseError(f"bad atom partition: {exc}") from exc
         names = atom_names(algebra, table.keys)[0]

@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, CatalogMismatch, ForeignTestimony, NotExpressible
-from .rationals import ZERO, Frozen
+from .rationals import ZERO, Frozen, _require_int
 
 #: Default ceiling on catalog size.  The world space has 2^(n+1) elements
 #: and every construction in this package is exponential in n.
@@ -60,10 +60,10 @@ class Guilt(enum.Enum):
 # (BooleanSubalgebra.cover, transcript_masses and atom_names).  Two other
 # modules rely on the layout itself: dispositions.rationalize translates
 # Disposition.flags, one byte per transcript mask, into the guilty and
-# innocent codes of world_algebra's atoms, and serialize's key table lists
-# the world keys in world-code order, by which charge_from_jsonable's
-# masses index world_algebra's atoms and serialize's one world-key reader,
-# _worlds_of_keys, indexes the world tuple that the key table holds.
+# innocent codes of world_algebra's atoms, and serialize's key table maps
+# each world key, in world-code order, to its world, whose code is the atom
+# index charge_from_jsonable's masses use; serialize's one world-key
+# reader, _worlds_of_keys, looks every key up in that map.
 #
 # Four builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
@@ -222,12 +222,6 @@ class TestimonyCatalog(Frozen):
     def all_transcripts(self) -> Iterator[Transcript]:
         """All 2^n transcripts in canonical binary-counting order."""
         return iter(_transcript_space(len(self.labels)))
-
-
-def _require_int(value: object, name: str) -> None:
-    """TypeError naming the value unless it is an int; a bool is not one."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _not_one_string(labels: Iterable[str]) -> Iterable[str]:

@@ -125,6 +125,18 @@ class TestSuspectPool:
         with pytest.raises(ValueError):
             SuspectPool(3, 4, False)
 
+    def test_sizes_must_be_ints(self):
+        # a float or bool would otherwise fail later inside Fraction, or count as 1
+        for bad in (10.0, True, 2.5, "10"):
+            with pytest.raises(TypeError, match=rf"^size must be an int, got {bad!r}$"):
+                SuspectPool(bad, 2, True)
+            with pytest.raises(TypeError, match=rf"^matching_count must be an int, got {bad!r}$"):
+                SuspectPool(10, bad, True)
+        with pytest.raises(ValueError, match="^pool must have at least one member$"):
+            SuspectPool(0, 0, False)
+        with pytest.raises(ValueError, match="^matching count must lie between 0 and the pool size$"):
+            SuspectPool(3, 4, False)
+
     def test_fallible_witness_degenerates(self):
         report = fallible_witness_event(SuspectPool(2, 1, True))
         assert report.prior == report.posterior == F(1, 2)

@@ -428,11 +428,21 @@ class TestCodedView:
                 twins = [(F(w, total), F(w, total)) for w in weights]
                 masses = tuple(rng.choice(twins[k]) for k in picks)
                 charge = Charge(algebra, masses)
-                assert "codes" not in vars(charge) and "values" not in vars(charge)
+                assert vars(charge).keys() == {"algebra", "masses", "values", "codes"}
+                assert type(charge.codes) is range
                 assert_coded_view(charge)
                 assert charge.values is masses
                 assert list(charge.codes) == list(range(len(masses)))
-                assert charge.codes is charge.codes  # built once
+                assert charge.codes is charge.codes  # stored with the masses
+
+    def test_both_builders_write_the_same_four_names(self):
+        algebra = powerset_algebra(tuple(range(4)))
+        quarter = F(1, 4)
+        built = Charge(algebra, (quarter,) * 4)
+        coded = Charge._from_codes(algebra, [quarter], bytes(4))
+        for charge in (built, coded):
+            assert vars(charge).keys() == {"algebra", "masses", "values", "codes"}
+        assert built == coded and repr(built) == repr(coded)
 
     def test_coded_charges_equal_their_tuple_twins(self, rng):
         for n in range(0, 7):

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -472,6 +474,32 @@ class TestDoxasticState:
             state([pair, pair], Attitude.SUSPEND, Attitude.SUSPEND)
         with pytest.raises(ValueError, match="share one world set"):
             state([pair, elsewhere], Attitude.SUSPEND, Attitude.SUSPEND)
+
+    def test_attitudes_must_be_attitudes(self):
+        # a string or None would otherwise score as believe-negative
+        _, pair = one_pair_setup(F(1, 2))
+        for bad in ("suspend", None, Attitude.SUSPEND.value):
+            with pytest.raises(TypeError, match=rf"^an attitude must be an Attitude, got {bad!r}$"):
+                DoxasticState((pair,), (bad,))
+        other = PropositionPair("t", {1}, (0, 1))
+        with pytest.raises(TypeError, match="got 'x'$"):  # the first bad one names the error
+            DoxasticState((pair, other), (Attitude.SUSPEND, "x"))
+
+    def test_attitude_check_survives_optimized_mode(self):
+        code = (
+            "from jurybayes.scoring import DoxasticState, PropositionPair\n"
+            "p = PropositionPair('p', {1}, {1, 2})\n"
+            "for bad in ('suspend', None):\n"
+            "    try:\n"
+            "        DoxasticState((p,), (bad,))\n"
+            "    except TypeError as exc:\n"
+            "        print(exc)\n"
+        )
+        result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert result.stdout == (
+            "an attitude must be an Attitude, got 'suspend'\n"
+            "an attitude must be an Attitude, got None\n"
+        ), result.stderr
 
     def test_pairs_must_live_on_the_charges_world_set(self):
         charge, _ = one_pair_setup(F(1, 2))
