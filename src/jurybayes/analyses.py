@@ -405,9 +405,14 @@ class RatioBoundedPrior(Frozen):
     @property
     def chain(self) -> tuple[frozenset, ...]:
         """(H_1, ..., H_m): ``chain[k-1]`` is the k-th cumulative heard-event,
-        the union of the charge's atoms 2k onward."""
-        atoms = self.charge.algebra.atoms
-        return tuple(frozenset().union(*atoms[k:]) for k in range(2, len(atoms), 2))
+        ``heard_event(catalog, Transcript(range(k)))``, for m = len(posteriors) - 1.
+
+        H_k holds the masks whose k low bits are set, i.e. the world codes
+        s - 2 and s - 1 modulo s = 2^(k+1): two stride slices of the
+        catalog's world tuple, so no atom and no union is built."""
+        ws = jb.worlds.full_world_space(self.catalog)
+        strides = (2 << k for k in range(1, len(self.posteriors)))
+        return tuple(frozenset(ws[s - 2 :: s] + ws[s - 1 :: s]) for s in strides)
 
     @property
     def ratios(self) -> tuple[Fraction, ...]:
@@ -474,9 +479,9 @@ def build_ratio_bounded_convicting_prior(
     # i_{k-1} - i_k innocent, which i_k <= i_{k-1} / 2 keeps positive.  The
     # atoms in canonical order are the layers in turn, guilty part first,
     # then the tails of H_m (``heard_prefix_algebra`` reads each as a stride
-    # slice of the world space), so H_k is the union of atoms 2k onward and
-    # ``chain`` is read from the atoms.  Every mass is written on integers
-    # and made a Fraction once; the trail is the targets.
+    # slice of the world space), so H_k is the union of atoms 2k onward;
+    # ``chain`` slices each H_k from the world tuple.  Every mass is written
+    # on integers and made a Fraction once; the trail is the targets.
     masses: list[Fraction] = []
     tail_num, tail_den = 1, 2  # i_0 = 1/2
     for k, (t_num, t_den) in enumerate(targets[1:], 1):

@@ -109,7 +109,7 @@ class _KeyTable:
         return dict(zip(self.keys, world_algebra(self.catalog).ground))
 
 
-#: The last-seen catalog's table for each size, like the world caches; never mutated.
+#: The last-seen catalog's table for each size, like the world algebra's cache; never mutated.
 _key_tables: dict[int, _KeyTable] = {}
 
 
@@ -270,8 +270,13 @@ def charge_from_jsonable(
 def charge_document_from_jsonable(
     obj: Any, *, world_cap: int | None = None
 ) -> tuple[TestimonyCatalog, Charge]:
-    """Accept either a bare charge document or a certificate (its prior)."""
+    """Accept either a bare charge document or a certificate (its prior).
+
+    A certificate must carry exactly the five top-level keys its writer
+    writes (ParseError otherwise); its other fields are not yet checked."""
     if isinstance(obj, Mapping) and "prior" in obj:
+        written = {"catalog", "theta", "guilt_prior", "posteriors", "prior"}
+        _require_keys(obj, written, set(), "certificate")
         return charge_from_jsonable(obj["prior"], world_cap=world_cap)
     return charge_from_jsonable(obj, world_cap=world_cap)
 

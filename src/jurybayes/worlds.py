@@ -67,7 +67,7 @@ class Guilt(enum.Enum):
 #
 # Four builders skip the partition check, all through the one unchecked
 # constructor BooleanSubalgebra._unchecked: world_algebra, whose singleton
-# atoms are the cached world tuple's worlds one by one; heard_prefix_algebra,
+# atoms are the world tuple's worlds one by one; heard_prefix_algebra,
 # whose layers and tail hold every world exactly once (by the lowest clear
 # bit of its mask); atoms_of_generated_algebra's start, whose one atom is
 # the whole ground set; and BooleanSubalgebra.split, the one pass that
@@ -76,12 +76,15 @@ class Guilt(enum.Enum):
 # module builds an algebra unchecked: serialize reads a coarse charge's
 # atoms through it.  The first two store only their atom count and the
 # rule their atoms follow, and build the atom frozensets on the first read
-# of ``atoms``, once per algebra object.  On the cached world tuple every
-# builder shares the cached world set as its ground set (_ground_set_of)
+# of ``atoms``, once per algebra object.  The cached world algebra of each
+# size owns that size's world tuple and world set: it builds both, as its
+# ground and ground set, and full_world_space, world_set, the guilt event
+# and every other world-space event read or slice them.  On the world tuple
+# every builder shares the world algebra's ground set (_ground_set_of)
 # rather than copying it, and an element's position is its world code, so
 # an atom's sort key is its least world.  The world tuple is recognised by
-# its length, 2^(n+1), and then by identity with the cached tuple of that
-# n, so a ground of any other size builds no world space.
+# its length, 2^(n+1), and then by identity with the ground of the world
+# algebra of that n, so a ground of any other size builds no world space.
 
 
 class Transcript(int):
@@ -247,17 +250,14 @@ def check_world_cap(cap: int) -> int:
 
 # The world-space caches below are keyed by the catalog size: the worlds
 # of a catalog depend only on how many testimonies it has, not on their
-# labels, so same-size catalogs share one copy.
+# labels, so same-size catalogs share one copy.  The world algebra's cache
+# holds each size's world tuple and world set (see the note above).
 
 
 def full_world_space(catalog: TestimonyCatalog) -> tuple[World, ...]:
-    """All 2^(n+1) worlds of the catalog in canonical order."""
-    return _world_space(len(catalog))
-
-
-@lru_cache(maxsize=64)
-def _world_space(n: int) -> tuple[World, ...]:
-    return tuple(map(_world_of_code, range(2 << n)))
+    """All 2^(n+1) worlds of the catalog in canonical order: the ground of
+    ``world_algebra``, which builds it and the world set together."""
+    return _world_algebra(len(catalog)).ground
 
 
 @lru_cache(maxsize=64)
@@ -267,23 +267,17 @@ def _transcript_space(n: int) -> tuple[Transcript, ...]:
 
 
 def world_set(catalog: TestimonyCatalog) -> frozenset[World]:
-    """All worlds of the catalog as a set, built once per catalog size."""
-    return _world_set(len(catalog))
-
-
-@lru_cache(maxsize=64)
-def _world_set(n: int) -> frozenset[World]:
-    return frozenset(_world_space(n))
+    """All worlds of the catalog as a set: the ground set of ``world_algebra``."""
+    return _world_algebra(len(catalog)).ground_set
 
 
 def event_of_transcript(
     catalog: TestimonyCatalog, transcript: Transcript
 ) -> frozenset[World]:
-    """The two-world event of perceiving exactly this transcript."""
+    """The two-world event of perceiving exactly this transcript: the world
+    tuple's own worlds with codes 2T and 2T + 1."""
     catalog._check_transcript(transcript)
-    return frozenset(
-        {World(transcript, Guilt.GUILTY), World(transcript, Guilt.INNOCENT)}
-    )
+    return frozenset(full_world_space(catalog)[2 * transcript : 2 * transcript + 2])
 
 
 def guilt_event(catalog: TestimonyCatalog) -> frozenset[World]:
@@ -293,7 +287,7 @@ def guilt_event(catalog: TestimonyCatalog) -> frozenset[World]:
 
 @lru_cache(maxsize=64)
 def _guilt_event(n: int) -> frozenset[World]:
-    return frozenset(_world_space(n)[::2])  # the even codes
+    return frozenset(_world_algebra(n).ground[::2])  # the even codes
 
 
 def heard_event(catalog: TestimonyCatalog, transcript: Transcript) -> frozenset[World]:
@@ -354,8 +348,8 @@ class BooleanSubalgebra(Frozen):
     ``ground`` is an ordered tuple; the order is the canonical element
     order used for deterministic atom ordering and serialization.  Both
     are kept as tuples, the atoms as frozensets, whatever they were built
-    from.  On the cached world tuple the ground set is the cached world
-    set itself, not a copy.  ``atom_count`` is stored when the algebra is
+    from.  On the world tuple the ground set is the world algebra's own
+    ground set, not a copy.  ``atom_count`` is stored when the algebra is
     built, so it needs no atoms; ``world_algebra`` and
     ``heard_prefix_algebra`` build ``atoms`` from their rule on its first
     read (see ``_atoms_by_rule``).
@@ -392,8 +386,8 @@ class BooleanSubalgebra(Frozen):
 
     @cached_property
     def _position(self) -> dict[Hashable, int] | None:
-        """Each ground element's index, built on first use; None on the cached
-        world tuple, where an element's index is its world code."""
+        """Each ground element's index, built on first use; None on the world
+        tuple, where an element's index is its world code."""
         if _world_tuple_size(self.ground) is not None:
             return None
         return {e: i for i, e in enumerate(self.ground)}
@@ -525,37 +519,42 @@ def powerset_algebra(ground: Sequence[Hashable]) -> BooleanSubalgebra:
 def world_algebra(catalog: TestimonyCatalog) -> BooleanSubalgebra:
     """The powerset algebra of the catalog's world space, built once per catalog size.
 
-    Its atoms are the singleton worlds in canonical order, so atoms 2k and
-    2k+1 are the guilty and innocent worlds of the k-th transcript of
-    ``catalog.all_transcripts()``.
+    It owns that world space: its ground is ``full_world_space`` and its
+    ground set ``world_set``.  Its atoms are the singleton worlds in
+    canonical order, so atoms 2k and 2k+1 are the guilty and innocent
+    worlds of the k-th transcript of ``catalog.all_transcripts()``.
     """
     return _world_algebra(len(catalog))
 
 
 @lru_cache(maxsize=16)
 def _world_algebra(n: int) -> BooleanSubalgebra:
-    worlds = _world_space(n)  # one singleton atom per world, in order, built on first read
+    """The one owner of the world space of n testimonies: its ground is the
+    world tuple and its ground set the world set, both built here and
+    nowhere else.  Its singleton atoms are built on first read."""
+    worlds = tuple(map(_world_of_code, range(2 << n)))
     return BooleanSubalgebra._unchecked(
-        worlds, _world_set(n), atom_count=len(worlds), is_world_powerset=True
+        worlds, frozenset(worlds), atom_count=len(worlds), is_world_powerset=True
     )
 
 
 def _world_tuple_size(ground: tuple) -> int | None:
-    """n if ``ground`` is the cached world tuple of n testimonies, else None.
+    """n if ``ground`` is the world tuple of n testimonies, which the cached
+    world algebra owns, else None.
 
-    Only a ground of 2^(n+1) worlds is compared with the cached tuple by
-    identity, so a ground of any other size builds no world space.
+    Only a ground of 2^(n+1) worlds is compared with the world algebra's
+    ground by identity, so a ground of any other size builds no world space.
     """
     n = len(ground).bit_length() - 2
     sized = 0 <= n <= WORLD_CAP_CEILING and len(ground) == 2 << n
-    return n if sized and type(ground[-1]) is World and ground is _world_space(n) else None
+    return n if sized and type(ground[-1]) is World and ground is _world_algebra(n).ground else None
 
 
 def _ground_set_of(ground: tuple) -> frozenset:
-    """The ground as a set: the cached world set on the cached world tuple,
-    else a new one.  ValueError if the ground repeats an element."""
+    """The ground as a set: on the world tuple the world algebra's own ground
+    set, else a new one.  ValueError if the ground repeats an element."""
     n = _world_tuple_size(ground)
-    ground_set = frozenset(ground) if n is None else _world_set(n)
+    ground_set = frozenset(ground) if n is None else _world_algebra(n).ground_set
     if len(ground_set) != len(ground):
         raise ValueError("ground elements must be distinct")
     return ground_set
@@ -564,9 +563,9 @@ def _ground_set_of(ground: tuple) -> frozenset:
 def require_world_ground(algebra: BooleanSubalgebra, catalog: TestimonyCatalog) -> None:
     """CatalogMismatch unless the algebra's ground is the catalog's world space.
 
-    Every algebra built on the cached world tuple, by the public
-    constructor or any builder here, holds the cached world set, and
-    ``split`` children share their parent's, so identity settles most.
+    Every algebra built on the world tuple, by the public constructor or
+    any builder here, holds the world algebra's ground set, and ``split``
+    children share their parent's, so identity settles most.
     """
     ground_set = algebra.ground_set
     if ground_set is world_set(catalog):

@@ -36,8 +36,10 @@ from jurybayes.errors import (
 from jurybayes.rationals import format_rational
 from jurybayes.worlds import (
     TestimonyCatalog,
+    Transcript,
     atoms_of_generated_algebra,
     guilt_event,
+    heard_event,
     is_expressible,
     powerset_algebra,
 )
@@ -668,6 +670,22 @@ class TestRatioBoundedPrior:
         assert len(heard) == 11
         assert chain == oracle_chain
         assert built.charge.algebra.atoms == oracle.charge.algebra.atoms
+
+    @pytest.mark.parametrize(
+        "n, gamma, steps", [(5, F(1, 10), 5), (9, F(1, 20), 9), (11, F(1, 25), 11), (12, F(1, 25), 11)]
+    )
+    def test_chain_is_the_heard_events(self, n, gamma, steps):
+        # theta <= 1/2 needs no step; at n=12 there are fewer steps than testimonies
+        cat = self.catalog(n)
+        for theta in (F(3, 4), F(1, 2), F(2, 5)):
+            built = build_ratio_bounded_convicting_prior(cat, RateBoundConfig(gamma, theta))
+            m = steps if theta > F(1, 2) else 0
+            assert len(built.posteriors) == m + 1
+            heard = tuple(heard_event(cat, Transcript(range(k))) for k in range(1, m + 1))
+            assert built.chain == heard
+            # H_k is the union of the charge's atoms 2k onward
+            atoms = built.charge.algebra.atoms
+            assert heard == tuple(frozenset().union(*atoms[2 * k :]) for k in range(1, m + 1))
 
     def test_build_does_no_fraction_arithmetic(self, monkeypatch):
         """Masses and trail are worked out on integers: each output is one

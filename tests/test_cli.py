@@ -236,6 +236,25 @@ class TestExitCodes:
         assert "AxiomViolation" in err
         assert "innocence" in err
 
+    @pytest.mark.parametrize("change", ["unknown", "missing"])
+    def test_a_certificate_with_other_top_level_keys_exits_3(self, capsys, tmp_path, change):
+        cert = tmp_path / "cert.json"
+        disposition = str(DATA / "two_witness_n2.json")
+        assert run_cli(capsys, "rationalize", disposition, "--theta", "3/4", "--out", str(cert))[0] == 0
+        doc = json.loads(cert.read_text())
+        if change == "unknown":
+            doc["x"] = 1
+        else:
+            del doc["guilt_prior"]
+        cert.write_text(json.dumps(doc))
+        for argv in (
+            ("verify", disposition, str(cert), "--theta", "3/4"),
+            ("extend", str(cert), "--event", "guilt", "--given", "heard:t1", "--target", "1/2"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("error[ParseError]: certificate ") and err.count("\n") == 1
+
     def test_malformed_json_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -590,7 +609,7 @@ class TestWorldCap:
         def no_worlds(labels):
             raise AssertionError("a world space was built")
 
-        monkeypatch.setattr(worlds, "_world_space", no_worlds)
+        monkeypatch.setattr(worlds, "_world_algebra", no_worlds)
         disposition = str(DATA / "two_witness_n2.json")
         cases = [
             (("--world-cap", "-1"), None, 3, "ParseError"),

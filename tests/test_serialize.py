@@ -486,6 +486,18 @@ class TestChargeFormat:
         assert doc["theta"] == "3/4"
         assert doc["guilt_prior"] == "1/2"
 
+    def test_a_certificate_carries_exactly_the_writers_keys(self, cat):
+        disposition = Disposition.from_label_sets(cat, [["t1"]])
+        doc = certificate_to_jsonable(rationalize(disposition, F(3, 4)))
+        with pytest.raises(ParseError, match=r"^certificate has unknown key\(s\): \['x'\]$"):
+            charge_document_from_jsonable({**doc, "x": 1})
+        for key in ("catalog", "theta", "guilt_prior", "posteriors"):
+            short = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(ParseError, match=rf"^certificate is missing key\(s\): \['{key}'\]$"):
+                charge_document_from_jsonable(short)
+        # a bare charge is read as before
+        assert charge_document_from_jsonable(doc["prior"]) == charge_document_from_jsonable(doc)
+
     def test_serialization_is_deterministic(self, cat):
         disposition = Disposition.from_label_sets(cat, [["t1"]])
         certificate = rationalize(disposition, F(3, 4))

@@ -144,7 +144,7 @@ class TestWorldSpace:
         def refuse(n):
             raise AssertionError(f"built the world space of {n} testimonies")
 
-        monkeypatch.setattr(worlds_module, "_world_space", refuse)
+        monkeypatch.setattr(worlds_module, "_world_algebra", refuse)
         for size in (5, 2**3 + 1, 2**4 + 1):
             ground = worlds[:size]
             for algebra in (
@@ -174,7 +174,7 @@ class TestWorldSpace:
         def no_worlds(labels):
             raise AssertionError("a world space was built")
 
-        monkeypatch.setattr(worlds_module, "_world_space", no_worlds)
+        monkeypatch.setattr(worlds_module, "_world_algebra", no_worlds)
         assert WORLD_CAP_CEILING >= 16
         for cap in (-1, -(10**9)):
             with pytest.raises(ValueError, match="nonnegative"):
@@ -223,6 +223,63 @@ class TestWorldSpace:
             with pytest.raises(TypeError) as got:
                 TestimonyCatalog(labels)
             assert str(got.value) == f"catalog labels must be strings, got {bad!r}"
+
+
+class TestOneWorldOwner:
+    """The cached world algebra owns each size's world space: every reader
+    and every world-space event reads or slices its one world tuple."""
+
+    READERS = {
+        "full_world_space": full_world_space,
+        "world_set": world_set,
+        "world_algebra": world_algebra,
+        "event_of_transcript": lambda cat: event_of_transcript(cat, cat.transcript(["t1", "t3"])),
+        "heard_event": lambda cat: heard_event(cat, cat.transcript(["t0", "t4"])),
+        "heard_prefix_algebra": lambda cat: heard_prefix_algebra(cat, 3).atoms,
+    }
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            list(READERS),
+            list(reversed(READERS)),
+            ["heard_event", "event_of_transcript", "world_set", "heard_prefix_algebra",
+             "full_world_space", "world_algebra"],
+        ],
+        ids=["forward", "reversed", "mixed"],
+    )
+    def test_each_world_is_built_once(self, monkeypatch, order):
+        built = []
+        of_code = worlds_module._world_of_code
+
+        def counting(code):
+            built.append(code)
+            return of_code(code)
+
+        monkeypatch.setattr(worlds_module, "_world_of_code", counting)
+        fresh = worlds_module.lru_cache(16)(worlds_module._world_algebra.__wrapped__)
+        monkeypatch.setattr(worlds_module, "_world_algebra", fresh)
+        cat = catalog(5)
+        for _ in range(2):  # a second pass builds nothing
+            for name in order:
+                self.READERS[name](cat)
+        assert built == list(range(2**6))
+        assert full_world_space(cat) is world_algebra(cat).ground
+        assert world_set(cat) is world_algebra(cat).ground_set
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_a_transcript_event_is_the_world_tuples_own_worlds(self, n):
+        cat = catalog(n)
+        worlds = full_world_space(cat)
+        for t in cat.all_transcripts():
+            event = event_of_transcript(cat, t)
+            assert event == {World(t, Guilt.GUILTY), World(t, Guilt.INNOCENT)}
+            assert all(world is worlds[world] for world in event)
+        foreign = rf"^transcript indices \[{n}\] are outside the catalog of size {n}$"
+        with pytest.raises(ForeignTestimony, match=foreign):
+            event_of_transcript(cat, Transcript({n}))
+        with pytest.raises(TypeError, match="^expected a Transcript, got int$"):
+            event_of_transcript(cat, 0)
 
 
 class TestEvents:
